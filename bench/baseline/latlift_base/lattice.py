@@ -1,0 +1,564 @@
+"""Finite multiplicative lattices.
+
+A multiplicative lattice here is a finite complete lattice carrying a
+commutative multiplication whose identity is the top element and which
+distributes over arbitrary joins (on a finite carrier: over binary joins,
+with the bottom element absorbing products).
+
+Elements are dense indices 0..n-1; names exist only for I/O.  Subsets are
+bitmasks, which keeps the exhaustive powerset scans used throughout this
+package as plain integer loops.
+"""
+
+from __future__ import annotations
+
+import json
+from dataclasses import dataclass
+from itertools import combinations, combinations_with_replacement, permutations, product
+from pathlib import Path
+from typing import Iterator
+
+from .bitset import bits, mask_from
+from .verdicts import LoadError, Verdict, Violation
+
+# Subsets are single machine words; loaders reject anything larger.
+CARRIER_CAP = 64
+
+# Exhaustive enumeration guard: the table search blows up past this.
+ENUM_CAP = 6
+
+# On a finite carrier any join is a finite join, so compactness cannot
+# fail; the flag is reported anyway to keep classification totals honest.
+COMPACT_NOTE = "every element of a finite lattice is compact"
+
+
+@dataclass(frozen=True)
+class FiniteLattice:
+    """Carrier of a finite multiplicative lattice.
+
+    ``up[i]`` is the bitmask of all j with i <= j.  Construction validates
+    shape only; :func:`verify_lattice` checks the axioms.  Instances are
+    immutable and all operations are pure, so values can be shared freely
+    across threads or processes.
+    """
+
+    names: tuple[str, ...]
+    up: tuple[int, ...]
+    mul: tuple[tuple[int, ...], ...]
+    bot: int
+    top: int
+
+    def __post_init__(self) -> None:
+        n = len(self.names)
+        if not 1 <= n <= CARRIER_CAP:
+            raise LoadError(f"carrier size {n} outside 1..{CARRIER_CAP}")
+        if len(set(self.names)) != n:
+            raise LoadError("element names are not distinct")
+        if len(self.up) != n or len(self.mul) != n or any(len(r) != n for r in self.mul):
+            raise LoadError("table dimensions do not match the carrier")
+        full = (1 << n) - 1
+        if any(row & ~full for row in self.up):
+            raise LoadError("order mask references an unknown element")
+        if any(not 0 <= v < n for row in self.mul for v in row):
+            raise LoadError("multiplication table references an unknown index")
+        if not (0 <= self.bot < n and 0 <= self.top < n):
+            raise LoadError("bot/top index out of range")
+
+    # ----- order primitives ------------------------------------------
+
+    @property
+    def n(self) -> int:
+        return len(self.names)
+
+    @property
+    def full(self) -> int:
+        return (1 << self.n) - 1
+
+    def le(self, i: int, j: int) -> bool:
+        return bool(self.up[i] >> j & 1)
+
+    def down(self, j: int) -> int:
+        """Bitmask of the lower set {i : i <= j}."""
+        m = 0
+        for i in range(self.n):
+            if self.up[i] >> j & 1:
+                m |= 1 << i
+        return m
+
+    def upper_bounds(self, mask: int) -> int:
+        ubs = self.full
+        for i in bits(mask):
+            ubs &= self.up[i]
+        return ubs
+
+    def lower_bounds(self, mask: int) -> int:
+        lbs = 0
+        for j in range(self.n):
+            if mask & ~self.up[j] == 0:
+                lbs |= 1 << j
+        return lbs
+
+    def least_of(self, mask: int) -> int | None:
+        """Member of mask below every member, or None."""
+        for u in bits(mask):
+            if mask & ~self.up[u] == 0:
+                return u
+        return None
+
+    def greatest_of(self, mask: int) -> int | None:
+        for u in bits(mask):
+            if all(self.le(v, u) for v in bits(mask)):
+                return u
+        return None
+
+    def join_of(self, mask: int) -> int:
+        """Least upper bound of a subset; the empty join is bot."""
+        u = self.least_of(self.upper_bounds(mask))
+        if u is None:
+            raise ValueError("subset has no least upper bound; carrier is not a lattice")
+        return u
+
+    def meet_of(self, mask: int) -> int:
+        """Greatest lower bound of a subset; the empty meet is top."""
+        u = self.greatest_of(self.lower_bounds(mask))
+        if u is None:
+            raise ValueError("subset has no greatest lower bound; carrier is not a lattice")
+        return u
+
+    def join(self, *elems: int) -> int:
+        return self.join_of(mask_from(elems))
+
+    def meet(self, *elems: int) -> int:
+        return self.meet_of(mask_from(elems))
+
+    def residual(self, a: int, b: int) -> int:
+        """(a : b), the join of all y with b*y <= a."""
+        row = self.mul[b]
+        return self.join_of(mask_from(y for y in range(self.n) if self.le(row[y], a)))
+
+    def interval_mask(self, lo: int, hi: int) -> int:
+        return self.up[lo] & self.down(hi)
+
+    def interval(self, lo: int, hi: int) -> "Interval":
+        if not self.le(lo, hi):
+            raise ValueError("empty interval: lo is not below hi")
+        return Interval(lo, hi, self.interval_mask(lo, hi))
+
+    # ----- naming ----------------------------------------------------
+
+    def index(self, name: str) -> int:
+        try:
+            return self.names.index(name)
+        except ValueError:
+            raise LoadError(f"unknown element {name!r}") from None
+
+    def subset_names(self, mask: int) -> tuple[str, ...]:
+        return tuple(self.names[i] for i in bits(mask))
+
+
+@dataclass(frozen=True)
+class Interval:
+    """The interval [lo, hi] with its member bitmask."""
+
+    lo: int
+    hi: int
+    members: int
+
+
+@dataclass(frozen=True)
+class ElementFlags:
+    """Principality flags of one element, each from an exhaustive scan.
+
+    ``compact`` is constantly true on these finite carriers (see
+    COMPACT_NOTE); it is kept so equivalences quantifying over it stay
+    checkable rather than silently omitted.
+    """
+
+    element: str
+    meet_principal: bool
+    weak_meet_principal: bool
+    join_principal: bool
+    weak_join_principal: bool
+    principal: bool
+    weak_principal: bool
+    compact: bool = True
+    note: str = COMPACT_NOTE
+
+
+def classify_element(lat: FiniteLattice, x: int) -> ElementFlags:
+    """Meet/join principality of x by brute force over all pairs.
+
+    meet principal:  a ^ xb == x((a:x) ^ b)          for all a, b
+    join principal:  a v (b:x) == (ax v b):x         for all a, b
+    The weak variants fix b = top respectively b = bot.
+    """
+    n, mul = lat.n, lat.mul
+    res_x = [lat.residual(a, x) for a in range(n)]
+    mp = wmp = jp = wjp = True
+    for a in range(n):
+        if lat.meet(a, x) != mul[x][res_x[a]]:
+            wmp = False
+        if lat.join(a, res_x[lat.bot]) != res_x[mul[a][x]]:
+            wjp = False
+        for b in range(n):
+            if lat.meet(a, mul[x][b]) != mul[x][lat.meet(res_x[a], b)]:
+                mp = False
+            if lat.join(a, res_x[b]) != res_x[lat.join(mul[a][x], b)]:
+                jp = False
+    return ElementFlags(lat.names[x], mp, wmp, jp, wjp, mp and jp, wmp and wjp)
+
+
+def is_domain(lat: FiniteLattice) -> bool:
+    """True when products only vanish if a factor is bot."""
+    for a in range(lat.n):
+        for b in range(lat.n):
+            if lat.mul[a][b] == lat.bot and a != lat.bot and b != lat.bot:
+                return False
+    return True
+
+
+def verify_lattice(lat: FiniteLattice) -> Verdict:
+    """Check every multiplicative-lattice axiom on the carrier.
+
+    Reports at most one witness per law.  Distributivity is checked in its
+    binary form together with annihilation by bot, which on a finite
+    carrier is equivalent to distributivity over arbitrary joins.
+    """
+    n, names, mul = lat.n, lat.names, lat.mul
+    out: list[Violation] = []
+    seen: set[str] = set()
+
+    def record(law: str, witness: tuple, detail: str = "") -> None:
+        if law not in seen:
+            seen.add(law)
+            out.append(Violation(law, witness, detail))
+
+    for i in range(n):
+        if not lat.le(i, i):
+            record("reflexivity", (names[i],))
+    for i in range(n):
+        for j in range(n):
+            if i != j and lat.le(i, j) and lat.le(j, i):
+                record("antisymmetry", (names[i], names[j]))
+            for k in range(n):
+                if lat.le(i, j) and lat.le(j, k) and not lat.le(i, k):
+                    record("transitivity", (names[i], names[j], names[k]))
+    for i in range(n):
+        if not lat.le(lat.bot, i):
+            record("least-element", (names[i],), "bot is not below every element")
+        if not lat.le(i, lat.top):
+            record("greatest-element", (names[i],), "top is not above every element")
+
+    join2: list[list[int | None]] = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            u = lat.least_of(lat.upper_bounds(mask_from((i, j))))
+            if u is None:
+                record("join-existence", (names[i], names[j]), "pair has no least upper bound")
+            join2[i][j] = join2[j][i] = u
+            if lat.greatest_of(lat.lower_bounds(mask_from((i, j)))) is None:
+                record("meet-existence", (names[i], names[j]), "pair has no greatest lower bound")
+
+    for i in range(n):
+        if mul[lat.top][i] != i:
+            record("identity", (names[i],), "top must be the multiplicative identity")
+        if mul[lat.bot][i] != lat.bot:
+            record("annihilation", (names[i],), "bot must absorb products")
+        for j in range(n):
+            if mul[i][j] != mul[j][i]:
+                record("commutativity", (names[i], names[j]))
+            for k in range(n):
+                if mul[mul[i][j]][k] != mul[i][mul[j][k]]:
+                    record("associativity", (names[i], names[j], names[k]))
+
+    for a in range(n):
+        for b in range(n):
+            for c in range(b, n):
+                jbc = join2[b][c]
+                if jbc is None:
+                    continue
+                rhs = join2[mul[a][b]][mul[a][c]]
+                if rhs is None or mul[a][jbc] != rhs:
+                    record("distributivity", (names[a], names[b], names[c]),
+                           "a(b v c) != ab v ac")
+    return Verdict(not out, tuple(out))
+
+
+# ----- loading ---------------------------------------------------------
+
+
+def lattice_from_dict(data: dict) -> FiniteLattice:
+    """Build a lattice from its JSON document.
+
+    The order may be given as Hasse covers or as (part of) the full
+    relation; either way the reflexive-transitive closure is taken and a
+    cycle is a load error.  Multiplication entries involving top or bot
+    may be omitted (identity and annihilation fill them in); any other
+    missing product is a load error.
+    """
+    if not isinstance(data, dict):
+        raise LoadError("lattice document must be a JSON object")
+    elements = data.get("elements")
+    if not isinstance(elements, list) or not elements:
+        raise LoadError("'elements' must be a nonempty list")
+    if not all(isinstance(e, str) and e for e in elements):
+        raise LoadError("element names must be nonempty strings")
+    if len(set(elements)) != len(elements):
+        raise LoadError("duplicate element names")
+    n = len(elements)
+    if n > CARRIER_CAP:
+        raise LoadError(f"carrier size {n} exceeds cap {CARRIER_CAP}")
+    pos = {e: i for i, e in enumerate(elements)}
+
+    def look(name: object) -> int:
+        if not isinstance(name, str) or name not in pos:
+            raise LoadError(f"unknown element {name!r}")
+        return pos[name]
+
+    for key in ("top", "bot"):
+        if key not in data:
+            raise LoadError(f"missing '{key}'")
+    top, bot = look(data["top"]), look(data["bot"])
+
+    order = data.get("order")
+    if not isinstance(order, dict) or len(order) != 1 or next(iter(order)) not in ("covers", "leq"):
+        raise LoadError("'order' must hold exactly one of 'covers' or 'leq'")
+    pairs = next(iter(order.values()))
+    if not isinstance(pairs, list):
+        raise LoadError("order pairs must be a list")
+    up = [1 << i for i in range(n)]
+    up[bot] = (1 << n) - 1
+    for i in range(n):
+        up[i] |= 1 << top
+    for pair in pairs:
+        if not isinstance(pair, list) or len(pair) != 2:
+            raise LoadError(f"order pair {pair!r} must be [lo, hi]")
+        up[look(pair[0])] |= 1 << look(pair[1])
+    changed = True
+    while changed:
+        changed = False
+        for i in range(n):
+            acc = up[i]
+            for j in bits(up[i]):
+                acc |= up[j]
+            if acc != up[i]:
+                up[i] = acc
+                changed = True
+    for i in range(n):
+        for j in range(i + 1, n):
+            if up[i] >> j & 1 and up[j] >> i & 1:
+                raise LoadError(
+                    f"order closure is not antisymmetric: {elements[i]} <= {elements[j]} <= {elements[i]}")
+
+    grid: list[list[int | None]] = [[None] * n for _ in range(n)]
+    for x in range(n):
+        grid[top][x] = grid[x][top] = x
+        grid[bot][x] = grid[x][bot] = bot
+    explicit: dict[tuple[int, int], int] = {}
+    for entry in data.get("mul", []):
+        if not isinstance(entry, list) or len(entry) != 3:
+            raise LoadError(f"mul entry {entry!r} must be [x, y, xy]")
+        x, y, v = look(entry[0]), look(entry[1]), look(entry[2])
+        key = (min(x, y), max(x, y))
+        if key in explicit and explicit[key] != v:
+            raise LoadError(f"conflicting products for {elements[x]}*{elements[y]}")
+        explicit[key] = v
+        grid[x][y] = grid[y][x] = v
+    for x in range(n):
+        for y in range(x, n):
+            if grid[x][y] is None:
+                raise LoadError(f"missing product {elements[x]}*{elements[y]}")
+    return FiniteLattice(tuple(elements), tuple(up),
+                         tuple(tuple(row) for row in grid), bot, top)  # type: ignore[arg-type]
+
+
+def load_lattice(path: str | Path) -> FiniteLattice:
+    try:
+        text = Path(path).read_text()
+    except OSError as exc:
+        raise LoadError(f"cannot read {path}: {exc}") from None
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise LoadError(f"invalid JSON in {path}: {exc}") from None
+    return lattice_from_dict(data)
+
+
+# ----- enumeration -----------------------------------------------------
+
+
+def enumerate_small_lattices(n: int, limit: int | None = None) -> Iterator[FiniteLattice]:
+    """Yield the distinct multiplicative lattices on n labeled elements.
+
+    Index 0 is bot and index n-1 is top; inner elements keep their labels,
+    so the stream contains relabelings of the same isomorphism class but
+    never two identical lattices.  Orders are interleaved round-robin so a
+    small limit still samples many order shapes.  Every yield passes
+    :func:`verify_lattice`.
+    """
+    if not 1 <= n <= ENUM_CAP:
+        raise ValueError(f"enumeration is capped at {ENUM_CAP} elements")
+    count = 0
+    streams = [_tables_for_order(n, up) for up in _lattice_orders(n)]
+    while streams:
+        alive = []
+        for gen in streams:
+            lat = next(gen, None)
+            if lat is None:
+                continue
+            yield lat
+            count += 1
+            if limit is not None and count >= limit:
+                return
+            alive.append(gen)
+        streams = alive
+
+
+def _small_names(n: int) -> tuple[str, ...]:
+    if n == 1:
+        return ("0",)
+    return ("0",) + tuple("abcdefgh"[: n - 2]) + ("1",)
+
+
+def _lattice_orders(n: int) -> Iterator[tuple[int, ...]]:
+    """All bounded partial orders on 0..n-1 (bot=0, top=n-1) that are
+    lattices, as up-mask tuples.  Only transitively closed pair
+    assignments are accepted, so each order appears exactly once."""
+    if n == 1:
+        yield (1,)
+        return
+    bot, top = 0, n - 1
+    inner = list(range(1, n - 1))
+    pairs = list(combinations(inner, 2))
+    base = [(1 << i) | (1 << top) for i in range(n)]
+    base[bot] = (1 << n) - 1
+    # choice per pair: 0 means i < j, 1 means j < i, 2 means incomparable
+    for choice in product((0, 1, 2), repeat=len(pairs)):
+        up = list(base)
+        for (i, j), c in zip(pairs, choice):
+            if c == 0:
+                up[i] |= 1 << j
+            elif c == 1:
+                up[j] |= 1 << i
+        ok = True
+        for i in inner:
+            acc = up[i]
+            for j in bits(up[i]):
+                acc |= up[j]
+            if acc != up[i]:
+                ok = False
+                break
+        if not ok:
+            continue
+        down = [0] * n
+        for k in range(n):
+            for u in bits(up[k]):
+                down[u] |= 1 << k
+
+        def least(mask: int) -> int | None:
+            for u in bits(mask):
+                if mask & ~up[u] == 0:
+                    return u
+            return None
+
+        def greatest(mask: int) -> int | None:
+            for u in bits(mask):
+                if mask & ~down[u] == 0:
+                    return u
+            return None
+
+        for i in range(n):
+            for j in range(i + 1, n):
+                if least(up[i] & up[j]) is None or greatest(down[i] & down[j]) is None:
+                    ok = False
+                    break
+            if not ok:
+                break
+        if ok:
+            yield tuple(up)
+
+
+def _tables_for_order(n: int, up: tuple[int, ...]) -> Iterator[FiniteLattice]:
+    """Backtracking search over commutative associative distributive
+    multiplications for one order, with top as identity and bot absorbing.
+    Values are tried ascending, so the all-products-bot table (when legal)
+    comes first for every order."""
+    names = _small_names(n)
+    bot, top = 0, n - 1
+
+    def least(mask: int) -> int:
+        for u in bits(mask):
+            if mask & ~up[u] == 0:
+                return u
+        raise AssertionError("order prevalidated as a lattice")
+
+    join2 = [[least(up[i] & up[j]) for j in range(n)] for i in range(n)]
+    inner = list(range(1, n - 1))
+    mul: list[list[int | None]] = [[None] * n for _ in range(n)]
+    for x in range(n):
+        mul[top][x] = mul[x][top] = x
+        mul[bot][x] = mul[x][bot] = bot
+    cells = list(combinations_with_replacement(inner, 2))
+    assoc = list(combinations_with_replacement(inner, 3))
+    distr = [(x, y, z) for x in inner for y in range(n) for z in range(y + 1, n)]
+
+    def consistent() -> bool:
+        # commutativity holds by construction; for each unordered triple the
+        # three groupings must agree wherever they are already determined
+        for x, y, z in assoc:
+            xy, yz, xz = mul[x][y], mul[y][z], mul[x][z]
+            vals = []
+            if xy is not None and mul[xy][z] is not None:
+                vals.append(mul[xy][z])
+            if yz is not None and mul[x][yz] is not None:
+                vals.append(mul[x][yz])
+            if xz is not None and mul[xz][y] is not None:
+                vals.append(mul[xz][y])
+            if any(v != vals[0] for v in vals[1:]):
+                return False
+        for x, y, z in distr:
+            lhs, a, b = mul[x][join2[y][z]], mul[x][y], mul[x][z]
+            if lhs is None or a is None or b is None:
+                continue
+            if lhs != join2[a][b]:
+                return False
+        return True
+
+    def rec(k: int) -> Iterator[FiniteLattice]:
+        if k == len(cells):
+            yield FiniteLattice(names, up, tuple(tuple(r) for r in mul), bot, top)  # type: ignore[arg-type]
+            return
+        i, j = cells[k]
+        for v in range(n):
+            mul[i][j] = mul[j][i] = v
+            if consistent():
+                yield from rec(k + 1)
+        mul[i][j] = mul[j][i] = None
+
+    yield from rec(0)
+
+
+def are_isomorphic(a: FiniteLattice, b: FiniteLattice) -> bool:
+    """Brute-force isomorphism test for handover with the enumerator.
+
+    Permutation search, so only sensible for small carriers (n <= 7).
+    """
+    if a.n != b.n:
+        return False
+    if a.n > 7:
+        raise ValueError("isomorphism search is capped at 7 elements")
+    n = a.n
+    for perm in permutations(range(n)):
+        if perm[a.bot] != b.bot or perm[a.top] != b.top:
+            continue
+        ok = True
+        for i in range(n):
+            for j in range(n):
+                if a.le(i, j) != b.le(perm[i], perm[j]) or perm[a.mul[i][j]] != b.mul[perm[i]][perm[j]]:
+                    ok = False
+                    break
+            if not ok:
+                break
+        if ok:
+            return True
+    return False

@@ -1,0 +1,398 @@
+"""Wires of a multiplicative lattice and the weak ideal systems they induce.
+
+A wire is a multiplicatively closed subset H containing both bot and top
+whose joins recover every lattice element.  Closing a subset X of H to
+
+    H intersect [0, join(X)]
+
+yields a weak ideal system on the monoid (H, *, top, bot) whose ideal
+lattice is isomorphic to the original lattice through the mutually inverse
+pair f(X) = join(X) and g(y) = H intersect [0, y].  The system satisfies
+the ideal-system equality exactly when H also satisfies condition (M):
+whenever s <= t*a with s, t in H there is some u in H below a with
+s = t*u.  Everything certifiable here is certified at construction time;
+broken certificates raise TheoremViolation instead of returning quietly.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Iterator
+
+from .bitset import bits, mask_from
+from .lattice import FiniteLattice, classify_element, is_domain
+from .monoid import (
+    POWERSET_CAP,
+    ClosureMap,
+    FiniteMonoid,
+    IdealLattice,
+    build_ideal_lattice,
+    finitary_table,
+    verify_finitary,
+    verify_ideal_system,
+    verify_weak_ideal_system,
+)
+from .verdicts import TheoremViolation
+
+# Wire enumeration walks the powerset of the carrier interior.
+WIRE_ENUM_CAP = 6
+
+
+class WireError(ValueError):
+    """The given subset is not a wire, so it cannot be lifted."""
+
+
+@dataclass(frozen=True)
+class WireReport:
+    """Verdicts for one candidate subset H of a lattice.
+
+    ``m_witness`` is the lexicographically first (s, t, a) with
+    s <= t*a but no u in H below a satisfying s = t*u; it is present
+    exactly when H is a wire that fails condition (M).
+    """
+
+    lattice: FiniteLattice
+    subset: int
+    contains_one: bool
+    contains_zero: bool
+    mult_closed: bool
+    generates: bool
+    is_wire: bool
+    is_m_wire: bool
+    m_witness: tuple[int, int, int] | None
+
+    def witness_names(self) -> tuple[str, str, str] | None:
+        if self.m_witness is None:
+            return None
+        s, t, a = self.m_witness
+        return (self.lattice.names[s], self.lattice.names[t], self.lattice.names[a])
+
+
+def _mult_closed(lat: FiniteLattice, subset: int, elems: list[int]) -> bool:
+    return all(subset >> lat.mul[s][t] & 1 for s in elems for t in elems)
+
+
+def _m_condition(lat: FiniteLattice, subset: int, elems: list[int]) -> tuple[bool, tuple[int, int, int] | None]:
+    downs = [lat.down(a) for a in range(lat.n)]
+    for s in elems:
+        for t in elems:
+            row = lat.mul[t]
+            for a in range(lat.n):
+                if lat.le(s, row[a]):
+                    box = subset & downs[a]
+                    if not any(row[u] == s for u in bits(box)):
+                        return False, (s, t, a)
+    return True, None
+
+
+def analyze_wire(lat: FiniteLattice, subset: int) -> WireReport:
+    """Check the four wire conditions and, for wires, condition (M).
+
+    Generation means join(H intersect [0, x]) == x for every x, which is
+    equivalent to x being a join of members of H.
+    """
+    if subset & ~lat.full:
+        raise ValueError("subset lies outside the carrier")
+    elems = list(bits(subset))
+    contains_one = bool(subset >> lat.top & 1)
+    contains_zero = bool(subset >> lat.bot & 1)
+    closed = _mult_closed(lat, subset, elems)
+    generates = all(lat.join_of(subset & lat.down(x)) == x for x in range(lat.n))
+    wire = contains_one and contains_zero and closed and generates
+    is_m, witness = (False, None)
+    if wire:
+        is_m, witness = _m_condition(lat, subset, elems)
+    return WireReport(lat, subset, contains_one, contains_zero, closed,
+                      generates, wire, is_m, witness)
+
+
+def verify_m_witness(lat: FiniteLattice, subset: int, witness: tuple[int, int, int]) -> bool:
+    """Recheck an (M)-failure triple independently of the scan that found it."""
+    s, t, a = witness
+    if not lat.le(s, lat.mul[t][a]):
+        return False
+    box = subset & lat.down(a)
+    return not any(lat.mul[t][u] == s for u in bits(box))
+
+
+def enumerate_wires(lat: FiniteLattice, m_only: bool = False,
+                    cap: int = WIRE_ENUM_CAP) -> Iterator[WireReport]:
+    """All wires of the lattice (subsets containing bot and top), ascending
+    by interior bitmask.  Multiplicative closure is tested before the more
+    expensive generation scan."""
+    if lat.n > cap:
+        raise ValueError(f"carrier size {lat.n} exceeds wire enumeration cap {cap}")
+    base = (1 << lat.bot) | (1 << lat.top)
+    others = [i for i in range(lat.n) if not base >> i & 1]
+    for pick in range(1 << len(others)):
+        subset = base | mask_from(others[i] for i in bits(pick))
+        if not _mult_closed(lat, subset, list(bits(subset))):
+            continue
+        report = analyze_wire(lat, subset)
+        if report.is_wire and (report.is_m_wire or not m_only):
+            yield report
+
+
+@dataclass(frozen=True)
+class LiftResult:
+    """A lifted weak ideal system together with its isomorphism certificate.
+
+    ``iso_f[i]`` is the lattice element join(ideal i); ``iso_g[y]`` is the
+    ideal index of H intersect [0, y].  ``certified`` is always True on a
+    returned value; certification failures raise instead.
+    """
+
+    wire: WireReport
+    monoid: FiniteMonoid
+    system: ClosureMap
+    ideal_lattice: IdealLattice
+    iso_f: tuple[int, ...]
+    iso_g: tuple[int, ...]
+    certified: bool
+
+    def ideal_members(self) -> tuple[tuple[str, ...], ...]:
+        return tuple(self.ideal_lattice.members(k) for k in range(len(self.ideal_lattice.ideals)))
+
+
+def _certify_isomorphism(lat: FiniteLattice, subset: int,
+                         il: IdealLattice) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Certify X -> join(X) and y -> H intersect [0, y] as mutually inverse
+    multiplicative order isomorphisms between the ideal lattice and lat."""
+    elems = list(bits(subset))
+    expand = lambda mask: mask_from(elems[i] for i in bits(mask))
+    pos = {e: i for i, e in enumerate(elems)}
+    compress = lambda latmask: mask_from(pos[e] for e in bits(latmask))
+
+    f = tuple(lat.join_of(expand(v)) for v in il.ideals)
+    ideal_pos = {v: i for i, v in enumerate(il.ideals)}
+    g = []
+    for y in range(lat.n):
+        cut = compress(lat.down(y) & subset)
+        if cut not in ideal_pos:
+            raise TheoremViolation(f"H intersect [0,{lat.names[y]}] is not an r-ideal")
+        g.append(ideal_pos[cut])
+    for i in range(len(il.ideals)):
+        if g[f[i]] != i:
+            raise TheoremViolation("g o f is not the identity on ideals")
+    for y in range(lat.n):
+        if f[g[y]] != y:
+            raise TheoremViolation("f o g is not the identity on the lattice")
+    k = len(il.ideals)
+    for i in range(k):
+        for j in range(k):
+            if f[il.lattice.mul[i][j]] != lat.mul[f[i]][f[j]]:
+                raise TheoremViolation("f is not multiplicative")
+            if il.lattice.le(i, j) != lat.le(f[i], f[j]):
+                raise TheoremViolation("f does not preserve and reflect the order")
+    return f, tuple(g)
+
+
+def lift(lat: FiniteLattice, subset: int) -> LiftResult:
+    """Materialize the closure X -> H intersect [0, join(X)] over the wire H.
+
+    The returned system is verified as a weak ideal system, its ideal
+    lattice is built and the isomorphism onto the original lattice is
+    certified; any failure of these guaranteed steps raises
+    TheoremViolation.  Non-wires are rejected with WireError.
+    """
+    report = analyze_wire(lat, subset)
+    if not report.is_wire:
+        missing = [name for name, ok in (
+            ("missing top", report.contains_one),
+            ("missing bot", report.contains_zero),
+            ("not multiplicatively closed", report.mult_closed),
+            ("does not generate the lattice", report.generates)) if not ok]
+        raise WireError(
+            f"subset {{{','.join(lat.subset_names(subset))}}} is not a wire: " + "; ".join(missing))
+    elems = list(bits(subset))
+    h = len(elems)
+    if h > POWERSET_CAP:
+        raise ValueError(f"wire size {h} exceeds powerset cap {POWERSET_CAP}")
+    pos = {e: i for i, e in enumerate(elems)}
+    names = tuple(lat.names[e] for e in elems)
+    rows = []
+    for s in elems:
+        row = []
+        for t in elems:
+            p = lat.mul[s][t]
+            if p not in pos:
+                raise TheoremViolation("wire is not closed under multiplication")
+            row.append(pos[p])
+        rows.append(tuple(row))
+    monoid = FiniteMonoid(names, tuple(rows), pos[lat.top], pos[lat.bot])
+
+    downs = [lat.down(v) for v in range(lat.n)]
+    table = []
+    for sm in range(1 << h):
+        v = lat.join_of(mask_from(elems[i] for i in bits(sm)))
+        table.append(mask_from(pos[e] for e in bits(downs[v] & subset)))
+    system = ClosureMap(monoid, tuple(table))
+
+    weak = verify_weak_ideal_system(system)
+    if not weak.passed:
+        raise TheoremViolation(f"lifted closure map failed {weak.laws}")
+    il = build_ideal_lattice(system)
+    f, g = _certify_isomorphism(lat, subset, il)
+    return LiftResult(report, monoid, system, il, f, g, True)
+
+
+# ----- equivalence and liftability sweeps ------------------------------
+
+
+@dataclass(frozen=True)
+class EquivalenceReport:
+    """Per-lattice outcome of the M-wire / ideal-system equivalence sweep."""
+
+    lattice: FiniteLattice
+    wires_checked: int
+    m_wires: int
+    finitary_all: bool
+    all_compact: bool
+    violations: tuple[tuple[tuple[str, ...], bool, bool], ...]
+
+    @property
+    def ok(self) -> bool:
+        return not self.violations and self.finitary_all and self.all_compact
+
+
+def check_m_wire_ideal_equivalence(lat: FiniteLattice, cap: int = WIRE_ENUM_CAP) -> EquivalenceReport:
+    """For every wire H: the lift is an ideal system iff H satisfies (M).
+
+    Also confirms every lift is finitary and every element compact, the
+    degenerate finite readings of the companion equivalence.  Mismatches
+    are returned as violations, never dropped; they signal a bug or a
+    genuine discrepancy and callers should surface them loudly.
+    """
+    wires = m_wires = 0
+    finitary_all = True
+    violations = []
+    for report in enumerate_wires(lat, cap=cap):
+        wires += 1
+        result = lift(lat, report.subset)
+        ideal_ok = verify_ideal_system(result.system).passed
+        if report.is_m_wire:
+            m_wires += 1
+        if ideal_ok != report.is_m_wire:
+            violations.append((lat.subset_names(report.subset), report.is_m_wire, ideal_ok))
+        if not verify_finitary(result.system).passed:
+            finitary_all = False
+    all_compact = all(classify_element(lat, x).compact for x in range(lat.n))
+    return EquivalenceReport(lat, wires, m_wires, finitary_all, all_compact, tuple(violations))
+
+
+@dataclass(frozen=True)
+class LiftabilityReport:
+    """Executable liftability facts for one lattice.
+
+    Both the meet principal and the weak meet principal element sets are
+    reported; the generation test used by the implication runs on the
+    meet principal set.
+    """
+
+    lattice: FiniteLattice
+    lift_full_certified: bool
+    m_wire_exists: bool
+    meet_principal: tuple[str, ...]
+    weak_meet_principal: tuple[str, ...]
+    principal: tuple[str, ...]
+    mp_generates: bool
+    domain: bool
+    p_generates: bool
+    findings: tuple[str, ...]
+
+    @property
+    def ok(self) -> bool:
+        return self.lift_full_certified and not self.findings
+
+
+def check_liftability(lat: FiniteLattice, cap: int = WIRE_ENUM_CAP) -> LiftabilityReport:
+    """Three liftability facts, checked directly.
+
+    (a) the full carrier is a wire, so every lattice lifts to a weak ideal
+        system (certification failures raise);
+    (b) if any M-wire exists, the meet principal elements generate;
+    (c) a domain generated by its principal elements lifts to an ideal
+        system through the principal-element wire (bot is adjoined first
+        if the scan left it out, and submonoid-ness is verified rather
+        than assumed).
+    Implication failures come back as findings.
+    """
+    result = lift(lat, lat.full)
+    flags = [classify_element(lat, x) for x in range(lat.n)]
+    mp_mask = mask_from(x for x in range(lat.n) if flags[x].meet_principal)
+    wmp_mask = mask_from(x for x in range(lat.n) if flags[x].weak_meet_principal)
+    p_mask = mask_from(x for x in range(lat.n) if flags[x].principal)
+
+    def generated_by(mask: int) -> bool:
+        return all(lat.join_of(mask & lat.down(x)) == x for x in range(lat.n))
+
+    mp_generates = generated_by(mp_mask)
+    m_wire_exists = next(iter(enumerate_wires(lat, m_only=True, cap=cap)), None) is not None
+    findings: list[str] = []
+    if m_wire_exists and not mp_generates:
+        findings.append("an M-wire exists but the meet principal elements do not generate")
+    domain = is_domain(lat)
+    p_generates = generated_by(p_mask)
+    if domain and p_generates:
+        h = p_mask | (1 << lat.bot) | (1 << lat.top)
+        report = analyze_wire(lat, h)
+        if not report.mult_closed:
+            findings.append("principal elements are not closed under multiplication")
+        elif not report.is_wire:
+            findings.append("principal elements (bounds adjoined) do not form a wire")
+        elif not report.is_m_wire:
+            findings.append("the principal-element wire is not an M-wire")
+        elif not verify_ideal_system(lift(lat, h).system).passed:
+            findings.append("the principal-element wire lifts to a weak but not an ideal system")
+    return LiftabilityReport(
+        lat, result.certified, m_wire_exists,
+        lat.subset_names(mp_mask), lat.subset_names(wmp_mask), lat.subset_names(p_mask),
+        mp_generates, domain, p_generates, tuple(findings))
+
+
+# ----- finitary closure ------------------------------------------------
+
+
+def finitary_closure(r: ClosureMap) -> ClosureMap:
+    """The finitary system X -> union of r(Z) over finite subsets Z of X.
+
+    On a finite carrier X is its own largest finite subset, so the result
+    must coincide with r; a difference means a bug and raises.  The result
+    is re-verified as a weak ideal system before being returned.
+    """
+    table = finitary_table(r)
+    if table != r.table:
+        raise TheoremViolation("finitary closure moved a finite-carrier system")
+    out = ClosureMap(r.monoid, table)
+    verdict = verify_weak_ideal_system(out)
+    if not verdict.passed:
+        raise TheoremViolation(f"finitary closure failed {verdict.laws}")
+    return out
+
+
+@dataclass(frozen=True)
+class FinitaryEmbeddingReport:
+    """Outcome of the compact-generation construction on one lattice."""
+
+    lattice: FiniteLattice
+    closure_unchanged: bool
+    embedding_certified: bool
+
+    @property
+    def ok(self) -> bool:
+        return self.closure_unchanged and self.embedding_certified
+
+
+def check_finitary_embedding(lat: FiniteLattice) -> FinitaryEmbeddingReport:
+    """Lift the whole carrier, take the finitary closure, and certify that
+    x -> [0, x] is a lattice isomorphism onto the resulting ideal lattice.
+
+    Finite lattices are generated by compact elements (all of them), so
+    the closure never moves and the embedding is onto.
+    """
+    result = lift(lat, lat.full)
+    rs = finitary_closure(result.system)
+    unchanged = rs.table == result.system.table
+    il = build_ideal_lattice(rs)
+    _certify_isomorphism(lat, lat.full, il)
+    return FinitaryEmbeddingReport(lat, unchanged, True)

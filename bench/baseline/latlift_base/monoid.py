@@ -1,0 +1,410 @@
+"""Finite commutative monoids with zero and closure maps on their powersets.
+
+A closure map assigns to every subset X of the carrier a subset r(X).  The
+verifiers below decide whether such a map is a weak ideal system
+
+    (s1)  X*H is contained in r(X)
+    (s2)  X within Y implies r(X) within r(Y)
+    (s3)  r(r(X)) = r(X)
+    (s4)  c*r(X) is contained in r(c*X)
+
+an ideal system (equality in (s4)), and finitary (s5: r is the union of
+the closures of the finite subsets, which is degenerate here since every
+subset of a finite carrier is finite).  The family of all r-ideals, i.e.
+the image of r, assembles into a multiplicative lattice with intersection
+as meet, close-the-union as join and close-the-product as multiplication;
+:func:`build_ideal_lattice` constructs it and asserts that theorem-backed
+facts actually hold, raising TheoremViolation otherwise.
+"""
+
+from __future__ import annotations
+
+import json
+from dataclasses import dataclass
+from pathlib import Path
+
+from .bitset import bits, mask_from
+from .lattice import FiniteLattice, verify_lattice
+from .verdicts import LoadError, TheoremViolation, Verdict, Violation
+
+# Closure maps are stored extensionally (one entry per subset), so the
+# axiom checks are loops over 2^m table slots.
+POWERSET_CAP = 16
+
+# Full powerset pair scan of r(XY) == r(r(X)r(Y)) is quadratic in the
+# table; past this carrier size build_ideal_lattice checks ideal pairs only.
+PAIR_SANITY_CAP = 8
+
+
+@dataclass(frozen=True)
+class FiniteMonoid:
+    """Commutative monoid with identity ``one`` and absorbing ``zero``."""
+
+    names: tuple[str, ...]
+    mul: tuple[tuple[int, ...], ...]
+    one: int
+    zero: int
+
+    def __post_init__(self) -> None:
+        n = len(self.names)
+        if n == 0:
+            raise LoadError("monoid carrier is empty")
+        if len(set(self.names)) != n:
+            raise LoadError("element names are not distinct")
+        if len(self.mul) != n or any(len(r) != n for r in self.mul):
+            raise LoadError("multiplication table dimensions do not match the carrier")
+        if any(not 0 <= v < n for row in self.mul for v in row):
+            raise LoadError("multiplication table references an unknown index")
+        if not (0 <= self.one < n and 0 <= self.zero < n):
+            raise LoadError("one/zero index out of range")
+
+    @property
+    def n(self) -> int:
+        return len(self.names)
+
+    @property
+    def full(self) -> int:
+        return (1 << self.n) - 1
+
+    def index(self, name: str) -> int:
+        try:
+            return self.names.index(name)
+        except ValueError:
+            raise LoadError(f"unknown element {name!r}") from None
+
+    def subset_names(self, mask: int) -> tuple[str, ...]:
+        return tuple(self.names[i] for i in bits(mask))
+
+
+def verify_monoid(mon: FiniteMonoid) -> Verdict:
+    """Commutativity, associativity, identity and zero laws with witnesses."""
+    n, mul, names = mon.n, mon.mul, mon.names
+    out: list[Violation] = []
+    seen: set[str] = set()
+
+    def record(law: str, witness: tuple, detail: str = "") -> None:
+        if law not in seen:
+            seen.add(law)
+            out.append(Violation(law, witness, detail))
+
+    for i in range(n):
+        if mul[mon.one][i] != i:
+            record("identity", (names[i],))
+        if mul[mon.zero][i] != mon.zero:
+            record("zero", (names[i],))
+        for j in range(n):
+            if mul[i][j] != mul[j][i]:
+                record("commutativity", (names[i], names[j]))
+            for k in range(n):
+                if mul[mul[i][j]][k] != mul[i][mul[j][k]]:
+                    record("associativity", (names[i], names[j], names[k]))
+    return Verdict(not out, tuple(out))
+
+
+def monoid_from_dict(data: dict) -> FiniteMonoid:
+    """Monoid from JSON; products with one/zero are auto-filled."""
+    if not isinstance(data, dict):
+        raise LoadError("monoid document must be a JSON object")
+    elements = data.get("elements")
+    if not isinstance(elements, list) or not elements:
+        raise LoadError("'elements' must be a nonempty list")
+    if not all(isinstance(e, str) and e for e in elements):
+        raise LoadError("element names must be nonempty strings")
+    if len(set(elements)) != len(elements):
+        raise LoadError("duplicate element names")
+    n = len(elements)
+    pos = {e: i for i, e in enumerate(elements)}
+
+    def look(name: object) -> int:
+        if not isinstance(name, str) or name not in pos:
+            raise LoadError(f"unknown element {name!r}")
+        return pos[name]
+
+    for key in ("one", "zero"):
+        if key not in data:
+            raise LoadError(f"missing '{key}'")
+    one, zero = look(data["one"]), look(data["zero"])
+    grid: list[list[int | None]] = [[None] * n for _ in range(n)]
+    for x in range(n):
+        grid[one][x] = grid[x][one] = x
+        grid[zero][x] = grid[x][zero] = zero
+    explicit: dict[tuple[int, int], int] = {}
+    for entry in data.get("mul", []):
+        if not isinstance(entry, list) or len(entry) != 3:
+            raise LoadError(f"mul entry {entry!r} must be [x, y, xy]")
+        x, y, v = look(entry[0]), look(entry[1]), look(entry[2])
+        key = (min(x, y), max(x, y))
+        if key in explicit and explicit[key] != v:
+            raise LoadError(f"conflicting products for {elements[x]}*{elements[y]}")
+        explicit[key] = v
+        grid[x][y] = grid[y][x] = v
+    for x in range(n):
+        for y in range(x, n):
+            if grid[x][y] is None:
+                raise LoadError(f"missing product {elements[x]}*{elements[y]}")
+    return FiniteMonoid(tuple(elements), tuple(tuple(r) for r in grid), one, zero)  # type: ignore[arg-type]
+
+
+def load_monoid(path: str | Path) -> FiniteMonoid:
+    try:
+        text = Path(path).read_text()
+    except OSError as exc:
+        raise LoadError(f"cannot read {path}: {exc}") from None
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise LoadError(f"invalid JSON in {path}: {exc}") from None
+    return monoid_from_dict(data)
+
+
+def subset_product(mon: FiniteMonoid, xm: int, ym: int) -> int:
+    """Elementwise product set {x*y : x in X, y in Y} as a bitmask."""
+    out = 0
+    for x in bits(xm):
+        row = mon.mul[x]
+        for y in bits(ym):
+            out |= 1 << row[y]
+    return out
+
+
+def _element_products(mon: FiniteMonoid) -> list[int]:
+    # per-element mask of x*H
+    return [mask_from(mon.mul[x][h] for h in range(mon.n)) for x in range(mon.n)]
+
+
+@dataclass(frozen=True)
+class ClosureMap:
+    """Extensional map from every subset of the carrier to a subset."""
+
+    monoid: FiniteMonoid
+    table: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        m = self.monoid.n
+        if m > POWERSET_CAP:
+            raise ValueError(f"carrier size {m} exceeds powerset cap {POWERSET_CAP}")
+        if len(self.table) != 1 << m:
+            raise LoadError("closure table must cover the whole powerset")
+        if any(entry & ~self.monoid.full for entry in self.table):
+            raise LoadError("closure table references an unknown element")
+
+    def close(self, mask: int) -> int:
+        return self.table[mask]
+
+    def ideals(self) -> tuple[int, ...]:
+        """Distinct image subsets, ascending by bitmask."""
+        return tuple(sorted(set(self.table)))
+
+
+def constant_closure(mon: FiniteMonoid) -> ClosureMap:
+    """X -> H for every X (the coarsest closure)."""
+    return ClosureMap(mon, (mon.full,) * (1 << mon.n))
+
+
+def multiples_closure(mon: FiniteMonoid) -> ClosureMap:
+    """X -> X*H, the set of all multiples of members of X."""
+    prods = _element_products(mon)
+    size = 1 << mon.n
+    table = [0] * size
+    for x in range(1, size):
+        low = x & -x
+        table[x] = table[x ^ low] | prods[low.bit_length() - 1]
+    return ClosureMap(mon, tuple(table))
+
+
+def verify_weak_ideal_system(r: ClosureMap) -> Verdict:
+    """Check (s1)-(s4) over the whole powerset, one witness per axiom.
+
+    Monotonicity (s2) is decided through single-element extensions, which
+    is equivalent on a finite powerset and keeps the scan linear in the
+    table.  X within r(X) follows from (s1) since the identity is in H; it
+    is still asserted separately so a broken table names the cheapest law.
+    """
+    mon, table = r.monoid, r.table
+    m, size = mon.n, len(r.table)
+    out: list[Violation] = []
+    seen: set[str] = set()
+
+    def record(law: str, witness: tuple, detail: str = "") -> None:
+        if law not in seen:
+            seen.add(law)
+            out.append(Violation(law, witness, detail))
+
+    prods = _element_products(mon)
+    sn = mon.subset_names
+    for x in range(size):
+        tx = table[x]
+        if x & ~tx:
+            record("extensivity", (sn(x),), "X is not contained in r(X)")
+        xh = 0
+        for e in bits(x):
+            xh |= prods[e]
+        if xh & ~tx:
+            record("s1", (sn(x),), "X*H is not contained in r(X)")
+        if table[tx] != tx:
+            record("s3", (sn(x),), "r is not idempotent")
+        for i in range(m):
+            bit = 1 << i
+            if not x & bit and tx & ~table[x | bit]:
+                record("s2", (sn(x), sn(x | bit)), "r is not monotone")
+                break
+    for c in range(m):
+        row = mon.mul[c]
+        cmap = [0] * size
+        for x in range(1, size):
+            low = x & -x
+            cmap[x] = cmap[x ^ low] | (1 << row[low.bit_length() - 1])
+        for x in range(size):
+            if cmap[table[x]] & ~table[cmap[x]]:
+                record("s4", (mon.names[c], sn(x)), "c*r(X) is not contained in r(c*X)")
+                break
+        if "s4" in seen:
+            break
+    return Verdict(not out, tuple(out),
+                   ("s2 checked via single-element extensions (equivalent on a finite powerset)",))
+
+
+def verify_ideal_system(r: ClosureMap) -> Verdict:
+    """Equality form of (s4): c*r(X) = r(c*X) for all c and X.
+
+    Rejects maps that are not weak ideal systems; run the weak check first.
+    """
+    base = verify_weak_ideal_system(r)
+    if not base.passed:
+        raise ValueError("not a weak ideal system: " + ", ".join(base.laws))
+    mon, table = r.monoid, r.table
+    size = len(table)
+    for c in range(mon.n):
+        row = mon.mul[c]
+        cmap = [0] * size
+        for x in range(1, size):
+            low = x & -x
+            cmap[x] = cmap[x ^ low] | (1 << row[low.bit_length() - 1])
+        for x in range(size):
+            if cmap[table[x]] != table[cmap[x]]:
+                return Verdict(False, (Violation(
+                    "s4-equality", (mon.names[c], mon.subset_names(x)),
+                    "c*r(X) != r(c*X)"),))
+    return Verdict(True)
+
+
+def finitary_table(r: ClosureMap) -> tuple[int, ...]:
+    """Pointwise union of r over all finite subsets: X -> U{r(Z) : Z in X}.
+
+    Every subset of a finite carrier is finite, so the union runs over the
+    whole lower powerset of X; the recurrence over maximal proper subsets
+    reaches all of them.
+    """
+    table = r.table
+    acc = list(table)
+    for x in range(len(table)):
+        for i in bits(x):
+            acc[x] |= acc[x & ~(1 << i)]
+    return tuple(acc)
+
+
+def verify_finitary(r: ClosureMap) -> Verdict:
+    """(s5) literally: r(X) must equal the union of closed finite subsets.
+
+    Degenerate on finite carriers (X is a finite subset of itself), so a
+    verified weak ideal system always passes; the note records that.
+    """
+    base = verify_weak_ideal_system(r)
+    if not base.passed:
+        raise ValueError("not a weak ideal system: " + ", ".join(base.laws))
+    fin = finitary_table(r)
+    for x in range(len(r.table)):
+        if fin[x] != r.table[x]:
+            return Verdict(False, (Violation(
+                "s5", (r.monoid.subset_names(x),),
+                "r(X) differs from the union over finite subsets"),))
+    return Verdict(True, (), ("degenerate on a finite carrier: X is a finite subset of itself",))
+
+
+@dataclass(frozen=True)
+class IdealLattice:
+    """All r-ideals of a closure map, assembled as a multiplicative lattice."""
+
+    monoid: FiniteMonoid
+    ideals: tuple[int, ...]
+    lattice: FiniteLattice
+
+    def members(self, k: int) -> tuple[str, ...]:
+        return self.monoid.subset_names(self.ideals[k])
+
+    def position(self, mask: int) -> int:
+        return self.ideals.index(mask)
+
+
+def build_ideal_lattice(r: ClosureMap) -> IdealLattice:
+    """Collect the image of r and order it by inclusion.
+
+    Meet is intersection, join closes the union, multiplication closes the
+    elementwise product.  All facts that must hold for a verified weak
+    ideal system (meet-closedness of the image, the lattice axioms, the
+    generating submonoid of principal closures) are asserted here and
+    raise TheoremViolation when broken: such a failure means the map or
+    this code is buggy, not that the input was merely uninteresting.
+    """
+    base = verify_weak_ideal_system(r)
+    if not base.passed:
+        raise ValueError("not a weak ideal system: " + ", ".join(base.laws))
+    mon, table = r.monoid, r.table
+    full = mon.full
+    ideals = sorted(set(table))
+    pos = {v: k for k, v in enumerate(ideals)}
+    k = len(ideals)
+    if table[full] != full:
+        raise TheoremViolation("r(H) must be H for an extensive map")
+
+    for i in range(k):
+        for j in range(i + 1, k):
+            if ideals[i] & ideals[j] not in pos:
+                raise TheoremViolation(
+                    "intersection of r-ideals escaped the image: "
+                    f"{mon.subset_names(ideals[i])} and {mon.subset_names(ideals[j])}")
+
+    up = [0] * k
+    for i in range(k):
+        for j in range(k):
+            if ideals[i] & ~ideals[j] == 0:
+                up[i] |= 1 << j
+    mul_rows = []
+    for i in range(k):
+        row = []
+        for j in range(k):
+            row.append(pos[table[subset_product(mon, ideals[i], ideals[j])]])
+        mul_rows.append(tuple(row))
+    names = tuple("{" + ",".join(mon.subset_names(v)) + "}" for v in ideals)
+    lat = FiniteLattice(names, tuple(up), tuple(mul_rows), pos[table[0]], pos[full])
+
+    verdict = verify_lattice(lat)
+    if not verdict.passed:
+        raise TheoremViolation(
+            f"r-ideals do not form a multiplicative lattice: {verdict.violations[0]}")
+    for i in range(k):
+        for j in range(k):
+            if lat.join(i, j) != pos[table[ideals[i] | ideals[j]]]:
+                raise TheoremViolation("join of ideals differs from closing the union")
+    if mon.n <= PAIR_SANITY_CAP:
+        # products may be closed before or after closing the factors
+        size = 1 << mon.n
+        for x in range(size):
+            for y in range(x, size):
+                if table[subset_product(mon, x, y)] != table[subset_product(mon, table[x], table[y])]:
+                    raise TheoremViolation(
+                        f"r(XY) != r(r(X)r(Y)) at X={mon.subset_names(x)} Y={mon.subset_names(y)}")
+    # principal closures form a generating submonoid (all elements of a
+    # finite ideal family are compact, so the finitary clause is automatic)
+    for a in range(mon.n):
+        for b in range(mon.n):
+            lhs = table[subset_product(mon, table[1 << a], table[1 << b])]
+            if lhs != table[1 << mon.mul[a][b]]:
+                raise TheoremViolation("principal closures are not closed under products")
+    for v in ideals:
+        union = 0
+        for a in bits(v):
+            union |= table[1 << a]
+        if table[union] != v:
+            raise TheoremViolation("principal closures fail to generate the ideal lattice")
+    return IdealLattice(mon, tuple(ideals), lat)

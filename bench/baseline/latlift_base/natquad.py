@@ -1,0 +1,344 @@
+"""The divisibility lattice on the naturals and quadratic-order norms.
+
+The naturals form a multiplicative lattice under a <= b iff b divides a:
+join is gcd, meet is lcm, top is 1 and bot is 0, with ordinary integer
+multiplication.  For an imaginary quadratic order Z[sqrt(d)] (d < 0,
+squarefree, d = 2 or 3 mod 4) the norm values a^2 + |d| b^2 together with
+the inert primes generate a multiplicatively closed subset S of this
+lattice.  Whether S satisfies the wire condition (M) reduces to whether
+the norm image is closed under division, which is decidable up to a bound;
+the checks below report exactly that, with every witness re-verified
+before it is returned.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from functools import lru_cache
+from math import gcd, isqrt, lcm
+from typing import Iterable
+
+DIVISION_CLOSED = "CLOSED-UP-TO-BOUND"
+NOT_M_WIRE = "NOT-M-WIRE"
+M_WIRE_CONSISTENT = "CONSISTENT-WITH-M-WIRE-UP-TO-BOUND"
+
+
+# ----- the divisibility lattice ----------------------------------------
+
+
+def nat_join(values: Iterable[int]) -> int:
+    """Join in the divisibility order: gcd.  The empty join is 0 (bot)."""
+    return gcd(*values)
+
+
+def nat_meet(values: Iterable[int]) -> int:
+    """Meet in the divisibility order: lcm.  The empty meet is 1 (top)."""
+    return lcm(*values)
+
+
+def nat_residual(a: int, b: int) -> int:
+    """(a : b) in the divisibility lattice: the gcd of all y with a | b*y.
+
+    Closed form a // gcd(a, b), validated against the definitional scan in
+    the test suite.  The qualifying set for (0, 0) is all of the naturals,
+    whose join is 1 (top); b = 0 with a > 0 also gives 1 since a | 0.
+    """
+    if a < 0 or b < 0:
+        raise ValueError("naturals only")
+    if a == 0 and b == 0:
+        return 1
+    return a // gcd(a, b)
+
+
+# ----- quadratic orders ------------------------------------------------
+
+
+@dataclass(frozen=True)
+class QuadOrder:
+    """Parameters of Z[sqrt(d)] with the positive definite norm a^2 + |d| b^2.
+
+    Only d < 0, squarefree, d = 2 or 3 (mod 4) is accepted: positive d
+    makes the norm image unbounded per value, and d = 1 (mod 4) changes
+    the ring of integers away from Z[sqrt(d)].
+    """
+
+    d: int
+
+    def __post_init__(self) -> None:
+        if self.d >= 0:
+            raise ValueError("d must be negative")
+        if self.d % 4 not in (2, 3):
+            raise ValueError("d must be 2 or 3 mod 4")
+        if not _squarefree(-self.d):
+            raise ValueError("d must be squarefree")
+
+    @property
+    def D(self) -> int:
+        return -self.d
+
+    def norm(self, a: int, b: int) -> int:
+        return a * a + self.D * b * b
+
+
+def _squarefree(n: int) -> bool:
+    k = 2
+    while k * k <= n:
+        if n % (k * k) == 0:
+            return False
+        k += 1
+    return True
+
+
+def norm(q: QuadOrder, a: int, b: int) -> int:
+    return q.norm(a, b)
+
+
+def norm_witness(q: QuadOrder, n: int) -> tuple[int, int] | None:
+    """An (a, b) with a^2 + |d| b^2 = n, scanning b upward, or None."""
+    if n < 0:
+        return None
+    b = 0
+    while q.D * b * b <= n:
+        rem = n - q.D * b * b
+        a = isqrt(rem)
+        if a * a == rem:
+            return (a, b)
+        b += 1
+    return None
+
+
+def is_norm(q: QuadOrder, n: int) -> bool:
+    return norm_witness(q, n) is not None
+
+
+@lru_cache(maxsize=32)
+def _norm_image(d: int, bound: int) -> tuple[int, ...]:
+    q = QuadOrder(d)
+    values = set()
+    b = 0
+    while q.D * b * b <= bound:
+        a = 0
+        while a * a + q.D * b * b <= bound:
+            values.add(a * a + q.D * b * b)
+            a += 1
+        b += 1
+    values.discard(0)
+    return tuple(sorted(values))
+
+
+def norm_image(q: QuadOrder, bound: int) -> tuple[int, ...]:
+    """Sorted distinct norm values in [1, bound] (cached per order)."""
+    if bound < 1:
+        raise ValueError("bound must be positive")
+    return _norm_image(q.d, bound)
+
+
+# ----- primes ----------------------------------------------------------
+
+
+def is_prime(n: int) -> bool:
+    if n < 2:
+        return False
+    k = 2
+    while k * k <= n:
+        if n % k == 0:
+            return False
+        k += 1
+    return True
+
+
+def primes_upto(n: int) -> list[int]:
+    if n < 2:
+        return []
+    sieve = bytearray((1,)) * (n + 1)
+    sieve[0] = sieve[1] = 0
+    for i in range(2, isqrt(n) + 1):
+        if sieve[i]:
+            sieve[i * i:: i] = bytearray(len(sieve[i * i:: i]))
+    return [i for i, flag in enumerate(sieve) if flag]
+
+
+def _legendre(a: int, p: int) -> int:
+    """Legendre symbol (a | p) for an odd prime p, by Euler's criterion."""
+    a %= p
+    if a == 0:
+        return 0
+    r = pow(a, (p - 1) // 2, p)
+    return -1 if r == p - 1 else r
+
+
+def is_inert(q: QuadOrder, p: int) -> bool:
+    """Whether p stays prime in Z[sqrt(d)].
+
+    Equivalent to the Kronecker symbol (4d | p) being -1: 2 always divides
+    the discriminant 4d here (symbol 0), primes dividing d ramify (symbol
+    0), and for the remaining odd primes the symbol is the Legendre symbol
+    (d | p).
+    """
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
+    if p == 2 or q.D % p == 0:
+        return False
+    return _legendre(q.d % p, p) == -1
+
+
+# ----- division closure and the wire checks ----------------------------
+
+
+@dataclass(frozen=True)
+class DivisionClosureReport:
+    """Outcome of the bounded division-closure scan of the norm image.
+
+    ``counterexample`` is the smallest failing pair (n, m, m // n) in
+    lexicographic (divisor, multiple) order, or None when the image is
+    closed up to the bound.
+    """
+
+    d: int
+    bound: int
+    closed: bool
+    counterexample: tuple[int, int, int] | None
+
+    @property
+    def verdict(self) -> str:
+        return DIVISION_CLOSED if self.closed else f"counterexample {self.counterexample}"
+
+
+def division_closure_check(q: QuadOrder, bound: int) -> DivisionClosureReport:
+    """Scan the norm image up to bound for nested values whose quotient is
+    not a norm.
+
+    The double loop runs over the cached sorted image (divisors ascending,
+    multiples ascending), so the first hit is the lexicographically
+    smallest counterexample.  A reported counterexample is re-verified
+    arithmetically before being returned.
+    """
+    if bound < q.D:
+        raise ValueError("bound must be at least |d|")
+    image = norm_image(q, bound)
+    members = set(image)
+    for n in image:
+        m = 2 * n
+        while m <= bound:
+            if m in members and (m // n) not in members:
+                quotient = m // n
+                if (norm_witness(q, n) is None or norm_witness(q, m) is None
+                        or m % n != 0 or is_norm(q, quotient)):
+                    raise AssertionError("counterexample failed re-verification")
+                return DivisionClosureReport(q.d, bound, False, (n, m, quotient))
+            m += n
+    return DivisionClosureReport(q.d, bound, True, None)
+
+
+@dataclass(frozen=True)
+class MWireVerdict:
+    """Bounded verdict on whether S can be an M-wire of the divisibility
+    lattice.  Positive verdicts are evidence up to the bound only; the
+    negative verdict carries a verified counterexample."""
+
+    d: int
+    bound: int
+    verdict: str
+    counterexample: tuple[int, int, int] | None
+
+
+def m_wire_verdict(q: QuadOrder, bound: int) -> MWireVerdict:
+    report = division_closure_check(q, bound)
+    if report.closed:
+        return MWireVerdict(q.d, bound, M_WIRE_CONSISTENT, None)
+    return MWireVerdict(q.d, bound, NOT_M_WIRE, report.counterexample)
+
+
+@dataclass(frozen=True)
+class PrimeVerdict:
+    """Classification of one rational prime against S.
+
+    kind is one of 'inert', 'norm', 'gcd_generated', 'unresolved'.  For
+    gcd_generated, ``pair`` holds two norm values whose gcd is exactly p;
+    for norm, ``rep`` holds an (a, b) with p = a^2 + |d| b^2.
+    """
+
+    p: int
+    kind: str
+    pair: tuple[int, int] | None = None
+    rep: tuple[int, int] | None = None
+
+
+@dataclass(frozen=True)
+class SGenReport:
+    d: int
+    prime_bound: int
+    search_bound: int
+    verdicts: tuple[PrimeVerdict, ...]
+
+    @property
+    def unresolved(self) -> tuple[int, ...]:
+        return tuple(v.p for v in self.verdicts if v.kind == "unresolved")
+
+    @property
+    def ok(self) -> bool:
+        return not self.unresolved
+
+
+def _gcd_pair(p: int, image: tuple[int, ...]) -> tuple[int, int] | None:
+    """Pair of image values with gcd exactly p and minimal product.
+
+    Rows are scanned ascending with product cutoffs, so the first hit per
+    row is row-minimal and the retained pair is the global minimum (ties
+    broken toward the smaller first member).
+    """
+    multiples = [v for v in image if v % p == 0]
+    best: tuple[int, int, int] | None = None
+    for i, m1 in enumerate(multiples):
+        if best is not None and m1 * m1 >= best[0]:
+            break
+        for m2 in multiples[i:]:
+            prod = m1 * m2
+            if best is not None and prod >= best[0]:
+                break
+            if gcd(m1, m2) == p:
+                best = (prod, m1, m2)
+                break
+    return (best[1], best[2]) if best else None
+
+
+def s_wire_check(q: QuadOrder, prime_bound: int, search_bound: int) -> SGenReport:
+    """Classify every prime up to prime_bound against S.
+
+    Inert primes belong to S by construction and norm values are norms;
+    any other prime must be recovered as the gcd of two norm values found
+    within search_bound.  Primes that cannot be resolved are reported as
+    unresolved rather than dropped.  Witnesses are re-verified before the
+    report is assembled.
+    """
+    if prime_bound < 2 or search_bound < 1:
+        raise ValueError("bounds must be positive")
+    image = norm_image(q, search_bound)
+    verdicts = []
+    for p in primes_upto(prime_bound):
+        if is_inert(q, p):
+            verdicts.append(PrimeVerdict(p, "inert"))
+            continue
+        rep = norm_witness(q, p)
+        if rep is not None:
+            if q.norm(*rep) != p:
+                raise AssertionError("norm witness failed re-verification")
+            verdicts.append(PrimeVerdict(p, "norm", rep=rep))
+            continue
+        pair = _gcd_pair(p, image)
+        if pair is None:
+            verdicts.append(PrimeVerdict(p, "unresolved"))
+            continue
+        w1, w2 = pair
+        if gcd(w1, w2) != p or not is_norm(q, w1) or not is_norm(q, w2):
+            raise AssertionError("gcd witness failed re-verification")
+        verdicts.append(PrimeVerdict(p, "gcd_generated", pair=pair))
+    return SGenReport(q.d, prime_bound, search_bound, tuple(verdicts))
+
+
+def compose_norm_witnesses(q: QuadOrder, u: tuple[int, int], v: tuple[int, int]) -> tuple[int, int]:
+    """Witness for the product of two norms:
+    (a^2 + D b^2)(c^2 + D e^2) = (ac - D be)^2 + D (ae + bc)^2."""
+    a, b = u
+    c, e = v
+    return (abs(a * c - q.D * b * e), abs(a * e + b * c))
