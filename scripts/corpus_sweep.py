@@ -7,12 +7,7 @@ Usage: python scripts/corpus_sweep.py [max_n] [limit_per_n]
 import sys
 import time
 
-from latlift import (
-    check_finitary_embedding,
-    check_liftability,
-    check_m_wire_ideal_equivalence,
-    enumerate_small_lattices,
-)
+from latlift import enumerate_small_lattices, sweep_lattice
 
 
 def sweep(max_n: int, limit: int | None) -> int:
@@ -23,12 +18,10 @@ def sweep(max_n: int, limit: int | None) -> int:
         lattices = wires = m_wires = violations = 0
         for lat in enumerate_small_lattices(n, limit=limit):
             lattices += 1
-            equivalence = check_m_wire_ideal_equivalence(lat)
-            liftability = check_liftability(lat)
-            embedding = check_finitary_embedding(lat)
+            equivalence, liftability, embedding = sweep_lattice(lat)
             wires += equivalence.wires_checked
             m_wires += equivalence.m_wires
-            if equivalence.violations or liftability.findings or not embedding.ok:
+            if equivalence.violations or not liftability.ok or not embedding.ok:
                 violations += 1
         bad += violations
         print(f"{n:>2} {lattices:>9} {wires:>6} {m_wires:>8} {violations:>11} "

@@ -7,7 +7,8 @@ passed, 1 a check failed, 2 usage or load error, 3 a certainty-backed
 oracle check failed (a bug, never an acceptable result).
 
 Everything is deterministic; the only environment variable honoured is
-LATLIFT_THREADS, which parallelizes the corpus sweep across processes.
+LATLIFT_THREADS, which parallelizes the corpus sweep across processes
+(at most one per CPU).
 """
 
 from __future__ import annotations
@@ -24,14 +25,12 @@ from .lattice import enumerate_small_lattices, load_lattice, verify_lattice
 from .lifting import (
     WireError,
     analyze_wire,
-    check_finitary_embedding,
-    check_liftability,
-    check_m_wire_ideal_equivalence,
     enumerate_wires,
     lift,
+    sweep_lattice,
     verify_m_witness,
 )
-from .monoid import verify_ideal_system, verify_weak_ideal_system
+from .monoid import verify_ideal_system
 from .natquad import (
     M_WIRE_CONSISTENT,
     QuadOrder,
@@ -118,7 +117,7 @@ def _wire_entry(lat, report) -> dict:
         "ideal_count": len(result.ideal_lattice.ideals),
         "ideals": [list(m) for m in result.ideal_members()],
         "certified": result.certified,
-        "weak_ideal_system": verify_weak_ideal_system(result.system).passed,
+        "weak_ideal_system": result.system.weak_verdict.passed,
         "ideal_system": ideal_ok,
     }
 
@@ -159,9 +158,7 @@ def _cmd_lift(args) -> tuple[dict, bool, int]:
 
 
 def _corpus_entry(lat) -> dict:
-    equivalence = check_m_wire_ideal_equivalence(lat)
-    liftability = check_liftability(lat)
-    embedding = check_finitary_embedding(lat)
+    equivalence, liftability, embedding = sweep_lattice(lat)
     return {
         "elements": lat.n,
         "wires": equivalence.wires_checked,
@@ -173,13 +170,29 @@ def _corpus_entry(lat) -> dict:
     }
 
 
+def corpus_threads(value: str | None) -> int:
+    """Worker count from a LATLIFT_THREADS value: unset means 1, and values
+    above the CPU count are clamped to it."""
+    if value is None:
+        return 1
+    try:
+        threads = int(value)
+    except ValueError:
+        raise LoadError(f"LATLIFT_THREADS must be a positive integer, got {value!r}") from None
+    if threads < 1:
+        raise LoadError(f"LATLIFT_THREADS must be a positive integer, got {value!r}")
+    return min(threads, os.cpu_count() or 1)
+
+
 def _cmd_corpus(args) -> tuple[dict, bool, int]:
     if not 1 <= args.max_n <= 6:
         raise LoadError("--max-n must be between 1 and 6")
+    if args.limit is not None and args.limit < 1:
+        raise LoadError("--limit must be at least 1")
+    threads = corpus_threads(os.environ.get("LATLIFT_THREADS"))
     lattices = []
     for n in range(1, args.max_n + 1):
         lattices.extend(enumerate_small_lattices(n, limit=args.limit))
-    threads = int(os.environ.get("LATLIFT_THREADS", "1"))
     if threads > 1:
         from concurrent.futures import ProcessPoolExecutor
 
@@ -206,10 +219,14 @@ def _cmd_corpus(args) -> tuple[dict, bool, int]:
 
 
 def _cmd_quad(args) -> tuple[dict, bool, int]:
+    # natquad rejects an inadmissible d or an out-of-range bound with ValueError
     try:
-        order = QuadOrder(args.d)
+        return _quad(QuadOrder(args.d), args)
     except ValueError as exc:
         raise LoadError(str(exc)) from None
+
+
+def _quad(order: QuadOrder, args) -> tuple[dict, bool, int]:
     base = {"d": args.d, "check": args.check}
     if args.check == "norms":
         values = norm_image(order, args.bound)

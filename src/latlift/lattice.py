@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations, combinations_with_replacement, permutations, product
 from pathlib import Path
 from typing import Iterator
@@ -39,7 +40,8 @@ class FiniteLattice:
     ``up[i]`` is the bitmask of all j with i <= j.  Construction validates
     shape only; :func:`verify_lattice` checks the axioms.  Instances are
     immutable and all operations are pure, so values can be shared freely
-    across threads or processes.
+    across threads or processes; lookup tables (lower sets, binary joins
+    and meets) are derived from the fields on first use.
     """
 
     names: tuple[str, ...]
@@ -77,13 +79,18 @@ class FiniteLattice:
     def le(self, i: int, j: int) -> bool:
         return bool(self.up[i] >> j & 1)
 
+    @cached_property
+    def downs(self) -> tuple[int, ...]:
+        """``downs[j]`` is the bitmask of the lower set {i : i <= j}."""
+        downs = [0] * self.n
+        for i, row in enumerate(self.up):
+            for j in bits(row):
+                downs[j] |= 1 << i
+        return tuple(downs)
+
     def down(self, j: int) -> int:
         """Bitmask of the lower set {i : i <= j}."""
-        m = 0
-        for i in range(self.n):
-            if self.up[i] >> j & 1:
-                m |= 1 << i
-        return m
+        return self.downs[j]
 
     def upper_bounds(self, mask: int) -> int:
         ubs = self.full
@@ -106,24 +113,72 @@ class FiniteLattice:
         return None
 
     def greatest_of(self, mask: int) -> int | None:
+        """Member of mask above every member, or None."""
         for u in bits(mask):
-            if all(self.le(v, u) for v in bits(mask)):
+            if mask & ~self.downs[u] == 0:
                 return u
         return None
 
+    @cached_property
+    def _tables(self) -> tuple | None:
+        """(binary join table, binary meet table, least, greatest), or None
+        when the carrier is not a lattice.
+
+        In a finite lattice the join of a subset is the fold of binary joins
+        from the least element, and dually for meets.  Any other carrier
+        keeps the definitional bound search, so its joins and meets succeed
+        and fail exactly where that search does.
+        """
+        n, up = self.n, self.up
+        for i in range(n):
+            if not up[i] >> i & 1:
+                return None
+            for j in bits(up[i]):
+                if up[j] & ~up[i] or (j != i and up[j] >> i & 1):
+                    return None  # not transitive, or not antisymmetric
+        join2 = [[0] * n for _ in range(n)]
+        meet2 = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                pair = (1 << i) | (1 << j)
+                u = self.least_of(self.upper_bounds(pair))
+                v = self.greatest_of(self.lower_bounds(pair))
+                if u is None or v is None:
+                    return None
+                join2[i][j] = join2[j][i] = u
+                meet2[i][j] = meet2[j][i] = v
+        return (tuple(map(tuple, join2)), tuple(map(tuple, meet2)),
+                self.least_of(self.full), self.greatest_of(self.full))
+
     def join_of(self, mask: int) -> int:
         """Least upper bound of a subset; the empty join is bot."""
-        u = self.least_of(self.upper_bounds(mask))
-        if u is None:
-            raise ValueError("subset has no least upper bound; carrier is not a lattice")
-        return u
+        tables = self._tables
+        if tables is None:
+            u = self.least_of(self.upper_bounds(mask))
+            if u is None:
+                raise ValueError("subset has no least upper bound; carrier is not a lattice")
+            return u
+        join2, acc = tables[0], tables[2]
+        while mask:
+            low = mask & -mask
+            acc = join2[acc][low.bit_length() - 1]
+            mask ^= low
+        return acc
 
     def meet_of(self, mask: int) -> int:
         """Greatest lower bound of a subset; the empty meet is top."""
-        u = self.greatest_of(self.lower_bounds(mask))
-        if u is None:
-            raise ValueError("subset has no greatest lower bound; carrier is not a lattice")
-        return u
+        tables = self._tables
+        if tables is None:
+            u = self.greatest_of(self.lower_bounds(mask))
+            if u is None:
+                raise ValueError("subset has no greatest lower bound; carrier is not a lattice")
+            return u
+        meet2, acc = tables[1], tables[3]
+        while mask:
+            low = mask & -mask
+            acc = meet2[acc][low.bit_length() - 1]
+            mask ^= low
+        return acc
 
     def join(self, *elems: int) -> int:
         return self.join_of(mask_from(elems))
@@ -133,8 +188,8 @@ class FiniteLattice:
 
     def residual(self, a: int, b: int) -> int:
         """(a : b), the join of all y with b*y <= a."""
-        row = self.mul[b]
-        return self.join_of(mask_from(y for y in range(self.n) if self.le(row[y], a)))
+        row, below = self.mul[b], self.downs[a]
+        return self.join_of(mask_from(y for y in range(self.n) if below >> row[y] & 1))
 
     def interval_mask(self, lo: int, hi: int) -> int:
         return self.up[lo] & self.down(hi)
@@ -296,30 +351,8 @@ def lattice_from_dict(data: dict) -> FiniteLattice:
     may be omitted (identity and annihilation fill them in); any other
     missing product is a load error.
     """
-    if not isinstance(data, dict):
-        raise LoadError("lattice document must be a JSON object")
-    elements = data.get("elements")
-    if not isinstance(elements, list) or not elements:
-        raise LoadError("'elements' must be a nonempty list")
-    if not all(isinstance(e, str) and e for e in elements):
-        raise LoadError("element names must be nonempty strings")
-    if len(set(elements)) != len(elements):
-        raise LoadError("duplicate element names")
+    elements, look, top, bot = _read_carrier(data, "lattice", ("top", "bot"), CARRIER_CAP)
     n = len(elements)
-    if n > CARRIER_CAP:
-        raise LoadError(f"carrier size {n} exceeds cap {CARRIER_CAP}")
-    pos = {e: i for i, e in enumerate(elements)}
-
-    def look(name: object) -> int:
-        if not isinstance(name, str) or name not in pos:
-            raise LoadError(f"unknown element {name!r}")
-        return pos[name]
-
-    for key in ("top", "bot"):
-        if key not in data:
-            raise LoadError(f"missing '{key}'")
-    top, bot = look(data["top"]), look(data["bot"])
-
     order = data.get("order")
     if not isinstance(order, dict) or len(order) != 1 or next(iter(order)) not in ("covers", "leq"):
         raise LoadError("'order' must hold exactly one of 'covers' or 'leq'")
@@ -349,11 +382,45 @@ def lattice_from_dict(data: dict) -> FiniteLattice:
             if up[i] >> j & 1 and up[j] >> i & 1:
                 raise LoadError(
                     f"order closure is not antisymmetric: {elements[i]} <= {elements[j]} <= {elements[i]}")
+    return FiniteLattice(tuple(elements), tuple(up),
+                         _read_products(data, elements, look, top, bot), bot, top)
 
+
+def _read_carrier(data: object, kind: str, units: tuple[str, str], cap: int | None = None):
+    """Element names of a lattice or monoid document, a name -> index
+    lookup, and the indices of the two elements named by the keys in units."""
+    if not isinstance(data, dict):
+        raise LoadError(f"{kind} document must be a JSON object")
+    elements = data.get("elements")
+    if not isinstance(elements, list) or not elements:
+        raise LoadError("'elements' must be a nonempty list")
+    if not all(isinstance(e, str) and e for e in elements):
+        raise LoadError("element names must be nonempty strings")
+    if len(set(elements)) != len(elements):
+        raise LoadError("duplicate element names")
+    if cap is not None and len(elements) > cap:
+        raise LoadError(f"carrier size {len(elements)} exceeds cap {cap}")
+    pos = {e: i for i, e in enumerate(elements)}
+
+    def look(name: object) -> int:
+        if not isinstance(name, str) or name not in pos:
+            raise LoadError(f"unknown element {name!r}")
+        return pos[name]
+
+    for key in units:
+        if key not in data:
+            raise LoadError(f"missing '{key}'")
+    return elements, look, look(data[units[0]]), look(data[units[1]])
+
+
+def _read_products(data: dict, elements: list[str], look, one: int, zero: int) -> tuple[tuple[int, ...], ...]:
+    """The product table of a document; products with the identity one or
+    the absorbing zero may be omitted, any other missing product is an error."""
+    n = len(elements)
     grid: list[list[int | None]] = [[None] * n for _ in range(n)]
     for x in range(n):
-        grid[top][x] = grid[x][top] = x
-        grid[bot][x] = grid[x][bot] = bot
+        grid[one][x] = grid[x][one] = x
+        grid[zero][x] = grid[x][zero] = zero
     explicit: dict[tuple[int, int], int] = {}
     for entry in data.get("mul", []):
         if not isinstance(entry, list) or len(entry) != 3:
@@ -368,20 +435,22 @@ def lattice_from_dict(data: dict) -> FiniteLattice:
         for y in range(x, n):
             if grid[x][y] is None:
                 raise LoadError(f"missing product {elements[x]}*{elements[y]}")
-    return FiniteLattice(tuple(elements), tuple(up),
-                         tuple(tuple(row) for row in grid), bot, top)  # type: ignore[arg-type]
+    return tuple(tuple(row) for row in grid)  # type: ignore[misc]
 
 
-def load_lattice(path: str | Path) -> FiniteLattice:
+def _read_json(path: str | Path) -> object:
     try:
         text = Path(path).read_text()
     except OSError as exc:
         raise LoadError(f"cannot read {path}: {exc}") from None
     try:
-        data = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise LoadError(f"invalid JSON in {path}: {exc}") from None
-    return lattice_from_dict(data)
+
+
+def load_lattice(path: str | Path) -> FiniteLattice:
+    return lattice_from_dict(_read_json(path))
 
 
 # ----- enumeration -----------------------------------------------------

@@ -17,10 +17,11 @@ broken certificates raise TheoremViolation instead of returning quietly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator
 
 from .bitset import bits, mask_from
-from .lattice import FiniteLattice, classify_element, is_domain
+from .lattice import ElementFlags, FiniteLattice, classify_element, is_domain
 from .monoid import (
     POWERSET_CAP,
     ClosureMap,
@@ -30,7 +31,6 @@ from .monoid import (
     finitary_table,
     verify_finitary,
     verify_ideal_system,
-    verify_weak_ideal_system,
 )
 from .verdicts import TheoremViolation
 
@@ -73,7 +73,7 @@ def _mult_closed(lat: FiniteLattice, subset: int, elems: list[int]) -> bool:
 
 
 def _m_condition(lat: FiniteLattice, subset: int, elems: list[int]) -> tuple[bool, tuple[int, int, int] | None]:
-    downs = [lat.down(a) for a in range(lat.n)]
+    downs = lat.downs
     for s in elems:
         for t in elems:
             row = lat.mul[t]
@@ -97,7 +97,7 @@ def analyze_wire(lat: FiniteLattice, subset: int) -> WireReport:
     contains_one = bool(subset >> lat.top & 1)
     contains_zero = bool(subset >> lat.bot & 1)
     closed = _mult_closed(lat, subset, elems)
-    generates = all(lat.join_of(subset & lat.down(x)) == x for x in range(lat.n))
+    generates = all(lat.join_of(subset & down) == x for x, down in enumerate(lat.downs))
     wire = contains_one and contains_zero and closed and generates
     is_m, witness = (False, None)
     if wire:
@@ -221,14 +221,12 @@ def lift(lat: FiniteLattice, subset: int) -> LiftResult:
         rows.append(tuple(row))
     monoid = FiniteMonoid(names, tuple(rows), pos[lat.top], pos[lat.bot])
 
-    downs = [lat.down(v) for v in range(lat.n)]
-    table = []
-    for sm in range(1 << h):
-        v = lat.join_of(mask_from(elems[i] for i in bits(sm)))
-        table.append(mask_from(pos[e] for e in bits(downs[v] & subset)))
-    system = ClosureMap(monoid, tuple(table))
+    # cut[v] is H intersect [0, v] in monoid coordinates
+    cut = [mask_from(pos[e] for e in bits(down & subset)) for down in lat.downs]
+    table = tuple(cut[lat.join_of(mask_from(elems[i] for i in bits(sm)))] for sm in range(1 << h))
+    system = ClosureMap(monoid, table)
 
-    weak = verify_weak_ideal_system(system)
+    weak = system.weak_verdict
     if not weak.passed:
         raise TheoremViolation(f"lifted closure map failed {weak.laws}")
     il = build_ideal_lattice(system)
@@ -237,6 +235,43 @@ def lift(lat: FiniteLattice, subset: int) -> LiftResult:
 
 
 # ----- equivalence and liftability sweeps ------------------------------
+
+
+class LatticeWork:
+    """Work the per-lattice oracles share, each piece done on first use:
+    the wires are enumerated once, each wire (the full carrier included)
+    is lifted once, and each element is classified once.
+
+    Pass one instance as ``work`` to the ``check_*`` functions to run them
+    on the same results; :func:`sweep_lattice` does exactly that.
+    """
+
+    def __init__(self, lat: FiniteLattice, cap: int = WIRE_ENUM_CAP) -> None:
+        self.lattice = lat
+        self.cap = cap
+        self._lifts: dict[int, LiftResult] = {}
+
+    @cached_property
+    def wires(self) -> tuple[WireReport, ...]:
+        return tuple(enumerate_wires(self.lattice, cap=self.cap))
+
+    @cached_property
+    def flags(self) -> tuple[ElementFlags, ...]:
+        return tuple(classify_element(self.lattice, x) for x in range(self.lattice.n))
+
+    def lift(self, subset: int) -> LiftResult:
+        if subset not in self._lifts:
+            self._lifts[subset] = lift(self.lattice, subset)
+        return self._lifts[subset]
+
+
+def _shared(lat: FiniteLattice, work: LatticeWork | None, cap: int | None) -> LatticeWork:
+    """``work``, or fresh work for lat; cap None accepts any wire cap."""
+    if work is None:
+        return LatticeWork(lat, WIRE_ENUM_CAP if cap is None else cap)
+    if work.lattice != lat or cap is not None and work.cap != cap:
+        raise ValueError("shared work was built for another lattice or wire cap")
+    return work
 
 
 @dataclass(frozen=True)
@@ -255,7 +290,8 @@ class EquivalenceReport:
         return not self.violations and self.finitary_all and self.all_compact
 
 
-def check_m_wire_ideal_equivalence(lat: FiniteLattice, cap: int = WIRE_ENUM_CAP) -> EquivalenceReport:
+def check_m_wire_ideal_equivalence(lat: FiniteLattice, cap: int = WIRE_ENUM_CAP,
+                                   work: LatticeWork | None = None) -> EquivalenceReport:
     """For every wire H: the lift is an ideal system iff H satisfies (M).
 
     Also confirms every lift is finitary and every element compact, the
@@ -263,12 +299,13 @@ def check_m_wire_ideal_equivalence(lat: FiniteLattice, cap: int = WIRE_ENUM_CAP)
     are returned as violations, never dropped; they signal a bug or a
     genuine discrepancy and callers should surface them loudly.
     """
+    work = _shared(lat, work, cap)
     wires = m_wires = 0
     finitary_all = True
     violations = []
-    for report in enumerate_wires(lat, cap=cap):
+    for report in work.wires:
         wires += 1
-        result = lift(lat, report.subset)
+        result = work.lift(report.subset)
         ideal_ok = verify_ideal_system(result.system).passed
         if report.is_m_wire:
             m_wires += 1
@@ -276,7 +313,7 @@ def check_m_wire_ideal_equivalence(lat: FiniteLattice, cap: int = WIRE_ENUM_CAP)
             violations.append((lat.subset_names(report.subset), report.is_m_wire, ideal_ok))
         if not verify_finitary(result.system).passed:
             finitary_all = False
-    all_compact = all(classify_element(lat, x).compact for x in range(lat.n))
+    all_compact = all(flags.compact for flags in work.flags)
     return EquivalenceReport(lat, wires, m_wires, finitary_all, all_compact, tuple(violations))
 
 
@@ -305,7 +342,8 @@ class LiftabilityReport:
         return self.lift_full_certified and not self.findings
 
 
-def check_liftability(lat: FiniteLattice, cap: int = WIRE_ENUM_CAP) -> LiftabilityReport:
+def check_liftability(lat: FiniteLattice, cap: int = WIRE_ENUM_CAP,
+                      work: LatticeWork | None = None) -> LiftabilityReport:
     """Three liftability facts, checked directly.
 
     (a) the full carrier is a wire, so every lattice lifts to a weak ideal
@@ -317,8 +355,9 @@ def check_liftability(lat: FiniteLattice, cap: int = WIRE_ENUM_CAP) -> Liftabili
         than assumed).
     Implication failures come back as findings.
     """
-    result = lift(lat, lat.full)
-    flags = [classify_element(lat, x) for x in range(lat.n)]
+    work = _shared(lat, work, cap)
+    result = work.lift(lat.full)
+    flags = work.flags
     mp_mask = mask_from(x for x in range(lat.n) if flags[x].meet_principal)
     wmp_mask = mask_from(x for x in range(lat.n) if flags[x].weak_meet_principal)
     p_mask = mask_from(x for x in range(lat.n) if flags[x].principal)
@@ -327,7 +366,7 @@ def check_liftability(lat: FiniteLattice, cap: int = WIRE_ENUM_CAP) -> Liftabili
         return all(lat.join_of(mask & lat.down(x)) == x for x in range(lat.n))
 
     mp_generates = generated_by(mp_mask)
-    m_wire_exists = next(iter(enumerate_wires(lat, m_only=True, cap=cap)), None) is not None
+    m_wire_exists = any(report.is_m_wire for report in work.wires)
     findings: list[str] = []
     if m_wire_exists and not mp_generates:
         findings.append("an M-wire exists but the meet principal elements do not generate")
@@ -342,7 +381,7 @@ def check_liftability(lat: FiniteLattice, cap: int = WIRE_ENUM_CAP) -> Liftabili
             findings.append("principal elements (bounds adjoined) do not form a wire")
         elif not report.is_m_wire:
             findings.append("the principal-element wire is not an M-wire")
-        elif not verify_ideal_system(lift(lat, h).system).passed:
+        elif not verify_ideal_system(work.lift(h).system).passed:
             findings.append("the principal-element wire lifts to a weak but not an ideal system")
     return LiftabilityReport(
         lat, result.certified, m_wire_exists,
@@ -358,16 +397,15 @@ def finitary_closure(r: ClosureMap) -> ClosureMap:
 
     On a finite carrier X is its own largest finite subset, so the result
     must coincide with r; a difference means a bug and raises.  The result
-    is re-verified as a weak ideal system before being returned.
+    is r itself, and its weak-ideal-system verdict must pass.
     """
     table = finitary_table(r)
     if table != r.table:
         raise TheoremViolation("finitary closure moved a finite-carrier system")
-    out = ClosureMap(r.monoid, table)
-    verdict = verify_weak_ideal_system(out)
+    verdict = r.weak_verdict
     if not verdict.passed:
         raise TheoremViolation(f"finitary closure failed {verdict.laws}")
-    return out
+    return r
 
 
 @dataclass(frozen=True)
@@ -383,16 +421,27 @@ class FinitaryEmbeddingReport:
         return self.closure_unchanged and self.embedding_certified
 
 
-def check_finitary_embedding(lat: FiniteLattice) -> FinitaryEmbeddingReport:
+def check_finitary_embedding(lat: FiniteLattice,
+                             work: LatticeWork | None = None) -> FinitaryEmbeddingReport:
     """Lift the whole carrier, take the finitary closure, and certify that
     x -> [0, x] is a lattice isomorphism onto the resulting ideal lattice.
 
     Finite lattices are generated by compact elements (all of them), so
     the closure never moves and the embedding is onto.
     """
-    result = lift(lat, lat.full)
+    result = _shared(lat, work, None).lift(lat.full)
     rs = finitary_closure(result.system)
     unchanged = rs.table == result.system.table
-    il = build_ideal_lattice(rs)
-    _certify_isomorphism(lat, lat.full, il)
+    if not unchanged:  # an unchanged table keeps the lift's certified lattice and isomorphism
+        _certify_isomorphism(lat, lat.full, build_ideal_lattice(rs))
     return FinitaryEmbeddingReport(lat, unchanged, True)
+
+
+def sweep_lattice(lat: FiniteLattice, cap: int = WIRE_ENUM_CAP) -> tuple[
+        EquivalenceReport, LiftabilityReport, FinitaryEmbeddingReport]:
+    """Equivalence, liftability and finitary embedding of one lattice, run
+    on one :class:`LatticeWork`, so each wire is lifted once for all three."""
+    work = LatticeWork(lat, cap)
+    return (check_m_wire_ideal_equivalence(lat, cap, work),
+            check_liftability(lat, cap, work),
+            check_finitary_embedding(lat, work))

@@ -19,12 +19,13 @@ facts actually hold, raising TheoremViolation otherwise.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
+from functools import cached_property, reduce
+from operator import or_
 from pathlib import Path
 
-from .bitset import bits, mask_from
-from .lattice import FiniteLattice, verify_lattice
+from .bitset import bits
+from .lattice import FiniteLattice, _read_carrier, _read_json, _read_products, verify_lattice
 from .verdicts import LoadError, TheoremViolation, Verdict, Violation
 
 # Closure maps are stored extensionally (one entry per subset), so the
@@ -75,6 +76,26 @@ class FiniteMonoid:
     def subset_names(self, mask: int) -> tuple[str, ...]:
         return tuple(self.names[i] for i in bits(mask))
 
+    @cached_property
+    def element_maps(self) -> tuple[tuple[int, ...], ...]:
+        """``element_maps[c][X]`` is the product set c*X, for every element c
+        and every subset X of the carrier (both as bitmasks).
+
+        Built on first use from the low-bit recurrence
+        c*X = c*(X minus its lowest member) + {c*lowest}.
+        """
+        if self.n > POWERSET_CAP:
+            raise ValueError(f"carrier size {self.n} exceeds powerset cap {POWERSET_CAP}")
+        size = 1 << self.n
+        maps = []
+        for row in self.mul:
+            cmap = [0] * size
+            for x in range(1, size):
+                low = x & -x
+                cmap[x] = cmap[x ^ low] | (1 << row[low.bit_length() - 1])
+            maps.append(tuple(cmap))
+        return tuple(maps)
+
 
 def verify_monoid(mon: FiniteMonoid) -> Verdict:
     """Commutativity, associativity, identity and zero laws with witnesses."""
@@ -103,73 +124,29 @@ def verify_monoid(mon: FiniteMonoid) -> Verdict:
 
 def monoid_from_dict(data: dict) -> FiniteMonoid:
     """Monoid from JSON; products with one/zero are auto-filled."""
-    if not isinstance(data, dict):
-        raise LoadError("monoid document must be a JSON object")
-    elements = data.get("elements")
-    if not isinstance(elements, list) or not elements:
-        raise LoadError("'elements' must be a nonempty list")
-    if not all(isinstance(e, str) and e for e in elements):
-        raise LoadError("element names must be nonempty strings")
-    if len(set(elements)) != len(elements):
-        raise LoadError("duplicate element names")
-    n = len(elements)
-    pos = {e: i for i, e in enumerate(elements)}
-
-    def look(name: object) -> int:
-        if not isinstance(name, str) or name not in pos:
-            raise LoadError(f"unknown element {name!r}")
-        return pos[name]
-
-    for key in ("one", "zero"):
-        if key not in data:
-            raise LoadError(f"missing '{key}'")
-    one, zero = look(data["one"]), look(data["zero"])
-    grid: list[list[int | None]] = [[None] * n for _ in range(n)]
-    for x in range(n):
-        grid[one][x] = grid[x][one] = x
-        grid[zero][x] = grid[x][zero] = zero
-    explicit: dict[tuple[int, int], int] = {}
-    for entry in data.get("mul", []):
-        if not isinstance(entry, list) or len(entry) != 3:
-            raise LoadError(f"mul entry {entry!r} must be [x, y, xy]")
-        x, y, v = look(entry[0]), look(entry[1]), look(entry[2])
-        key = (min(x, y), max(x, y))
-        if key in explicit and explicit[key] != v:
-            raise LoadError(f"conflicting products for {elements[x]}*{elements[y]}")
-        explicit[key] = v
-        grid[x][y] = grid[y][x] = v
-    for x in range(n):
-        for y in range(x, n):
-            if grid[x][y] is None:
-                raise LoadError(f"missing product {elements[x]}*{elements[y]}")
-    return FiniteMonoid(tuple(elements), tuple(tuple(r) for r in grid), one, zero)  # type: ignore[arg-type]
+    elements, look, one, zero = _read_carrier(data, "monoid", ("one", "zero"))
+    return FiniteMonoid(tuple(elements), _read_products(data, elements, look, one, zero), one, zero)
 
 
 def load_monoid(path: str | Path) -> FiniteMonoid:
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise LoadError(f"cannot read {path}: {exc}") from None
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise LoadError(f"invalid JSON in {path}: {exc}") from None
-    return monoid_from_dict(data)
+    return monoid_from_dict(_read_json(path))
 
 
 def subset_product(mon: FiniteMonoid, xm: int, ym: int) -> int:
     """Elementwise product set {x*y : x in X, y in Y} as a bitmask."""
     out = 0
-    for x in bits(xm):
-        row = mon.mul[x]
-        for y in bits(ym):
-            out |= 1 << row[y]
+    if mon.n > POWERSET_CAP:  # no element maps past the cap: multiply pairwise
+        for x in bits(xm):
+            row = mon.mul[x]
+            for y in bits(ym):
+                out |= 1 << row[y]
+        return out
+    maps = mon.element_maps
+    while xm:
+        low = xm & -xm
+        out |= maps[low.bit_length() - 1][ym]
+        xm ^= low
     return out
-
-
-def _element_products(mon: FiniteMonoid) -> list[int]:
-    # per-element mask of x*H
-    return [mask_from(mon.mul[x][h] for h in range(mon.n)) for x in range(mon.n)]
 
 
 @dataclass(frozen=True)
@@ -195,6 +172,22 @@ class ClosureMap:
         """Distinct image subsets, ascending by bitmask."""
         return tuple(sorted(set(self.table)))
 
+    @cached_property
+    def weak_verdict(self) -> Verdict:
+        """:func:`verify_weak_ideal_system` of this map, run on first use.
+
+        The map is immutable, so the verdict travels with it: the checks
+        that require a weak ideal system read it here instead of running
+        the full scan again.
+        """
+        return verify_weak_ideal_system(self)
+
+
+def _require_weak(r: ClosureMap) -> None:
+    verdict = r.weak_verdict
+    if not verdict.passed:
+        raise ValueError("not a weak ideal system: " + ", ".join(verdict.laws))
+
 
 def constant_closure(mon: FiniteMonoid) -> ClosureMap:
     """X -> H for every X (the coarsest closure)."""
@@ -203,13 +196,12 @@ def constant_closure(mon: FiniteMonoid) -> ClosureMap:
 
 def multiples_closure(mon: FiniteMonoid) -> ClosureMap:
     """X -> X*H, the set of all multiples of members of X."""
-    prods = _element_products(mon)
-    size = 1 << mon.n
-    table = [0] * size
-    for x in range(1, size):
-        low = x & -x
-        table[x] = table[x ^ low] | prods[low.bit_length() - 1]
-    return ClosureMap(mon, tuple(table))
+    return ClosureMap(mon, _multiples(mon))
+
+
+def _multiples(mon: FiniteMonoid) -> tuple[int, ...]:
+    # X*H = union over c in H of c*X, for every X at once
+    return tuple(reduce(or_, column) for column in zip(*mon.element_maps))
 
 
 def verify_weak_ideal_system(r: ClosureMap) -> Verdict:
@@ -230,16 +222,13 @@ def verify_weak_ideal_system(r: ClosureMap) -> Verdict:
             seen.add(law)
             out.append(Violation(law, witness, detail))
 
-    prods = _element_products(mon)
+    multiples = _multiples(mon)
     sn = mon.subset_names
     for x in range(size):
         tx = table[x]
         if x & ~tx:
             record("extensivity", (sn(x),), "X is not contained in r(X)")
-        xh = 0
-        for e in bits(x):
-            xh |= prods[e]
-        if xh & ~tx:
+        if multiples[x] & ~tx:
             record("s1", (sn(x),), "X*H is not contained in r(X)")
         if table[tx] != tx:
             record("s3", (sn(x),), "r is not idempotent")
@@ -248,12 +237,7 @@ def verify_weak_ideal_system(r: ClosureMap) -> Verdict:
             if not x & bit and tx & ~table[x | bit]:
                 record("s2", (sn(x), sn(x | bit)), "r is not monotone")
                 break
-    for c in range(m):
-        row = mon.mul[c]
-        cmap = [0] * size
-        for x in range(1, size):
-            low = x & -x
-            cmap[x] = cmap[x ^ low] | (1 << row[low.bit_length() - 1])
+    for c, cmap in enumerate(mon.element_maps):
         for x in range(size):
             if cmap[table[x]] & ~table[cmap[x]]:
                 record("s4", (mon.names[c], sn(x)), "c*r(X) is not contained in r(c*X)")
@@ -269,17 +253,10 @@ def verify_ideal_system(r: ClosureMap) -> Verdict:
 
     Rejects maps that are not weak ideal systems; run the weak check first.
     """
-    base = verify_weak_ideal_system(r)
-    if not base.passed:
-        raise ValueError("not a weak ideal system: " + ", ".join(base.laws))
+    _require_weak(r)
     mon, table = r.monoid, r.table
     size = len(table)
-    for c in range(mon.n):
-        row = mon.mul[c]
-        cmap = [0] * size
-        for x in range(1, size):
-            low = x & -x
-            cmap[x] = cmap[x ^ low] | (1 << row[low.bit_length() - 1])
+    for c, cmap in enumerate(mon.element_maps):
         for x in range(size):
             if cmap[table[x]] != table[cmap[x]]:
                 return Verdict(False, (Violation(
@@ -309,9 +286,7 @@ def verify_finitary(r: ClosureMap) -> Verdict:
     Degenerate on finite carriers (X is a finite subset of itself), so a
     verified weak ideal system always passes; the note records that.
     """
-    base = verify_weak_ideal_system(r)
-    if not base.passed:
-        raise ValueError("not a weak ideal system: " + ", ".join(base.laws))
+    _require_weak(r)
     fin = finitary_table(r)
     for x in range(len(r.table)):
         if fin[x] != r.table[x]:
@@ -346,9 +321,7 @@ def build_ideal_lattice(r: ClosureMap) -> IdealLattice:
     raise TheoremViolation when broken: such a failure means the map or
     this code is buggy, not that the input was merely uninteresting.
     """
-    base = verify_weak_ideal_system(r)
-    if not base.passed:
-        raise ValueError("not a weak ideal system: " + ", ".join(base.laws))
+    _require_weak(r)
     mon, table = r.monoid, r.table
     full = mon.full
     ideals = sorted(set(table))
@@ -387,13 +360,22 @@ def build_ideal_lattice(r: ClosureMap) -> IdealLattice:
             if lat.join(i, j) != pos[table[ideals[i] | ideals[j]]]:
                 raise TheoremViolation("join of ideals differs from closing the union")
     if mon.n <= PAIR_SANITY_CAP:
-        # products may be closed before or after closing the factors
+        # products may be closed before or after closing the factors;
+        # rows[X][Y] = X*Y, each row the union of its members' element maps
         size = 1 << mon.n
+        maps = mon.element_maps
+        rows = [(0,) * size]
+        for x in range(1, size):
+            low = x & -x
+            rows.append(tuple(a | b for a, b in zip(rows[x ^ low], maps[low.bit_length() - 1])))
         for x in range(size):
-            for y in range(x, size):
-                if table[subset_product(mon, x, y)] != table[subset_product(mon, table[x], table[y])]:
-                    raise TheoremViolation(
-                        f"r(XY) != r(r(X)r(Y)) at X={mon.subset_names(x)} Y={mon.subset_names(y)}")
+            rx, rtx = rows[x], rows[table[x]]
+            lhs = [table[rx[y]] for y in range(x, size)]
+            rhs = [table[rtx[table[y]]] for y in range(x, size)]
+            if lhs != rhs:
+                y = x + next(i for i, (a, b) in enumerate(zip(lhs, rhs)) if a != b)
+                raise TheoremViolation(
+                    f"r(XY) != r(r(X)r(Y)) at X={mon.subset_names(x)} Y={mon.subset_names(y)}")
     # principal closures form a generating submonoid (all elements of a
     # finite ideal family are compact, so the finitary clause is automatic)
     for a in range(mon.n):

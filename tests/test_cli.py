@@ -1,8 +1,11 @@
 import json
+import os
 
 import pytest
 
-from latlift.cli import main
+import latlift
+from latlift import cli, lifting, monoid
+from latlift.cli import corpus_threads, main
 
 from conftest import fixture_path
 
@@ -95,6 +98,59 @@ def test_corpus_bad_max_n(capsys):
     assert main(["corpus", "--max-n", "9"]) == 2
 
 
+@pytest.mark.parametrize("limit", ["0", "-1"])
+def test_corpus_limit_below_one_is_usage_error(capsys, limit):
+    assert main(["corpus", "--max-n", "3", "--limit", limit]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-2", ""])
+def test_corpus_bad_threads_is_usage_error(capsys, monkeypatch, value):
+    monkeypatch.setenv("LATLIFT_THREADS", value)
+    assert main(["corpus", "--max-n", "3"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: LATLIFT_THREADS") and err.count("\n") == 1
+
+
+def test_corpus_threads_parse_and_clamp(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    assert corpus_threads(None) == 1
+    assert corpus_threads("1") == 1
+    assert corpus_threads(" 2 ") == 2
+    assert corpus_threads("3") == 2
+    assert corpus_threads("1000000") == 2
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert corpus_threads("4") == 1
+
+
+def _count_calls(monkeypatch, module, name, keys):
+    """Wrap ``name`` wherever latlift binds it, recording each call's arguments."""
+    original = getattr(module, name)
+
+    def wrapper(*args):
+        keys.append(args)
+        return original(*args)
+
+    for namespace in (latlift, cli, lifting, monoid):
+        if vars(namespace).get(name) is original:
+            monkeypatch.setattr(namespace, name, wrapper)
+
+
+def test_corpus_lifts_each_wire_once(capsys, monkeypatch):
+    monkeypatch.delenv("LATLIFT_THREADS", raising=False)
+    lifts, weak = [], []
+    _count_calls(monkeypatch, lifting, "lift", lifts)
+    _count_calls(monkeypatch, monoid, "verify_weak_ideal_system", weak)
+    code, report = run_json(capsys, "corpus", "--max-n", "4")
+    assert code == 0
+    wires = report["results"]["wires"]
+    assert wires == 17
+    assert len(lifts) == len(set(lifts)) == wires
+    tables = {(r.monoid, r.table) for (r,) in weak}
+    assert len(weak) == len(tables) == wires
+
+
 def test_quad_division_closure_counterexample(capsys):
     code, report = run_json(capsys, "quad", "division-closure", "--d", "-17", "--bound", "50")
     assert code == 1
@@ -122,6 +178,19 @@ def test_quad_s_wire(capsys):
 
 def test_quad_invalid_d(capsys):
     assert main(["quad", "verdict", "--d", "-4"]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["division-closure", "--d", "-17", "--bound", "5"],
+    ["verdict", "--d", "-17", "--bound", "3"],
+    ["norms", "--d", "-5", "--bound", "0"],
+    ["s-wire", "--d", "-5", "--prime-bound", "1"],
+])
+def test_quad_bad_bound_is_usage_error(capsys, argv):
+    assert main(["quad", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
 def test_usage_error_exit_code():

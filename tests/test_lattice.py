@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from latlift import (
+    FiniteLattice,
     LoadError,
     are_isomorphic,
     classify_element,
@@ -55,9 +56,26 @@ def test_l6_join_meet_examples(l6):
 
 
 def test_join_of_subsets_agrees_with_oracle(l6):
-    for mask in range(1 << l6.n):
-        assert l6.join_of(mask) == brute_join(l6, mask)
-        assert l6.meet_of(mask) == brute_meet(l6, mask)
+    lattices = [l6] + [lat for n in range(1, 6) for lat in enumerate_small_lattices(n)]
+    for lat in lattices:
+        for mask in range(1 << lat.n):
+            assert lat.join_of(mask) == brute_join(lat, mask)
+            assert lat.meet_of(mask) == brute_meet(lat, mask)
+        for a in range(lat.n):
+            assert lat.down(a) == mask_from(i for i in range(lat.n) if lat.le(i, a))
+
+
+def test_join_of_on_a_non_lattice_keeps_the_definitional_errors():
+    # a and b are incomparable maximal elements: they have a meet but no join
+    vee = FiniteLattice(("0", "a", "b"), (0b111, 0b010, 0b100),
+                        ((0, 0, 0), (0, 1, 0), (0, 0, 2)), 0, 1)
+    a, b = 1, 2
+    assert vee.meet(a, b) == 0
+    assert vee.join(0, a) == a
+    with pytest.raises(ValueError, match="no least upper bound"):
+        vee.join(a, b)
+    with pytest.raises(ValueError, match="no greatest lower bound"):
+        vee.meet_of(0)
 
 
 def test_join_is_associative_over_unions(l6):

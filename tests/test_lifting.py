@@ -1,6 +1,7 @@
 import pytest
 
 from latlift import (
+    LatticeWork,
     WireError,
     analyze_wire,
     check_finitary_embedding,
@@ -11,6 +12,7 @@ from latlift import (
     enumerate_wires,
     finitary_closure,
     lift,
+    sweep_lattice,
     verify_finitary,
     verify_ideal_system,
     verify_weak_ideal_system,
@@ -156,6 +158,26 @@ def test_equivalence_small_corpus():
     for n in (1, 2, 3):
         for lat in enumerate_small_lattices(n):
             assert check_m_wire_ideal_equivalence(lat).ok
+
+
+def test_sweep_matches_separate_checks(l6, chain3_nil):
+    lattices = [l6, chain3_nil] + [lat for n in range(1, 5) for lat in enumerate_small_lattices(n)]
+    for lat in lattices:
+        equivalence, liftability, embedding = sweep_lattice(lat)
+        assert equivalence == check_m_wire_ideal_equivalence(lat)
+        assert liftability == check_liftability(lat)
+        assert embedding == check_finitary_embedding(lat)
+        assert equivalence.ok and liftability.ok and embedding.ok
+
+
+def test_shared_work_must_match_the_lattice(l6, two):
+    work = LatticeWork(l6)
+    with pytest.raises(ValueError):
+        check_m_wire_ideal_equivalence(two, work=work)
+    with pytest.raises(ValueError):
+        check_liftability(l6, cap=5, work=work)
+    with pytest.raises(ValueError):
+        check_finitary_embedding(two, work=work)
 
 
 def test_liftability_l6(l6):

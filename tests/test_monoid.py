@@ -6,6 +6,8 @@ from latlift import (
     TheoremViolation,
     build_ideal_lattice,
     constant_closure,
+    enumerate_small_lattices,
+    enumerate_wires,
     lift,
     monoid_from_dict,
     multiples_closure,
@@ -16,7 +18,7 @@ from latlift import (
     verify_monoid,
     verify_weak_ideal_system,
 )
-from latlift.bitset import mask_from
+from latlift.bitset import bits, mask_from
 
 
 def test_monoid_fixture_verifies(m3):
@@ -53,6 +55,21 @@ def test_subset_product(m3):
     assert subset_product(m3, x_and_one, x_and_one) == mask_from((1, 2))
     assert subset_product(m3, 1 << 0, m3.full) == 1 << 0
     assert subset_product(m3, 0, m3.full) == 0
+
+
+def brute_subset_product(mon, xm, ym):
+    return mask_from(mon.mul[x][y] for x in bits(xm) for y in bits(ym))
+
+
+def test_subset_product_agrees_with_pairwise_definition(m3):
+    monoids = [m3] + [lift(lat, rep.subset).monoid
+                      for n in range(1, 6) for lat in enumerate_small_lattices(n)
+                      for rep in enumerate_wires(lat)]
+    for mon in monoids:
+        size = 1 << mon.n
+        for x in range(size):
+            for y in range(size):
+                assert subset_product(mon, x, y) == brute_subset_product(mon, x, y)
 
 
 def test_multiples_closure_is_weak_system(m3):
