@@ -35,10 +35,8 @@ from .natquad import (
     M_WIRE_CONSISTENT,
     QuadOrder,
     division_closure_check,
-    is_norm,
     m_wire_verdict,
     norm_image,
-    norm_witness,
     s_wire_check,
 )
 from .verdicts import LoadError, TheoremViolation
@@ -65,9 +63,9 @@ class RunReport:
             "options": self.options,
             "passed": self.passed,
             "exit_code": self.exit_code,
-            "elapsed_s": self.elapsed_s,
             "version": self.version,
             "results": self.results,
+            "stats": {"elapsed_s": self.elapsed_s},
         }
 
 
@@ -236,11 +234,6 @@ def _quad(order: QuadOrder, args) -> tuple[dict, bool, int]:
         report = division_closure_check(order, args.bound)
         results = base | {"bound": args.bound, "closed": report.closed,
                           "counterexample": list(report.counterexample) if report.counterexample else None}
-        if report.counterexample is not None:
-            n, m, quotient = report.counterexample
-            if (norm_witness(order, n) is None or norm_witness(order, m) is None
-                    or m % n != 0 or m // n != quotient or is_norm(order, quotient)):
-                raise TheoremViolation("division counterexample failed re-verification")
         return results, report.closed, EXIT_PASS if report.closed else EXIT_FAIL
     if args.check == "s-wire":
         report = s_wire_check(order, args.prime_bound, args.search_bound)

@@ -9,14 +9,23 @@ lattice.  Whether S satisfies the wire condition (M) reduces to whether
 the norm image is closed under division, which is decidable up to a bound;
 the checks below report exactly that, with every witness re-verified
 before it is returned.
+
+The norm image, the division-closure scan and the gcd search of the s-wire
+check all read one cached membership table per (d, bound): a ``bytes``
+object whose byte v is 1 exactly when v is a nonzero norm.  The
+re-verification of each witness never reads it.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import compress, repeat
 from math import gcd, isqrt, lcm
 from typing import Iterable
+
+from .verdicts import TheoremViolation
 
 DIVISION_CLOSED = "CLOSED-UP-TO-BOUND"
 NOT_M_WIRE = "NOT-M-WIRE"
@@ -112,25 +121,24 @@ def is_norm(q: QuadOrder, n: int) -> bool:
 
 
 @lru_cache(maxsize=32)
-def _norm_image(d: int, bound: int) -> tuple[int, ...]:
-    q = QuadOrder(d)
-    values = set()
-    b = 0
-    while q.D * b * b <= bound:
-        a = 0
-        while a * a + q.D * b * b <= bound:
-            values.add(a * a + q.D * b * b)
-            a += 1
-        b += 1
-    values.discard(0)
-    return tuple(sorted(values))
+def _norm_table(d: int, bound: int) -> bytes:
+    """Byte v (0 <= v <= bound) is 1 iff v > 0 and v = a^2 + |d| b^2; each
+    row b scatters |d| b^2 + a^2 over the precomputed squares."""
+    table = bytearray(bound + 1)
+    squares = [a * a for a in range(isqrt(bound) + 1)]
+    for b in range(isqrt(bound // -d) + 1):
+        base = -d * b * b
+        row = map(base.__add__, squares[:isqrt(bound - base) + 1])
+        deque(map(table.__setitem__, row, repeat(1)), maxlen=0)
+    table[0] = 0
+    return bytes(table)
 
 
 def norm_image(q: QuadOrder, bound: int) -> tuple[int, ...]:
-    """Sorted distinct norm values in [1, bound] (cached per order)."""
+    """Sorted distinct norm values in [1, bound], read off the cached table."""
     if bound < 1:
         raise ValueError("bound must be positive")
-    return _norm_image(q.d, bound)
+    return tuple(compress(range(bound + 1), _norm_table(q.d, bound)))
 
 
 # ----- primes ----------------------------------------------------------
@@ -208,25 +216,27 @@ def division_closure_check(q: QuadOrder, bound: int) -> DivisionClosureReport:
     """Scan the norm image up to bound for nested values whose quotient is
     not a norm.
 
-    The double loop runs over the cached sorted image (divisors ascending,
-    multiples ascending), so the first hit is the lexicographically
-    smallest counterexample.  A reported counterexample is re-verified
-    arithmetically before being returned.
+    Divisors n run ascending over the table; for each, the set bits of
+    (table[k*n] and not table[k]) over k = 2..bound//n are one big-int AND,
+    whose lowest bit is the smallest quotient k.  The first hit is
+    therefore the lexicographically smallest counterexample.  It is
+    re-verified arithmetically, without the table, before being returned.
     """
     if bound < q.D:
         raise ValueError("bound must be at least |d|")
-    image = norm_image(q, bound)
-    members = set(image)
-    for n in image:
-        m = 2 * n
-        while m <= bound:
-            if m in members and (m // n) not in members:
-                quotient = m // n
-                if (norm_witness(q, n) is None or norm_witness(q, m) is None
-                        or m % n != 0 or is_norm(q, quotient)):
-                    raise AssertionError("counterexample failed re-verification")
-                return DivisionClosureReport(q.d, bound, False, (n, m, quotient))
-            m += n
+    table = _norm_table(q.d, bound)
+    missing = table.translate(bytes.maketrans(b"\0\1", b"\1\0"))
+    half = bound // 2
+    for n in compress(range(1, half + 1), table[1:half + 1]):
+        hits = (int.from_bytes(table[2 * n::n], "little")
+                & int.from_bytes(missing[2:bound // n + 1], "little"))
+        if hits:
+            quotient = 2 + ((hits & -hits).bit_length() - 1) // 8
+            m = quotient * n
+            if (norm_witness(q, n) is None or norm_witness(q, m) is None
+                    or m % n != 0 or is_norm(q, quotient)):
+                raise TheoremViolation("division counterexample failed re-verification")
+            return DivisionClosureReport(q.d, bound, False, (n, m, quotient))
     return DivisionClosureReport(q.d, bound, True, None)
 
 
@@ -280,14 +290,14 @@ class SGenReport:
         return not self.unresolved
 
 
-def _gcd_pair(p: int, image: tuple[int, ...]) -> tuple[int, int] | None:
-    """Pair of image values with gcd exactly p and minimal product.
+def _gcd_pair(p: int, table: bytes) -> tuple[int, int] | None:
+    """Pair of norm values in the table with gcd exactly p and minimal product.
 
     Rows are scanned ascending with product cutoffs, so the first hit per
     row is row-minimal and the retained pair is the global minimum (ties
     broken toward the smaller first member).
     """
-    multiples = [v for v in image if v % p == 0]
+    multiples = list(compress(range(p, len(table), p), table[p::p]))
     best: tuple[int, int, int] | None = None
     for i, m1 in enumerate(multiples):
         if best is not None and m1 * m1 >= best[0]:
@@ -313,7 +323,7 @@ def s_wire_check(q: QuadOrder, prime_bound: int, search_bound: int) -> SGenRepor
     """
     if prime_bound < 2 or search_bound < 1:
         raise ValueError("bounds must be positive")
-    image = norm_image(q, search_bound)
+    table = _norm_table(q.d, search_bound)
     verdicts = []
     for p in primes_upto(prime_bound):
         if is_inert(q, p):
@@ -322,16 +332,16 @@ def s_wire_check(q: QuadOrder, prime_bound: int, search_bound: int) -> SGenRepor
         rep = norm_witness(q, p)
         if rep is not None:
             if q.norm(*rep) != p:
-                raise AssertionError("norm witness failed re-verification")
+                raise TheoremViolation("norm witness failed re-verification")
             verdicts.append(PrimeVerdict(p, "norm", rep=rep))
             continue
-        pair = _gcd_pair(p, image)
+        pair = _gcd_pair(p, table)
         if pair is None:
             verdicts.append(PrimeVerdict(p, "unresolved"))
             continue
         w1, w2 = pair
         if gcd(w1, w2) != p or not is_norm(q, w1) or not is_norm(q, w2):
-            raise AssertionError("gcd witness failed re-verification")
+            raise TheoremViolation("gcd witness failed re-verification")
         verdicts.append(PrimeVerdict(p, "gcd_generated", pair=pair))
     return SGenReport(q.d, prime_bound, search_bound, tuple(verdicts))
 

@@ -4,7 +4,7 @@ import os
 import pytest
 
 import latlift
-from latlift import cli, lifting, monoid
+from latlift import cli, lifting, monoid, natquad
 from latlift.cli import corpus_threads, main
 
 from conftest import fixture_path
@@ -174,6 +174,40 @@ def test_quad_s_wire(capsys):
                             "--prime-bound", "50", "--search-bound", "100000")
     assert code == 0
     assert report["results"]["unresolved"] == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["verdict", "--d", "-5", "--bound", "10000"],
+    ["division-closure", "--d", "-5", "--bound", "10000"],
+    ["s-wire", "--d", "-5", "--prime-bound", "30", "--search-bound", "10000"],
+])
+def test_quad_failed_reverification_is_oracle_exit(capsys, monkeypatch, argv):
+    real_table = natquad._norm_table
+
+    def table_with_a_non_norm(d, bound):
+        table = bytearray(real_table(d, bound))
+        table[2] = 1  # 2 is not of the form a^2 + 5 b^2
+        return bytes(table)
+
+    monkeypatch.setattr(natquad, "_norm_table", table_with_a_non_norm)
+    assert main(["quad", *argv, "--format", "json"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("oracle violation: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["quad", "verdict", "--d", "-17", "--bound", "2000"],
+    ["check-lattice", fixture_path("l6_broken.json")],
+])
+def test_json_payload_is_reproducible_without_stats(capsys, argv):
+    payloads = []
+    for _ in range(2):
+        code, report = run_json(capsys, *argv)
+        assert "elapsed_s" not in report
+        assert isinstance(report.pop("stats")["elapsed_s"], float)
+        payloads.append(json.dumps(report, indent=2, sort_keys=True).encode())
+    assert payloads[0] == payloads[1]
 
 
 def test_quad_invalid_d(capsys):

@@ -1,7 +1,7 @@
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from latlift import (
@@ -21,10 +21,23 @@ from latlift import (
 from latlift.natquad import (
     M_WIRE_CONSISTENT,
     NOT_M_WIRE,
+    _gcd_pair,
+    _norm_table,
+    _squarefree,
     compose_norm_witnesses,
     is_prime,
     primes_upto,
 )
+
+# the D = -d below 500 that QuadOrder accepts
+ADMISSIBLE = [D for D in range(1, 500) if D % 4 in (1, 2) and _squarefree(D)]
+
+# Euler's 65 idoneal numbers (Cox, Primes of the form x^2 + ny^2, section 3)
+IDONEAL = frozenset((
+    1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 13, 15, 16, 18, 21, 22, 24, 25, 28, 30, 33, 37, 40,
+    42, 45, 48, 57, 58, 60, 70, 72, 78, 85, 88, 93, 102, 105, 112, 120, 130, 133, 165, 168,
+    177, 190, 210, 232, 240, 253, 273, 280, 312, 330, 345, 357, 385, 408, 462, 520, 760,
+    840, 1320, 1365, 1848))
 
 
 # Definitional oracle: the residual is the gcd of all y with a | b*y,
@@ -194,3 +207,92 @@ def test_s_wire_reports_unresolved_instead_of_dropping():
     assert not report.ok
     assert 3 in report.unresolved  # 9 and 18 share more than a factor of 3
     assert len(report.verdicts) == len(primes_upto(30))
+
+
+# ----- the membership-table kernels against their definitions ----------
+
+
+def norm_values_by_double_loop(D, bound):
+    values = set()
+    b = 0
+    while D * b * b <= bound:
+        a = 0
+        while a * a + D * b * b <= bound:
+            values.add(a * a + D * b * b)
+            a += 1
+        b += 1
+    values.discard(0)
+    return values
+
+
+def division_counterexample_by_scan(members, bound):
+    for n in sorted(members):
+        for m in range(2 * n, bound + 1, n):
+            if m in members and (m // n) not in members:
+                return (n, m, m // n)
+    return None
+
+
+def gcd_pair_by_filter(p, image):
+    multiples = [v for v in image if v % p == 0]
+    best = None
+    for i, m1 in enumerate(multiples):
+        if best is not None and m1 * m1 >= best[0]:
+            break
+        for m2 in multiples[i:]:
+            prod = m1 * m2
+            if best is not None and prod >= best[0]:
+                break
+            if gcd(m1, m2) == p:
+                best = (prod, m1, m2)
+                break
+    return (best[1], best[2]) if best else None
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(ADMISSIBLE), st.integers(1, 5000))
+def test_norm_table_matches_double_loop(D, bound):
+    table = _norm_table(-D, bound)
+    values = norm_values_by_double_loop(D, bound)
+    assert len(table) == bound + 1 and set(table) <= {0, 1}
+    assert {v for v, flag in enumerate(table) if flag} == values
+    assert norm_image(QuadOrder(-D), bound) == tuple(sorted(values))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(st.sampled_from(ADMISSIBLE), st.sampled_from(sorted(IDONEAL & set(ADMISSIBLE)))),
+       st.integers(1, 5000))
+def test_division_closure_matches_pairwise_scan(D, bound):
+    assume(bound >= D)
+    expected = division_counterexample_by_scan(norm_values_by_double_loop(D, bound), bound)
+    report = division_closure_check(QuadOrder(-D), bound)
+    assert report.closed == (expected is None)
+    assert report.counterexample == expected
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(ADMISSIBLE), st.integers(1, 5000), st.sampled_from(primes_upto(100)))
+@example(5, 6, 2)  # the minimal pair (4, 6) ends at the bound itself
+def test_gcd_pair_matches_image_filter(D, bound, p):
+    image = tuple(sorted(norm_values_by_double_loop(D, bound)))
+    assert _gcd_pair(p, _norm_table(-D, bound)) == gcd_pair_by_filter(p, image)
+
+
+# ----- the verdicts of the benchmark's quad workload -------------------
+
+
+def test_quad_workload_verdicts_follow_idoneal_numbers():
+    for D in ADMISSIBLE:
+        if D >= 300:
+            break
+        report = m_wire_verdict(QuadOrder(-D), max(200_000, 50 * D))
+        assert (report.verdict == M_WIRE_CONSISTENT) == (D in IDONEAL), D
+        if D == 17:
+            assert report.counterexample == (9, 18, 2)
+
+
+@pytest.mark.parametrize("d", [-5, -17])
+def test_quad_workload_s_wire_resolves_every_prime(d):
+    report = s_wire_check(QuadOrder(d), 2000, 1_000_000)
+    assert report.ok and report.unresolved == ()
+    assert len(report.verdicts) == len(primes_upto(2000))
