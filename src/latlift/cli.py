@@ -374,10 +374,19 @@ def main(argv=None) -> int:
         version=__version__,
         results=results,
     )
-    if args.format == "json":
-        print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
-    else:
-        print(_render_text(report))
+    try:
+        if args.format == "json":
+            print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
+        else:
+            print(_render_text(report))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader left (say, `| head`): as the Python docs advise, point
+        # stdout at devnull so that the final flush cannot fail again.
+        try:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        except (AttributeError, OSError):  # a stdout without a descriptor
+            sys.stdout = open(os.devnull, "w")
     return code
 
 

@@ -245,10 +245,21 @@ def classify_element(lat: FiniteLattice, x: int) -> ElementFlags:
 
     meet principal:  a ^ xb == x((a:x) ^ b)          for all a, b
     join principal:  a v (b:x) == (ax v b):x         for all a, b
-    The weak variants fix b = top respectively b = bot.
+    The weak variants fix b = top respectively b = bot.  A lattice reads
+    the binary join/meet tables and stops each flag at its first failing
+    pair; any other carrier keeps the bound search and its errors.
     """
     n, mul = lat.n, lat.mul
     res_x = [lat.residual(a, x) for a in range(n)]
+    tables = lat._tables
+    if tables is not None:
+        join2, meet2 = tables[0], tables[1]
+        mul_x, every = mul[x], range(n)
+        wmp = all(meet2[a][x] == mul_x[res_x[a]] for a in every)
+        wjp = all(join2[a][res_x[lat.bot]] == res_x[mul[a][x]] for a in every)
+        mp = all(meet2[a][mul_x[b]] == mul_x[meet2[res_x[a]][b]] for a in every for b in every)
+        jp = all(join2[a][res_x[b]] == res_x[join2[mul[a][x]][b]] for a in every for b in every)
+        return ElementFlags(lat.names[x], mp, wmp, jp, wjp, mp and jp, wmp and wjp)
     mp = wmp = jp = wjp = True
     for a in range(n):
         if lat.meet(a, x) != mul[x][res_x[a]]:

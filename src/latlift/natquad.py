@@ -13,15 +13,18 @@ before it is returned.
 The norm image, the division-closure scan and the gcd search of the s-wire
 check all read one cached membership table per (d, bound): a ``bytes``
 object whose byte v is 1 exactly when v is a nonzero norm.  The
-re-verification of each witness never reads it.
+division-closure scan walks the divisors up to sqrt(bound) and the
+quotients above it, about 2 sqrt(bound) big-int ANDs in all; the gcd search
+pulls multiples off the table lazily.  The re-verification of each witness
+never reads the table.
 """
 
 from __future__ import annotations
 
-from collections import deque
+from copy import copy
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import compress, repeat
+from itertools import chain, compress, tee
 from math import gcd, isqrt, lcm
 from typing import Iterable
 
@@ -30,6 +33,9 @@ from .verdicts import TheoremViolation
 DIVISION_CLOSED = "CLOSED-UP-TO-BOUND"
 NOT_M_WIRE = "NOT-M-WIRE"
 M_WIRE_CONSISTENT = "CONSISTENT-WITH-M-WIRE-UP-TO-BOUND"
+
+# Swaps the bytes 0 and 1: the table's complement, "v is not a norm".
+_SWAP = bytes.maketrans(b"\0\1", b"\1\0")
 
 
 # ----- the divisibility lattice ----------------------------------------
@@ -123,13 +129,13 @@ def is_norm(q: QuadOrder, n: int) -> bool:
 @lru_cache(maxsize=32)
 def _norm_table(d: int, bound: int) -> bytes:
     """Byte v (0 <= v <= bound) is 1 iff v > 0 and v = a^2 + |d| b^2; each
-    row b scatters |d| b^2 + a^2 over the precomputed squares."""
+    row b marks |d| b^2 + a^2 for the precomputed squares a^2 that fit."""
     table = bytearray(bound + 1)
     squares = [a * a for a in range(isqrt(bound) + 1)]
     for b in range(isqrt(bound // -d) + 1):
         base = -d * b * b
-        row = map(base.__add__, squares[:isqrt(bound - base) + 1])
-        deque(map(table.__setitem__, row, repeat(1)), maxlen=0)
+        for square in squares[:isqrt(bound - base) + 1]:
+            table[base + square] = 1
     table[0] = 0
     return bytes(table)
 
@@ -216,28 +222,45 @@ def division_closure_check(q: QuadOrder, bound: int) -> DivisionClosureReport:
     """Scan the norm image up to bound for nested values whose quotient is
     not a norm.
 
-    Divisors n run ascending over the table; for each, the set bits of
-    (table[k*n] and not table[k]) over k = 2..bound//n are one big-int AND,
-    whose lowest bit is the smallest quotient k.  The first hit is
-    therefore the lexicographically smallest counterexample.  It is
-    re-verified arithmetically, without the table, before being returned.
+    The divisors split at split = min(isqrt(bound), bound // 2).  For each
+    norm 2 <= n <= split, ascending (n = 1 has no counterexample), the set
+    bits of (table[k*n] and not table[k]) over k = 2..bound//n are one
+    big-int AND whose lowest bit is the smallest quotient k, so the first
+    hit is the lexicographically smallest counterexample.  Larger divisors
+    have quotients k <= bound // (split + 1): for each non-norm k,
+    ascending, the lowest set bit of (table[n] and table[k*n]) over
+    n = split+1..bound//k is the smallest n for that k; the least n wins,
+    the smaller k on a tie.  The counterexample is re-verified
+    arithmetically, without the table, before being returned.
     """
     if bound < q.D:
         raise ValueError("bound must be at least |d|")
     table = _norm_table(q.d, bound)
-    missing = table.translate(bytes.maketrans(b"\0\1", b"\1\0"))
-    half = bound // 2
-    for n in compress(range(1, half + 1), table[1:half + 1]):
+    missing = table[:bound // 2 + 1].translate(_SWAP)
+    split = min(isqrt(bound), bound // 2)
+    best: tuple[int, int] | None = None
+    for n in compress(range(2, split + 1), table[2:split + 1]):
         hits = (int.from_bytes(table[2 * n::n], "little")
                 & int.from_bytes(missing[2:bound // n + 1], "little"))
         if hits:
-            quotient = 2 + ((hits & -hits).bit_length() - 1) // 8
-            m = quotient * n
-            if (norm_witness(q, n) is None or norm_witness(q, m) is None
-                    or m % n != 0 or is_norm(q, quotient)):
-                raise TheoremViolation("division counterexample failed re-verification")
-            return DivisionClosureReport(q.d, bound, False, (n, m, quotient))
-    return DivisionClosureReport(q.d, bound, True, None)
+            best = (n, 2 + ((hits & -hits).bit_length() - 1) // 8)
+            break
+    if best is None:
+        low = split + 1
+        for k in compress(range(2, bound // low + 1), missing[2:bound // low + 1]):
+            high = bound // k if best is None else min(bound // k, best[0] - 1)
+            hits = (int.from_bytes(table[low:high + 1], "little")
+                    & int.from_bytes(table[k * low:k * high + 1:k], "little"))
+            if hits:
+                best = (low + ((hits & -hits).bit_length() - 1) // 8, k)
+    if best is None:
+        return DivisionClosureReport(q.d, bound, True, None)
+    n, quotient = best
+    m = quotient * n
+    if (norm_witness(q, n) is None or norm_witness(q, m) is None
+            or m % n != 0 or is_norm(q, quotient)):
+        raise TheoremViolation("division counterexample failed re-verification")
+    return DivisionClosureReport(q.d, bound, False, (n, m, quotient))
 
 
 @dataclass(frozen=True)
@@ -295,14 +318,15 @@ def _gcd_pair(p: int, table: bytes) -> tuple[int, int] | None:
 
     Rows are scanned ascending with product cutoffs, so the first hit per
     row is row-minimal and the retained pair is the global minimum (ties
-    broken toward the smaller first member).
+    broken toward the smaller first member).  The multiples of p are pulled
+    off the table lazily, only as far as the cutoffs reach.
     """
-    multiples = list(compress(range(p, len(table), p), table[p::p]))
+    multiples = tee(compress(range(p, len(table), p), table[p::p]), 1)[0]
     best: tuple[int, int, int] | None = None
-    for i, m1 in enumerate(multiples):
+    for m1 in multiples:
         if best is not None and m1 * m1 >= best[0]:
             break
-        for m2 in multiples[i:]:
+        for m2 in chain((m1,), copy(multiples)):
             prod = m1 * m2
             if best is not None and prod >= best[0]:
                 break

@@ -1,5 +1,9 @@
+import io
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -208,6 +212,35 @@ def test_json_payload_is_reproducible_without_stats(capsys, argv):
         assert isinstance(report.pop("stats")["elapsed_s"], float)
         payloads.append(json.dumps(report, indent=2, sort_keys=True).encode())
     assert payloads[0] == payloads[1]
+
+
+class ClosedPipe(io.StringIO):
+    """A stdout whose reader has gone away."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["quad", "norms", "--d", "-5", "--bound", "30"], 0),
+    (["quad", "division-closure", "--d", "-17", "--bound", "50", "--format", "json"], 1),
+])
+def test_closed_stdout_keeps_the_verdict_exit_code(monkeypatch, argv, expected):
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    assert main(argv) == expected
+
+
+def test_closed_pipe_gives_no_traceback():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "latlift.cli", "quad", "norms", "--d", "-5",
+         "--bound", "200000", "--format", "json"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env={**os.environ, "PYTHONPATH": src})
+    assert proc.stdout.readline() == b"{\n"
+    proc.stdout.close()  # the report is far larger than a pipe buffer
+    assert proc.wait(timeout=60) == 0
+    assert proc.stderr.read() == b""
+    proc.stderr.close()
 
 
 def test_quad_invalid_d(capsys):

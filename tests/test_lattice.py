@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from latlift import (
+    ElementFlags,
     FiniteLattice,
     LoadError,
     are_isomorphic,
@@ -141,6 +142,50 @@ def test_classify_top_bot_all_corpus():
             top_flags = classify_element(lat, lat.top)
             assert top_flags.principal and top_flags.weak_principal
             assert classify_element(lat, lat.bot).weak_meet_principal
+
+
+def classify_by_bound_search(lat, x):
+    """classify_element's flags, with every join, meet and residual found
+    by the lattice's own bound search and every pair checked."""
+    n, mul, every = lat.n, lat.mul, range(lat.n)
+
+    def join(a, b):
+        return lat.least_of(lat.upper_bounds(mask_from((a, b))))
+
+    def meet(a, b):
+        return lat.greatest_of(lat.lower_bounds(mask_from((a, b))))
+
+    res = [lat.least_of(lat.upper_bounds(mask_from(y for y in every if lat.le(mul[x][y], a))))
+           for a in every]
+    wmp = all(meet(a, x) == mul[x][res[a]] for a in every)
+    wjp = all(join(a, res[lat.bot]) == res[mul[a][x]] for a in every)
+    mp = all(meet(a, mul[x][b]) == mul[x][meet(res[a], b)] for a in every for b in every)
+    jp = all(join(a, res[b]) == res[join(mul[a][x], b)] for a in every for b in every)
+    return ElementFlags(lat.names[x], mp, wmp, jp, wjp, mp and jp, wmp and wjp)
+
+
+def test_classify_element_matches_bound_search(l6, two, chain3, chain3_nil):
+    broken = load_lattice(FIXTURES / "l6_broken.json")
+    lattices = [l6, two, chain3, chain3_nil, broken]
+    lattices += [lat for n in range(1, 6) for lat in enumerate_small_lattices(n)]
+    for lat in lattices:
+        for x in range(lat.n):
+            assert classify_element(lat, x) == classify_by_bound_search(lat, x)
+
+
+def test_classify_element_on_a_non_lattice_keeps_the_bound_search():
+    # a and 1 lie below each other, so there are no tables, but every bound
+    # search finds an answer
+    loop = FiniteLattice(("0", "a", "1"), (0b001, 0b111, 0b111),
+                         ((2, 0, 2), (0, 1, 1), (2, 0, 1)), 0, 2)
+    assert loop._tables is None
+    flags = [classify_element(loop, x) for x in range(loop.n)]
+    assert flags == [classify_by_bound_search(loop, x) for x in range(loop.n)]
+    assert {f.join_principal for f in flags} == {True, False}
+    vee = FiniteLattice(("0", "a", "b"), (0b111, 0b010, 0b100),
+                        ((0, 0, 0), (0, 1, 0), (0, 0, 2)), 0, 1)
+    with pytest.raises(ValueError, match="no least upper bound"):
+        classify_element(vee, 0)
 
 
 def test_is_domain(l6, two, chain3, chain3_nil):

@@ -262,6 +262,13 @@ def test_norm_table_matches_double_loop(D, bound):
 @settings(max_examples=150, deadline=None)
 @given(st.one_of(st.sampled_from(ADMISSIBLE), st.sampled_from(sorted(IDONEAL & set(ADMISSIBLE)))),
        st.integers(1, 5000))
+@example(41, 50)  # k = 2 hits first, at n = 25; the least n, 9, comes with k = 5
+@example(14, 21)  # the counterexample (9, 18, 2) has its divisor above sqrt(21)
+@example(17, 81)  # a perfect-square bound: the divisor 9 is the split itself
+@example(26, 36)  # a perfect-square bound with the divisor 9 above the split
+@example(17, 64)  # the divisor 9 is the first one above the split
+@example(1, 2)  # split == bound // 2 == 1: neither scan has a divisor
+@example(2, 3)
 def test_division_closure_matches_pairwise_scan(D, bound):
     assume(bound >= D)
     expected = division_counterexample_by_scan(norm_values_by_double_loop(D, bound), bound)
@@ -273,6 +280,9 @@ def test_division_closure_matches_pairwise_scan(D, bound):
 @settings(max_examples=150, deadline=None)
 @given(st.sampled_from(ADMISSIBLE), st.integers(1, 5000), st.sampled_from(primes_upto(100)))
 @example(5, 6, 2)  # the minimal pair (4, 6) ends at the bound itself
+@example(17, 20, 3)  # no pair: 9 and 18 share more than a factor of 3
+@example(17, 5000, 107)  # a prime above 100: (321, 749)
+@example(5, 5000, 101)  # 101 is itself a norm: the pair (101, 101)
 def test_gcd_pair_matches_image_filter(D, bound, p):
     image = tuple(sorted(norm_values_by_double_loop(D, bound)))
     assert _gcd_pair(p, _norm_table(-D, bound)) == gcd_pair_by_filter(p, image)
