@@ -21,7 +21,7 @@ def sweep(max_n: int, limit: int | None) -> int:
             equivalence, liftability, embedding = sweep_lattice(lat)
             wires += equivalence.wires_checked
             m_wires += equivalence.m_wires
-            if equivalence.violations or not liftability.ok or not embedding.ok:
+            if not equivalence.ok or not liftability.ok or not embedding.ok:
                 violations += 1
         bad += violations
         print(f"{n:>2} {lattices:>9} {wires:>6} {m_wires:>8} {violations:>11} "

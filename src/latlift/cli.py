@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from . import __version__
 from .lattice import enumerate_small_lattices, load_lattice, verify_lattice
 from .lifting import (
+    WIRE_ENUM_CAP,
     WireError,
     analyze_wire,
     enumerate_wires,
@@ -30,7 +31,7 @@ from .lifting import (
     sweep_lattice,
     verify_m_witness,
 )
-from .monoid import verify_ideal_system
+from .monoid import POWERSET_CAP, verify_ideal_system
 from .natquad import (
     M_WIRE_CONSISTENT,
     QuadOrder,
@@ -142,7 +143,11 @@ def _cmd_lift(args) -> tuple[dict, bool, int]:
                 "generates": report.generates,
             }
             return results, False, EXIT_FAIL
+        if subset.bit_count() > POWERSET_CAP:
+            raise LoadError(f"wire size {subset.bit_count()} exceeds powerset cap {POWERSET_CAP}")
         entries = [_wire_entry(lat, report)]
+    elif lat.n > WIRE_ENUM_CAP:
+        raise LoadError(f"carrier size {lat.n} exceeds wire enumeration cap {WIRE_ENUM_CAP}")
     else:
         reports = enumerate_wires(lat, m_only=args.m_wires_only)
         entries = [_wire_entry(lat, rep) for rep in reports]
@@ -162,6 +167,8 @@ def _corpus_entry(lat) -> dict:
         "wires": equivalence.wires_checked,
         "m_wires": equivalence.m_wires,
         "equivalence_violations": [list(map(_plain, v)) for v in equivalence.violations],
+        "finitary_all": equivalence.finitary_all,
+        "all_compact": equivalence.all_compact,
         "liftability_findings": list(liftability.findings)
         + ([] if liftability.lift_full_certified else ["full-carrier lift not certified"]),
         "embedding_ok": embedding.ok,
@@ -198,8 +205,8 @@ def _cmd_corpus(args) -> tuple[dict, bool, int]:
             entries = list(pool.map(_corpus_entry, lattices, chunksize=8))
     else:
         entries = [_corpus_entry(lat) for lat in lattices]
-    violations = [e for e in entries
-                  if e["equivalence_violations"] or e["liftability_findings"] or not e["embedding_ok"]]
+    violations = [e for e in entries if e["equivalence_violations"] or not e["finitary_all"]
+                  or not e["all_compact"] or e["liftability_findings"] or not e["embedding_ok"]]
     results = {
         "max_n": args.max_n,
         "limit": args.limit,

@@ -20,7 +20,7 @@ from pathlib import Path
 from typing import Iterator
 
 from .bitset import bits, mask_from
-from .verdicts import LoadError, Verdict, Violation
+from .verdicts import LoadError, Verdict, _Recorder
 
 # Subsets are single machine words; loaders reject anything larger.
 CARRIER_CAP = 64
@@ -107,17 +107,23 @@ class FiniteLattice:
 
     def least_of(self, mask: int) -> int | None:
         """Member of mask below every member, or None."""
-        for u in bits(mask):
-            if mask & ~self.up[u] == 0:
-                return u
-        return None
+        return _extreme(self.up, mask)
 
     def greatest_of(self, mask: int) -> int | None:
         """Member of mask above every member, or None."""
-        for u in bits(mask):
-            if mask & ~self.downs[u] == 0:
-                return u
-        return None
+        return _extreme(self.downs, mask)
+
+    def _pair_bounds(self) -> tuple[list[list[int | None]], list[list[int | None]]]:
+        """Binary join and meet tables by bound search, with None where a
+        pair has no least upper respectively greatest lower bound."""
+        n, up, downs = self.n, self.up, self.downs
+        join2: list[list[int | None]] = [[None] * n for _ in range(n)]
+        meet2: list[list[int | None]] = [[None] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                join2[i][j] = join2[j][i] = _extreme(up, up[i] & up[j])
+                meet2[i][j] = meet2[j][i] = _extreme(downs, downs[i] & downs[j])
+        return join2, meet2
 
     @cached_property
     def _tables(self) -> tuple | None:
@@ -136,17 +142,9 @@ class FiniteLattice:
             for j in bits(up[i]):
                 if up[j] & ~up[i] or (j != i and up[j] >> i & 1):
                     return None  # not transitive, or not antisymmetric
-        join2 = [[0] * n for _ in range(n)]
-        meet2 = [[0] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(i, n):
-                pair = (1 << i) | (1 << j)
-                u = self.least_of(self.upper_bounds(pair))
-                v = self.greatest_of(self.lower_bounds(pair))
-                if u is None or v is None:
-                    return None
-                join2[i][j] = join2[j][i] = u
-                meet2[i][j] = meet2[j][i] = v
+        join2, meet2 = self._pair_bounds()
+        if any(None in row for row in join2 + meet2):
+            return None
         return (tuple(map(tuple, join2)), tuple(map(tuple, meet2)),
                 self.least_of(self.full), self.greatest_of(self.full))
 
@@ -209,6 +207,15 @@ class FiniteLattice:
 
     def subset_names(self, mask: int) -> tuple[str, ...]:
         return tuple(self.names[i] for i in bits(mask))
+
+
+def _extreme(cones, mask: int) -> int | None:
+    """The member u of mask whose cone cones[u] holds all of mask, or None:
+    the least member for the up-sets, the greatest for the lower sets."""
+    for u in bits(mask):
+        if mask & ~cones[u] == 0:
+            return u
+    return None
 
 
 @dataclass(frozen=True)
@@ -291,14 +298,7 @@ def verify_lattice(lat: FiniteLattice) -> Verdict:
     carrier is equivalent to distributivity over arbitrary joins.
     """
     n, names, mul = lat.n, lat.names, lat.mul
-    out: list[Violation] = []
-    seen: set[str] = set()
-
-    def record(law: str, witness: tuple, detail: str = "") -> None:
-        if law not in seen:
-            seen.add(law)
-            out.append(Violation(law, witness, detail))
-
+    record = _Recorder()
     for i in range(n):
         if not lat.le(i, i):
             record("reflexivity", (names[i],))
@@ -315,27 +315,17 @@ def verify_lattice(lat: FiniteLattice) -> Verdict:
         if not lat.le(i, lat.top):
             record("greatest-element", (names[i],), "top is not above every element")
 
-    join2: list[list[int | None]] = [[None] * n for _ in range(n)]
+    join2, meet2 = lat._pair_bounds()
     for i in range(n):
         for j in range(i, n):
-            u = lat.least_of(lat.upper_bounds(mask_from((i, j))))
-            if u is None:
+            if join2[i][j] is None:
                 record("join-existence", (names[i], names[j]), "pair has no least upper bound")
-            join2[i][j] = join2[j][i] = u
-            if lat.greatest_of(lat.lower_bounds(mask_from((i, j)))) is None:
+            if meet2[i][j] is None:
                 record("meet-existence", (names[i], names[j]), "pair has no greatest lower bound")
 
-    for i in range(n):
-        if mul[lat.top][i] != i:
-            record("identity", (names[i],), "top must be the multiplicative identity")
-        if mul[lat.bot][i] != lat.bot:
-            record("annihilation", (names[i],), "bot must absorb products")
-        for j in range(n):
-            if mul[i][j] != mul[j][i]:
-                record("commutativity", (names[i], names[j]))
-            for k in range(n):
-                if mul[mul[i][j]][k] != mul[i][mul[j][k]]:
-                    record("associativity", (names[i], names[j], names[k]))
+    _scan_monoid_laws(record, names, mul, lat.top, lat.bot,
+                      (("identity", "top must be the multiplicative identity"),
+                       ("annihilation", "bot must absorb products")))
 
     for a in range(n):
         for b in range(n):
@@ -347,7 +337,27 @@ def verify_lattice(lat: FiniteLattice) -> Verdict:
                 if rhs is None or mul[a][jbc] != rhs:
                     record("distributivity", (names[a], names[b], names[c]),
                            "a(b v c) != ab v ac")
-    return Verdict(not out, tuple(out))
+    return record.verdict()
+
+
+def _scan_monoid_laws(record: _Recorder, names, mul, one: int, zero: int,
+                      unit_laws: tuple[tuple[str, str], tuple[str, str]]) -> None:
+    """Record the unit, zero, commutativity and associativity failures of a
+    product table; unit_laws gives the (law, detail) of the unit and of the
+    zero law, which lattices and monoids name differently."""
+    (unit, unit_detail), (absorb, absorb_detail) = unit_laws
+    n = len(names)
+    for i in range(n):
+        if mul[one][i] != i:
+            record(unit, (names[i],), unit_detail)
+        if mul[zero][i] != zero:
+            record(absorb, (names[i],), absorb_detail)
+        for j in range(n):
+            if mul[i][j] != mul[j][i]:
+                record("commutativity", (names[i], names[j]))
+            for k in range(n):
+                if mul[mul[i][j]][k] != mul[i][mul[j][k]]:
+                    record("associativity", (names[i], names[j], names[k]))
 
 
 # ----- loading ---------------------------------------------------------
@@ -378,16 +388,8 @@ def lattice_from_dict(data: dict) -> FiniteLattice:
         if not isinstance(pair, list) or len(pair) != 2:
             raise LoadError(f"order pair {pair!r} must be [lo, hi]")
         up[look(pair[0])] |= 1 << look(pair[1])
-    changed = True
-    while changed:
-        changed = False
-        for i in range(n):
-            acc = up[i]
-            for j in bits(up[i]):
-                acc |= up[j]
-            if acc != up[i]:
-                up[i] = acc
-                changed = True
+    while _closure_step(up):
+        pass
     for i in range(n):
         for j in range(i + 1, n):
             if up[i] >> j & 1 and up[j] >> i & 1:
@@ -395,6 +397,20 @@ def lattice_from_dict(data: dict) -> FiniteLattice:
                     f"order closure is not antisymmetric: {elements[i]} <= {elements[j]} <= {elements[i]}")
     return FiniteLattice(tuple(elements), tuple(up),
                          _read_products(data, elements, look, top, bot), bot, top)
+
+
+def _closure_step(up: list[int]) -> bool:
+    """One transitive-closure pass over the up-masks, in place: each row
+    takes in the rows of its members.  True when some row changed."""
+    changed = False
+    for i in range(len(up)):
+        acc = up[i]
+        for j in bits(up[i]):
+            acc |= up[j]
+        if acc != up[i]:
+            up[i] = acc
+            changed = True
+    return changed
 
 
 def _read_carrier(data: object, kind: str, units: tuple[str, str], cap: int | None = None):
@@ -520,41 +536,15 @@ def _lattice_orders(n: int) -> Iterator[tuple[int, ...]]:
                 up[i] |= 1 << j
             elif c == 1:
                 up[j] |= 1 << i
-        ok = True
-        for i in inner:
-            acc = up[i]
-            for j in bits(up[i]):
-                acc |= up[j]
-            if acc != up[i]:
-                ok = False
-                break
-        if not ok:
+        if _closure_step(up):
             continue
         down = [0] * n
         for k in range(n):
             for u in bits(up[k]):
                 down[u] |= 1 << k
-
-        def least(mask: int) -> int | None:
-            for u in bits(mask):
-                if mask & ~up[u] == 0:
-                    return u
-            return None
-
-        def greatest(mask: int) -> int | None:
-            for u in bits(mask):
-                if mask & ~down[u] == 0:
-                    return u
-            return None
-
-        for i in range(n):
-            for j in range(i + 1, n):
-                if least(up[i] & up[j]) is None or greatest(down[i] & down[j]) is None:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
+        if all(_extreme(up, up[i] & up[j]) is not None
+               and _extreme(down, down[i] & down[j]) is not None
+               for i in range(n) for j in range(i + 1, n)):
             yield tuple(up)
 
 
@@ -565,14 +555,7 @@ def _tables_for_order(n: int, up: tuple[int, ...]) -> Iterator[FiniteLattice]:
     comes first for every order."""
     names = _small_names(n)
     bot, top = 0, n - 1
-
-    def least(mask: int) -> int:
-        for u in bits(mask):
-            if mask & ~up[u] == 0:
-                return u
-        raise AssertionError("order prevalidated as a lattice")
-
-    join2 = [[least(up[i] & up[j]) for j in range(n)] for i in range(n)]
+    join2 = [[_extreme(up, up[i] & up[j]) for j in range(n)] for i in range(n)]  # never None here
     inner = list(range(1, n - 1))
     mul: list[list[int | None]] = [[None] * n for _ in range(n)]
     for x in range(n):

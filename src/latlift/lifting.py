@@ -28,7 +28,6 @@ from .monoid import (
     FiniteMonoid,
     IdealLattice,
     build_ideal_lattice,
-    finitary_table,
     verify_finitary,
     verify_ideal_system,
 )
@@ -97,13 +96,18 @@ def analyze_wire(lat: FiniteLattice, subset: int) -> WireReport:
     contains_one = bool(subset >> lat.top & 1)
     contains_zero = bool(subset >> lat.bot & 1)
     closed = _mult_closed(lat, subset, elems)
-    generates = all(lat.join_of(subset & down) == x for x, down in enumerate(lat.downs))
+    generates = _generates(lat, subset)
     wire = contains_one and contains_zero and closed and generates
     is_m, witness = (False, None)
     if wire:
         is_m, witness = _m_condition(lat, subset, elems)
     return WireReport(lat, subset, contains_one, contains_zero, closed,
                       generates, wire, is_m, witness)
+
+
+def _generates(lat: FiniteLattice, mask: int) -> bool:
+    """Every element x is the join of the members of mask below it."""
+    return all(lat.join_of(mask & down) == x for x, down in enumerate(lat.downs))
 
 
 def verify_m_witness(lat: FiniteLattice, subset: int, witness: tuple[int, int, int]) -> bool:
@@ -361,17 +365,13 @@ def check_liftability(lat: FiniteLattice, cap: int = WIRE_ENUM_CAP,
     mp_mask = mask_from(x for x in range(lat.n) if flags[x].meet_principal)
     wmp_mask = mask_from(x for x in range(lat.n) if flags[x].weak_meet_principal)
     p_mask = mask_from(x for x in range(lat.n) if flags[x].principal)
-
-    def generated_by(mask: int) -> bool:
-        return all(lat.join_of(mask & lat.down(x)) == x for x in range(lat.n))
-
-    mp_generates = generated_by(mp_mask)
+    mp_generates = _generates(lat, mp_mask)
     m_wire_exists = any(report.is_m_wire for report in work.wires)
     findings: list[str] = []
     if m_wire_exists and not mp_generates:
         findings.append("an M-wire exists but the meet principal elements do not generate")
     domain = is_domain(lat)
-    p_generates = generated_by(p_mask)
+    p_generates = _generates(lat, p_mask)
     if domain and p_generates:
         h = p_mask | (1 << lat.bot) | (1 << lat.top)
         report = analyze_wire(lat, h)
@@ -399,12 +399,11 @@ def finitary_closure(r: ClosureMap) -> ClosureMap:
     must coincide with r; a difference means a bug and raises.  The result
     is r itself, and its weak-ideal-system verdict must pass.
     """
-    table = finitary_table(r)
-    if table != r.table:
-        raise TheoremViolation("finitary closure moved a finite-carrier system")
     verdict = r.weak_verdict
     if not verdict.passed:
         raise TheoremViolation(f"finitary closure failed {verdict.laws}")
+    if not verify_finitary(r).passed:
+        raise TheoremViolation("finitary closure moved a finite-carrier system")
     return r
 
 
@@ -427,14 +426,12 @@ def check_finitary_embedding(lat: FiniteLattice,
     x -> [0, x] is a lattice isomorphism onto the resulting ideal lattice.
 
     Finite lattices are generated by compact elements (all of them), so
-    the closure never moves and the embedding is onto.
+    the closure never moves (:func:`finitary_closure` raises otherwise) and
+    the lift's certified ideal lattice and isomorphism are the embedding.
     """
     result = _shared(lat, work, None).lift(lat.full)
     rs = finitary_closure(result.system)
-    unchanged = rs.table == result.system.table
-    if not unchanged:  # an unchanged table keeps the lift's certified lattice and isomorphism
-        _certify_isomorphism(lat, lat.full, build_ideal_lattice(rs))
-    return FinitaryEmbeddingReport(lat, unchanged, True)
+    return FinitaryEmbeddingReport(lat, rs.table == result.system.table, result.certified)
 
 
 def sweep_lattice(lat: FiniteLattice, cap: int = WIRE_ENUM_CAP) -> tuple[

@@ -25,8 +25,10 @@ from operator import or_
 from pathlib import Path
 
 from .bitset import bits
-from .lattice import FiniteLattice, _read_carrier, _read_json, _read_products, verify_lattice
-from .verdicts import LoadError, TheoremViolation, Verdict, Violation
+from .lattice import (
+    FiniteLattice, _read_carrier, _read_json, _read_products, _scan_monoid_laws, verify_lattice
+)
+from .verdicts import LoadError, TheoremViolation, Verdict, Violation, _Recorder
 
 # Closure maps are stored extensionally (one entry per subset), so the
 # axiom checks are loops over 2^m table slots.
@@ -99,27 +101,9 @@ class FiniteMonoid:
 
 def verify_monoid(mon: FiniteMonoid) -> Verdict:
     """Commutativity, associativity, identity and zero laws with witnesses."""
-    n, mul, names = mon.n, mon.mul, mon.names
-    out: list[Violation] = []
-    seen: set[str] = set()
-
-    def record(law: str, witness: tuple, detail: str = "") -> None:
-        if law not in seen:
-            seen.add(law)
-            out.append(Violation(law, witness, detail))
-
-    for i in range(n):
-        if mul[mon.one][i] != i:
-            record("identity", (names[i],))
-        if mul[mon.zero][i] != mon.zero:
-            record("zero", (names[i],))
-        for j in range(n):
-            if mul[i][j] != mul[j][i]:
-                record("commutativity", (names[i], names[j]))
-            for k in range(n):
-                if mul[mul[i][j]][k] != mul[i][mul[j][k]]:
-                    record("associativity", (names[i], names[j], names[k]))
-    return Verdict(not out, tuple(out))
+    record = _Recorder()
+    _scan_monoid_laws(record, mon.names, mon.mul, mon.one, mon.zero, (("identity", ""), ("zero", "")))
+    return record.verdict()
 
 
 def monoid_from_dict(data: dict) -> FiniteMonoid:
@@ -214,14 +198,7 @@ def verify_weak_ideal_system(r: ClosureMap) -> Verdict:
     """
     mon, table = r.monoid, r.table
     m, size = mon.n, len(r.table)
-    out: list[Violation] = []
-    seen: set[str] = set()
-
-    def record(law: str, witness: tuple, detail: str = "") -> None:
-        if law not in seen:
-            seen.add(law)
-            out.append(Violation(law, witness, detail))
-
+    record = _Recorder()
     multiples = _multiples(mon)
     sn = mon.subset_names
     for x in range(size):
@@ -242,10 +219,9 @@ def verify_weak_ideal_system(r: ClosureMap) -> Verdict:
             if cmap[table[x]] & ~table[cmap[x]]:
                 record("s4", (mon.names[c], sn(x)), "c*r(X) is not contained in r(c*X)")
                 break
-        if "s4" in seen:
+        if "s4" in record:
             break
-    return Verdict(not out, tuple(out),
-                   ("s2 checked via single-element extensions (equivalent on a finite powerset)",))
+    return record.verdict("s2 checked via single-element extensions (equivalent on a finite powerset)")
 
 
 def verify_ideal_system(r: ClosureMap) -> Verdict:
@@ -265,31 +241,22 @@ def verify_ideal_system(r: ClosureMap) -> Verdict:
     return Verdict(True)
 
 
-def finitary_table(r: ClosureMap) -> tuple[int, ...]:
-    """Pointwise union of r over all finite subsets: X -> U{r(Z) : Z in X}.
+def verify_finitary(r: ClosureMap) -> Verdict:
+    """(s5) literally: r(X) must equal the union of closed finite subsets.
 
-    Every subset of a finite carrier is finite, so the union runs over the
-    whole lower powerset of X; the recurrence over maximal proper subsets
-    reaches all of them.
+    Every subset of a finite carrier is finite, so the union U{r(Z) : Z in X}
+    runs over the whole lower powerset of X; the recurrence over maximal
+    proper subsets reaches all of them, and finishes X before any superset.
+    Degenerate on finite carriers (X is a finite subset of itself), so a
+    verified weak ideal system always passes; the note records that.
     """
+    _require_weak(r)
     table = r.table
     acc = list(table)
     for x in range(len(table)):
         for i in bits(x):
             acc[x] |= acc[x & ~(1 << i)]
-    return tuple(acc)
-
-
-def verify_finitary(r: ClosureMap) -> Verdict:
-    """(s5) literally: r(X) must equal the union of closed finite subsets.
-
-    Degenerate on finite carriers (X is a finite subset of itself), so a
-    verified weak ideal system always passes; the note records that.
-    """
-    _require_weak(r)
-    fin = finitary_table(r)
-    for x in range(len(r.table)):
-        if fin[x] != r.table[x]:
+        if acc[x] != table[x]:
             return Verdict(False, (Violation(
                 "s5", (r.monoid.subset_names(x),),
                 "r(X) differs from the union over finite subsets"),))
@@ -306,9 +273,6 @@ class IdealLattice:
 
     def members(self, k: int) -> tuple[str, ...]:
         return self.monoid.subset_names(self.ideals[k])
-
-    def position(self, mask: int) -> int:
-        return self.ideals.index(mask)
 
 
 def build_ideal_lattice(r: ClosureMap) -> IdealLattice:

@@ -30,7 +30,6 @@ from typing import Iterable
 
 from .verdicts import TheoremViolation
 
-DIVISION_CLOSED = "CLOSED-UP-TO-BOUND"
 NOT_M_WIRE = "NOT-M-WIRE"
 M_WIRE_CONSISTENT = "CONSISTENT-WITH-M-WIRE-UP-TO-BOUND"
 
@@ -212,10 +211,6 @@ class DivisionClosureReport:
     bound: int
     closed: bool
     counterexample: tuple[int, int, int] | None
-
-    @property
-    def verdict(self) -> str:
-        return DIVISION_CLOSED if self.closed else f"counterexample {self.counterexample}"
 
 
 def division_closure_check(q: QuadOrder, bound: int) -> DivisionClosureReport:

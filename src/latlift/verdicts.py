@@ -38,8 +38,14 @@ class Verdict:
     def laws(self) -> tuple[str, ...]:
         return tuple(v.law for v in self.violations)
 
-    def first(self, law: str) -> Violation | None:
-        for v in self.violations:
-            if v.law == law:
-                return v
-        return None
+
+class _Recorder(dict):
+    """law -> its first violation, in first-failure order; calling it records
+    a violation unless its law already has one."""
+
+    def __call__(self, law: str, witness: tuple, detail: str = "") -> None:
+        if law not in self:
+            self[law] = Violation(law, witness, detail)
+
+    def verdict(self, *notes: str) -> Verdict:
+        return Verdict(not self, tuple(self.values()), notes)

@@ -1,3 +1,5 @@
+import dataclasses
+import importlib.util
 import io
 import json
 import os
@@ -85,6 +87,36 @@ def test_lift_all_wires_two(capsys):
     assert entry["is_m_wire"] and entry["ideal_system"]
 
 
+def _chain_document(n):
+    """A chain of n elements with the meet as product."""
+    names = ["0", *(f"e{k}" for k in range(1, n - 1)), "1"]
+    inner = names[1:-1]
+    return {
+        "elements": names,
+        "order": {"covers": [[a, b] for a, b in zip(names, names[1:])]},
+        "mul": [[a, b, inner[min(i, j)]] for i, a in enumerate(inner) for j, b in enumerate(inner) if i <= j],
+        "top": "1",
+        "bot": "0",
+    }
+
+
+@pytest.mark.parametrize("n, option", [
+    (7, ["--all-wires"]),
+    (7, ["--m-wires-only"]),
+    (18, ["--wire", ",".join(_chain_document(18)["elements"])]),
+])
+def test_lift_past_a_cap_is_usage_error(capsys, tmp_path, n, option):
+    path = tmp_path / f"chain{n}.json"
+    path.write_text(json.dumps(_chain_document(n)))
+    assert main(["check-lattice", str(path)]) == 0
+    capsys.readouterr()
+    assert main(["lift", str(path), *option]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "exceeds" in captured.err
+
+
 def test_corpus_small(capsys):
     code, report = run_json(capsys, "corpus", "--max-n", "3")
     assert code == 0
@@ -153,6 +185,45 @@ def test_corpus_lifts_each_wire_once(capsys, monkeypatch):
     assert len(lifts) == len(set(lifts)) == wires
     tables = {(r.monoid, r.table) for (r,) in weak}
     assert len(weak) == len(tables) == wires
+
+
+def _sweep_finitary_fails(monkeypatch):
+    """Make every lift read as not finitary, bypassing the finitary closure's
+    own raise so that the equivalence report alone carries the failure."""
+    monkeypatch.setattr(lifting, "verify_finitary", lambda r: monoid.Verdict(False))
+    monkeypatch.setattr(lifting, "finitary_closure", lambda r: r)
+    return "finitary_all"
+
+
+def _sweep_compactness_fails(monkeypatch):
+    classify = lifting.classify_element
+    monkeypatch.setattr(lifting, "classify_element",
+                        lambda lat, x: dataclasses.replace(classify(lat, x), compact=False))
+    return "all_compact"
+
+
+@pytest.mark.parametrize("break_sweep", [_sweep_finitary_fails, _sweep_compactness_fails])
+def test_corpus_counts_failed_finitary_and_compactness_checks(capsys, monkeypatch, break_sweep):
+    monkeypatch.delenv("LATLIFT_THREADS", raising=False)
+    key = break_sweep(monkeypatch)
+    code, report = run_json(capsys, "corpus", "--max-n", "3")
+    assert code == 3
+    violations = report["results"]["violations"]
+    assert len(violations) == report["results"]["lattices"] == 4
+    assert all(entry[key] is False and entry["equivalence_violations"] == [] for entry in violations)
+
+
+@pytest.mark.parametrize("break_sweep", [_sweep_finitary_fails, _sweep_compactness_fails])
+def test_corpus_sweep_script_counts_failed_finitary_and_compactness_checks(capsys, monkeypatch,
+                                                                           break_sweep):
+    spec = importlib.util.spec_from_file_location(
+        "corpus_sweep", Path(__file__).resolve().parent.parent / "scripts" / "corpus_sweep.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    assert script.sweep(3, None) == 0
+    break_sweep(monkeypatch)
+    assert script.sweep(3, None) == 1
+    assert capsys.readouterr().out.endswith("4 lattices with violations\n")
 
 
 def test_quad_division_closure_counterexample(capsys):

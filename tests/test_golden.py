@@ -1,0 +1,41 @@
+"""Pin the exact JSON payloads of the CLI on the lattice fixtures and the
+n <= 5 census: every key, value and list order, the ``stats`` block aside.
+
+The golden files in ``tests/golden/`` hold ``--format json`` reports with
+``stats`` dropped, written as ``json.dumps(report, indent=2,
+sort_keys=True)``.  Fixture paths are given relative to the repository
+root because the payload echoes them.
+"""
+
+import json
+from pathlib import Path
+
+import pytest
+
+from latlift.cli import main
+
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = ROOT / "tests" / "golden"
+LATTICES = ("chain3", "chain3_nil", "l6", "l6_broken", "two")
+
+CASES = {
+    **{f"check-lattice_{name}": ["check-lattice", f"fixtures/{name}.json"] for name in LATTICES},
+    **{f"lift-all-wires_{name}": ["lift", f"fixtures/{name}.json", "--all-wires"] for name in LATTICES},
+    "corpus_max-n-5": ["corpus", "--max-n", "5"],
+}
+
+
+def test_every_golden_file_has_a_case():
+    assert sorted(p.stem for p in GOLDEN.glob("*.json")) == sorted(CASES)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_payload_matches_golden(capsys, monkeypatch, name):
+    monkeypatch.chdir(ROOT)
+    monkeypatch.delenv("LATLIFT_THREADS", raising=False)
+    code = main([*CASES[name], "--format", "json"])
+    report = json.loads(capsys.readouterr().out)
+    del report["stats"]
+    golden = (GOLDEN / f"{name}.json").read_text()
+    assert json.dumps(report, indent=2, sort_keys=True) + "\n" == golden
+    assert code == report["exit_code"]
