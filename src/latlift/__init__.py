@@ -2,11 +2,12 @@
 
 __version__ = "0.1.0"
 
+from types import ModuleType as _ModuleType
+
 from .lattice import (
     CARRIER_CAP,
     ElementFlags,
     FiniteLattice,
-    Interval,
     are_isomorphic,
     classify_element,
     enumerate_small_lattices,
@@ -67,64 +68,7 @@ from .natquad import (
 )
 from .verdicts import LoadError, TheoremViolation, Verdict, Violation
 
-__all__ = [
-    "CARRIER_CAP",
-    "POWERSET_CAP",
-    "ClosureMap",
-    "DivisionClosureReport",
-    "ElementFlags",
-    "EquivalenceReport",
-    "FiniteLattice",
-    "FiniteMonoid",
-    "FinitaryEmbeddingReport",
-    "IdealLattice",
-    "Interval",
-    "LatticeWork",
-    "LiftResult",
-    "LiftabilityReport",
-    "LoadError",
-    "MWireVerdict",
-    "QuadOrder",
-    "SGenReport",
-    "TheoremViolation",
-    "Verdict",
-    "Violation",
-    "WireError",
-    "WireReport",
-    "analyze_wire",
-    "are_isomorphic",
-    "build_ideal_lattice",
-    "check_finitary_embedding",
-    "check_liftability",
-    "check_m_wire_ideal_equivalence",
-    "classify_element",
-    "constant_closure",
-    "division_closure_check",
-    "enumerate_small_lattices",
-    "enumerate_wires",
-    "finitary_closure",
-    "is_domain",
-    "is_inert",
-    "is_norm",
-    "lattice_from_dict",
-    "lift",
-    "load_lattice",
-    "load_monoid",
-    "m_wire_verdict",
-    "monoid_from_dict",
-    "multiples_closure",
-    "nat_join",
-    "nat_meet",
-    "nat_residual",
-    "norm",
-    "norm_image",
-    "norm_witness",
-    "s_wire_check",
-    "subset_product",
-    "sweep_lattice",
-    "verify_finitary",
-    "verify_ideal_system",
-    "verify_lattice",
-    "verify_monoid",
-    "verify_weak_ideal_system",
-]
+# The public names are the ones imported above; submodules bound as
+# attributes by those imports are not exported.
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, _ModuleType))

@@ -160,8 +160,9 @@ def _cmd_lift(args) -> tuple[dict, bool, int]:
 # ----- corpus ----------------------------------------------------------
 
 
-def _corpus_entry(lat) -> dict:
-    equivalence, liftability, embedding = sweep_lattice(lat)
+def _corpus_entry(lat) -> tuple[dict, bool]:
+    """The report entry of one lattice, and whether all three sweeps are ok."""
+    reports = equivalence, liftability, embedding = sweep_lattice(lat)
     return {
         "elements": lat.n,
         "wires": equivalence.wires_checked,
@@ -172,7 +173,7 @@ def _corpus_entry(lat) -> dict:
         "liftability_findings": list(liftability.findings)
         + ([] if liftability.lift_full_certified else ["full-carrier lift not certified"]),
         "embedding_ok": embedding.ok,
-    }
+    }, all(report.ok for report in reports)
 
 
 def corpus_threads(value: str | None) -> int:
@@ -202,11 +203,11 @@ def _cmd_corpus(args) -> tuple[dict, bool, int]:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=threads) as pool:
-            entries = list(pool.map(_corpus_entry, lattices, chunksize=8))
+            swept = list(pool.map(_corpus_entry, lattices, chunksize=8))
     else:
-        entries = [_corpus_entry(lat) for lat in lattices]
-    violations = [e for e in entries if e["equivalence_violations"] or not e["finitary_all"]
-                  or not e["all_compact"] or e["liftability_findings"] or not e["embedding_ok"]]
+        swept = [_corpus_entry(lat) for lat in lattices]
+    entries = [entry for entry, _ in swept]
+    violations = [entry for entry, ok in swept if not ok]
     results = {
         "max_n": args.max_n,
         "limit": args.limit,
@@ -229,6 +230,9 @@ def _cmd_quad(args) -> tuple[dict, bool, int]:
         return _quad(QuadOrder(args.d), args)
     except ValueError as exc:
         raise LoadError(str(exc)) from None
+    except MemoryError:
+        bound = args.search_bound if args.check == "s-wire" else args.bound
+        raise LoadError(f"bound {bound} is too large: its norm table does not fit in memory") from None
 
 
 def _quad(order: QuadOrder, args) -> tuple[dict, bool, int]:

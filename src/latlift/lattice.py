@@ -33,8 +33,31 @@ ENUM_CAP = 6
 COMPACT_NOTE = "every element of a finite lattice is compact"
 
 
+class _Carrier:
+    """Element naming and the full mask, shared by lattice and monoid carriers."""
+
+    names: tuple[str, ...]
+
+    @property
+    def n(self) -> int:
+        return len(self.names)
+
+    @property
+    def full(self) -> int:
+        return (1 << self.n) - 1
+
+    def index(self, name: str) -> int:
+        try:
+            return self.names.index(name)
+        except ValueError:
+            raise LoadError(f"unknown element {name!r}") from None
+
+    def subset_names(self, mask: int) -> tuple[str, ...]:
+        return tuple(self.names[i] for i in bits(mask))
+
+
 @dataclass(frozen=True)
-class FiniteLattice:
+class FiniteLattice(_Carrier):
     """Carrier of a finite multiplicative lattice.
 
     ``up[i]`` is the bitmask of all j with i <= j.  Construction validates
@@ -68,25 +91,13 @@ class FiniteLattice:
 
     # ----- order primitives ------------------------------------------
 
-    @property
-    def n(self) -> int:
-        return len(self.names)
-
-    @property
-    def full(self) -> int:
-        return (1 << self.n) - 1
-
     def le(self, i: int, j: int) -> bool:
         return bool(self.up[i] >> j & 1)
 
     @cached_property
     def downs(self) -> tuple[int, ...]:
         """``downs[j]`` is the bitmask of the lower set {i : i <= j}."""
-        downs = [0] * self.n
-        for i, row in enumerate(self.up):
-            for j in bits(row):
-                downs[j] |= 1 << i
-        return tuple(downs)
+        return _down_sets(self.up)
 
     def down(self, j: int) -> int:
         """Bitmask of the lower set {i : i <= j}."""
@@ -189,24 +200,14 @@ class FiniteLattice:
         row, below = self.mul[b], self.downs[a]
         return self.join_of(mask_from(y for y in range(self.n) if below >> row[y] & 1))
 
-    def interval_mask(self, lo: int, hi: int) -> int:
-        return self.up[lo] & self.down(hi)
 
-    def interval(self, lo: int, hi: int) -> "Interval":
-        if not self.le(lo, hi):
-            raise ValueError("empty interval: lo is not below hi")
-        return Interval(lo, hi, self.interval_mask(lo, hi))
-
-    # ----- naming ----------------------------------------------------
-
-    def index(self, name: str) -> int:
-        try:
-            return self.names.index(name)
-        except ValueError:
-            raise LoadError(f"unknown element {name!r}") from None
-
-    def subset_names(self, mask: int) -> tuple[str, ...]:
-        return tuple(self.names[i] for i in bits(mask))
+def _down_sets(up) -> tuple[int, ...]:
+    """The lower sets of an order given by its up-masks, as bitmasks."""
+    downs = [0] * len(up)
+    for i, row in enumerate(up):
+        for j in bits(row):
+            downs[j] |= 1 << i
+    return tuple(downs)
 
 
 def _extreme(cones, mask: int) -> int | None:
@@ -216,15 +217,6 @@ def _extreme(cones, mask: int) -> int | None:
         if mask & ~cones[u] == 0:
             return u
     return None
-
-
-@dataclass(frozen=True)
-class Interval:
-    """The interval [lo, hi] with its member bitmask."""
-
-    lo: int
-    hi: int
-    members: int
 
 
 @dataclass(frozen=True)
@@ -538,10 +530,7 @@ def _lattice_orders(n: int) -> Iterator[tuple[int, ...]]:
                 up[j] |= 1 << i
         if _closure_step(up):
             continue
-        down = [0] * n
-        for k in range(n):
-            for u in bits(up[k]):
-                down[u] |= 1 << k
+        down = _down_sets(up)
         if all(_extreme(up, up[i] & up[j]) is not None
                and _extreme(down, down[i] & down[j]) is not None
                for i in range(n) for j in range(i + 1, n)):

@@ -119,13 +119,12 @@ def verify_m_witness(lat: FiniteLattice, subset: int, witness: tuple[int, int, i
     return not any(lat.mul[t][u] == s for u in bits(box))
 
 
-def enumerate_wires(lat: FiniteLattice, m_only: bool = False,
-                    cap: int = WIRE_ENUM_CAP) -> Iterator[WireReport]:
+def enumerate_wires(lat: FiniteLattice, m_only: bool = False) -> Iterator[WireReport]:
     """All wires of the lattice (subsets containing bot and top), ascending
     by interior bitmask.  Multiplicative closure is tested before the more
     expensive generation scan."""
-    if lat.n > cap:
-        raise ValueError(f"carrier size {lat.n} exceeds wire enumeration cap {cap}")
+    if lat.n > WIRE_ENUM_CAP:
+        raise ValueError(f"carrier size {lat.n} exceeds wire enumeration cap {WIRE_ENUM_CAP}")
     base = (1 << lat.bot) | (1 << lat.top)
     others = [i for i in range(lat.n) if not base >> i & 1]
     for pick in range(1 << len(others)):
@@ -250,14 +249,13 @@ class LatticeWork:
     on the same results; :func:`sweep_lattice` does exactly that.
     """
 
-    def __init__(self, lat: FiniteLattice, cap: int = WIRE_ENUM_CAP) -> None:
+    def __init__(self, lat: FiniteLattice) -> None:
         self.lattice = lat
-        self.cap = cap
         self._lifts: dict[int, LiftResult] = {}
 
     @cached_property
     def wires(self) -> tuple[WireReport, ...]:
-        return tuple(enumerate_wires(self.lattice, cap=self.cap))
+        return tuple(enumerate_wires(self.lattice))
 
     @cached_property
     def flags(self) -> tuple[ElementFlags, ...]:
@@ -269,12 +267,12 @@ class LatticeWork:
         return self._lifts[subset]
 
 
-def _shared(lat: FiniteLattice, work: LatticeWork | None, cap: int | None) -> LatticeWork:
-    """``work``, or fresh work for lat; cap None accepts any wire cap."""
+def _shared(lat: FiniteLattice, work: LatticeWork | None) -> LatticeWork:
+    """``work``, or fresh work for lat."""
     if work is None:
-        return LatticeWork(lat, WIRE_ENUM_CAP if cap is None else cap)
-    if work.lattice != lat or cap is not None and work.cap != cap:
-        raise ValueError("shared work was built for another lattice or wire cap")
+        return LatticeWork(lat)
+    if work.lattice != lat:
+        raise ValueError("shared work was built for another lattice")
     return work
 
 
@@ -294,7 +292,7 @@ class EquivalenceReport:
         return not self.violations and self.finitary_all and self.all_compact
 
 
-def check_m_wire_ideal_equivalence(lat: FiniteLattice, cap: int = WIRE_ENUM_CAP,
+def check_m_wire_ideal_equivalence(lat: FiniteLattice,
                                    work: LatticeWork | None = None) -> EquivalenceReport:
     """For every wire H: the lift is an ideal system iff H satisfies (M).
 
@@ -303,7 +301,7 @@ def check_m_wire_ideal_equivalence(lat: FiniteLattice, cap: int = WIRE_ENUM_CAP,
     are returned as violations, never dropped; they signal a bug or a
     genuine discrepancy and callers should surface them loudly.
     """
-    work = _shared(lat, work, cap)
+    work = _shared(lat, work)
     wires = m_wires = 0
     finitary_all = True
     violations = []
@@ -346,8 +344,7 @@ class LiftabilityReport:
         return self.lift_full_certified and not self.findings
 
 
-def check_liftability(lat: FiniteLattice, cap: int = WIRE_ENUM_CAP,
-                      work: LatticeWork | None = None) -> LiftabilityReport:
+def check_liftability(lat: FiniteLattice, work: LatticeWork | None = None) -> LiftabilityReport:
     """Three liftability facts, checked directly.
 
     (a) the full carrier is a wire, so every lattice lifts to a weak ideal
@@ -359,7 +356,7 @@ def check_liftability(lat: FiniteLattice, cap: int = WIRE_ENUM_CAP,
         than assumed).
     Implication failures come back as findings.
     """
-    work = _shared(lat, work, cap)
+    work = _shared(lat, work)
     result = work.lift(lat.full)
     flags = work.flags
     mp_mask = mask_from(x for x in range(lat.n) if flags[x].meet_principal)
@@ -396,12 +393,9 @@ def finitary_closure(r: ClosureMap) -> ClosureMap:
     """The finitary system X -> union of r(Z) over finite subsets Z of X.
 
     On a finite carrier X is its own largest finite subset, so the result
-    must coincide with r; a difference means a bug and raises.  The result
-    is r itself, and its weak-ideal-system verdict must pass.
+    is r itself; a failed (s5) verdict means a bug and raises.  A map that
+    is not a weak ideal system is rejected by :func:`verify_finitary`.
     """
-    verdict = r.weak_verdict
-    if not verdict.passed:
-        raise TheoremViolation(f"finitary closure failed {verdict.laws}")
     if not verify_finitary(r).passed:
         raise TheoremViolation("finitary closure moved a finite-carrier system")
     return r
@@ -429,16 +423,16 @@ def check_finitary_embedding(lat: FiniteLattice,
     the closure never moves (:func:`finitary_closure` raises otherwise) and
     the lift's certified ideal lattice and isomorphism are the embedding.
     """
-    result = _shared(lat, work, None).lift(lat.full)
+    result = _shared(lat, work).lift(lat.full)
     rs = finitary_closure(result.system)
     return FinitaryEmbeddingReport(lat, rs.table == result.system.table, result.certified)
 
 
-def sweep_lattice(lat: FiniteLattice, cap: int = WIRE_ENUM_CAP) -> tuple[
+def sweep_lattice(lat: FiniteLattice) -> tuple[
         EquivalenceReport, LiftabilityReport, FinitaryEmbeddingReport]:
     """Equivalence, liftability and finitary embedding of one lattice, run
     on one :class:`LatticeWork`, so each wire is lifted once for all three."""
-    work = LatticeWork(lat, cap)
-    return (check_m_wire_ideal_equivalence(lat, cap, work),
-            check_liftability(lat, cap, work),
+    work = LatticeWork(lat)
+    return (check_m_wire_ideal_equivalence(lat, work),
+            check_liftability(lat, work),
             check_finitary_embedding(lat, work))

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from concurrent import futures
 from pathlib import Path
 
 import pytest
@@ -160,6 +161,25 @@ def test_corpus_threads_parse_and_clamp(monkeypatch):
     assert corpus_threads("4") == 1
 
 
+def test_corpus_process_pool_matches_one_process(capsys, monkeypatch):
+    monkeypatch.delenv("LATLIFT_THREADS", raising=False)
+    _, single = run_json(capsys, "corpus", "--max-n", "4")
+    pools = []
+    real_pool = futures.ProcessPoolExecutor
+
+    def pool(*args, **kwargs):
+        pools.append(kwargs["max_workers"])
+        return real_pool(*args, **kwargs)
+
+    monkeypatch.setattr(futures, "ProcessPoolExecutor", pool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setenv("LATLIFT_THREADS", "2")
+    _, pooled = run_json(capsys, "corpus", "--max-n", "4")
+    assert pools == [2]
+    del single["stats"], pooled["stats"]
+    assert pooled == single
+
+
 def _count_calls(monkeypatch, module, name, keys):
     """Wrap ``name`` wherever latlift binds it, recording each call's arguments."""
     original = getattr(module, name)
@@ -269,6 +289,26 @@ def test_quad_failed_reverification_is_oracle_exit(capsys, monkeypatch, argv):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("oracle violation: ") and captured.err.count("\n") == 1
+
+
+HUGE_BOUND = "10000000000000"
+
+
+@pytest.mark.parametrize("argv", [
+    ["norms", "--bound", HUGE_BOUND],
+    ["division-closure", "--bound", HUGE_BOUND],
+    ["verdict", "--bound", HUGE_BOUND],
+    ["s-wire", "--search-bound", HUGE_BOUND],
+])
+def test_quad_table_too_large_to_allocate_is_usage_error(capsys, monkeypatch, argv):
+    def out_of_memory(d, bound):
+        raise MemoryError
+
+    monkeypatch.setattr(natquad, "_norm_table", out_of_memory)
+    assert main(["quad", *argv, "--d", "-5", "--format", "json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: bound {HUGE_BOUND} ") and captured.err.count("\n") == 1
 
 
 @pytest.mark.parametrize("argv", [

@@ -109,16 +109,6 @@ def test_full_distributivity_over_all_subsets(l6):
             assert l6.mul[a][l6.join_of(mask)] == l6.join_of(pointwise)
 
 
-@settings(max_examples=200)
-@given(st.integers(0, 63), st.integers(0, 63))
-def test_interval_members_match_definition(s, t):
-    lat = load_lattice(FIXTURES / "l6.json")
-    lo, hi = lat.meet(s % lat.n, t % lat.n), lat.join(s % lat.n, t % lat.n)
-    iv = lat.interval(lo, hi)
-    expected = mask_from(x for x in range(lat.n) if lat.le(lo, x) and lat.le(x, hi))
-    assert iv.members == expected
-
-
 def test_classify_l6(l6):
     a, b = l6.index("a"), l6.index("b")
     assert classify_element(l6, a).weak_meet_principal

@@ -1,9 +1,12 @@
 import pytest
 
 from latlift import (
+    ClosureMap,
+    FiniteLattice,
     LatticeWork,
     WireError,
     analyze_wire,
+    build_ideal_lattice,
     check_finitary_embedding,
     check_liftability,
     check_m_wire_ideal_equivalence,
@@ -15,6 +18,7 @@ from latlift import (
     sweep_lattice,
     verify_finitary,
     verify_ideal_system,
+    verify_lattice,
     verify_weak_ideal_system,
 )
 from latlift.bitset import bits, mask_from
@@ -175,7 +179,7 @@ def test_shared_work_must_match_the_lattice(l6, two):
     with pytest.raises(ValueError):
         check_m_wire_ideal_equivalence(two, work=work)
     with pytest.raises(ValueError):
-        check_liftability(l6, cap=5, work=work)
+        check_liftability(two, work=work)
     with pytest.raises(ValueError):
         check_finitary_embedding(two, work=work)
 
@@ -242,6 +246,14 @@ def test_finitary_closure_of_constant_map(m3):
     assert finitary_closure(r).table == r.table
 
 
+@pytest.mark.parametrize("check", [
+    verify_finitary, verify_ideal_system, build_ideal_lattice, finitary_closure])
+def test_non_weak_maps_are_rejected_with_value_error(m3, check):
+    r = ClosureMap(m3, (0,) * (1 << m3.n))  # X is not within r(X) = {}
+    with pytest.raises(ValueError, match="^not a weak ideal system: extensivity"):
+        check(r)
+
+
 def test_finitary_embedding(l6, two, chain3, chain3_nil):
     for lat in (l6, two, chain3, chain3_nil):
         rep = check_finitary_embedding(lat)
@@ -254,6 +266,22 @@ def test_m_witness_recheck_rejects_fake(l6):
     assert not verify_m_witness(l6, h, (l6.top, l6.top, l6.top))
 
 
-def test_wire_cap_enforced(l6):
-    with pytest.raises(ValueError):
-        list(enumerate_wires(l6, cap=4))
+def chain(n):
+    """The n-element chain 0 < 1 < ... < n-1 with meet as multiplication."""
+    return FiniteLattice(tuple(map(str, range(n))),
+                         tuple(((1 << n) - 1) ^ ((1 << i) - 1) for i in range(n)),
+                         tuple(tuple(min(i, j) for j in range(n)) for i in range(n)), 0, n - 1)
+
+
+def test_wire_cap_enforced():
+    with pytest.raises(ValueError, match="wire enumeration cap"):
+        list(enumerate_wires(chain(7)))
+
+
+def test_lift_beyond_the_pair_sanity_cap():
+    # 10 > PAIR_SANITY_CAP elements: the pairwise r(XY) = r(r(X)r(Y)) scan is
+    # skipped, every other certificate still runs
+    lat = chain(10)
+    assert verify_lattice(lat).passed
+    result = lift(lat, lat.full)
+    assert result.certified and len(result.ideal_lattice.ideals) == 10
