@@ -13,6 +13,7 @@ from .lattice import (
     enumerate_small_lattices,
     is_domain,
     lattice_from_dict,
+    lattice_to_dict,
     load_lattice,
     verify_lattice,
 )

@@ -21,7 +21,7 @@ import time
 from dataclasses import dataclass
 
 from . import __version__
-from .lattice import enumerate_small_lattices, load_lattice, verify_lattice
+from .lattice import enumerate_small_lattices, lattice_to_dict, load_lattice, verify_lattice
 from .lifting import (
     WIRE_ENUM_CAP,
     WireError,
@@ -161,9 +161,12 @@ def _cmd_lift(args) -> tuple[dict, bool, int]:
 
 
 def _corpus_entry(lat) -> tuple[dict, bool]:
-    """The report entry of one lattice, and whether all three sweeps are ok."""
+    """The report entry of one lattice, and whether all three sweeps are ok.
+
+    The entry of a lattice that is not ok also carries its document, so a
+    violation can be replayed with ``latlift lift``."""
     reports = equivalence, liftability, embedding = sweep_lattice(lat)
-    return {
+    entry = {
         "elements": lat.n,
         "wires": equivalence.wires_checked,
         "m_wires": equivalence.m_wires,
@@ -173,7 +176,11 @@ def _corpus_entry(lat) -> tuple[dict, bool]:
         "liftability_findings": list(liftability.findings)
         + ([] if liftability.lift_full_certified else ["full-carrier lift not certified"]),
         "embedding_ok": embedding.ok,
-    }, all(report.ok for report in reports)
+    }
+    ok = all(report.ok for report in reports)
+    if not ok:
+        entry["lattice"] = lattice_to_dict(lat)
+    return entry, ok
 
 
 def corpus_threads(value: str | None) -> int:

@@ -14,8 +14,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import combinations, combinations_with_replacement, permutations, product
+from operator import and_, or_
 from pathlib import Path
 from typing import Iterator
 
@@ -104,17 +105,10 @@ class FiniteLattice(_Carrier):
         return self.downs[j]
 
     def upper_bounds(self, mask: int) -> int:
-        ubs = self.full
-        for i in bits(mask):
-            ubs &= self.up[i]
-        return ubs
+        return reduce(and_, (self.up[i] for i in bits(mask)), self.full)
 
     def lower_bounds(self, mask: int) -> int:
-        lbs = 0
-        for j in range(self.n):
-            if mask & ~self.up[j] == 0:
-                lbs |= 1 << j
-        return lbs
+        return mask_from(j for j in range(self.n) if mask & ~self.up[j] == 0)
 
     def least_of(self, mask: int) -> int | None:
         """Member of mask below every member, or None."""
@@ -124,9 +118,11 @@ class FiniteLattice(_Carrier):
         """Member of mask above every member, or None."""
         return _extreme(self.downs, mask)
 
+    @cached_property
     def _pair_bounds(self) -> tuple[list[list[int | None]], list[list[int | None]]]:
         """Binary join and meet tables by bound search, with None where a
-        pair has no least upper respectively greatest lower bound."""
+        pair has no least upper respectively greatest lower bound; built
+        once for both :func:`verify_lattice` and the lattice tables."""
         n, up, downs = self.n, self.up, self.downs
         join2: list[list[int | None]] = [[None] * n for _ in range(n)]
         meet2: list[list[int | None]] = [[None] * n for _ in range(n)]
@@ -153,7 +149,7 @@ class FiniteLattice(_Carrier):
             for j in bits(up[i]):
                 if up[j] & ~up[i] or (j != i and up[j] >> i & 1):
                     return None  # not transitive, or not antisymmetric
-        join2, meet2 = self._pair_bounds()
+        join2, meet2 = self._pair_bounds
         if any(None in row for row in join2 + meet2):
             return None
         return (tuple(map(tuple, join2)), tuple(map(tuple, meet2)),
@@ -275,11 +271,8 @@ def classify_element(lat: FiniteLattice, x: int) -> ElementFlags:
 
 def is_domain(lat: FiniteLattice) -> bool:
     """True when products only vanish if a factor is bot."""
-    for a in range(lat.n):
-        for b in range(lat.n):
-            if lat.mul[a][b] == lat.bot and a != lat.bot and b != lat.bot:
-                return False
-    return True
+    every = range(lat.n)
+    return not any(lat.mul[a][b] == lat.bot and a != lat.bot and b != lat.bot for a in every for b in every)
 
 
 def verify_lattice(lat: FiniteLattice) -> Verdict:
@@ -289,25 +282,28 @@ def verify_lattice(lat: FiniteLattice) -> Verdict:
     binary form together with annihilation by bot, which on a finite
     carrier is equivalent to distributivity over arbitrary joins.
     """
-    n, names, mul = lat.n, lat.names, lat.mul
+    n, names, mul, up = lat.n, lat.names, lat.mul, lat.up
     record = _Recorder()
     for i in range(n):
-        if not lat.le(i, i):
+        if not up[i] >> i & 1:
             record("reflexivity", (names[i],))
-    for i in range(n):
-        for j in range(n):
-            if i != j and lat.le(i, j) and lat.le(j, i):
+    # i <= j is bit j of up[i]; for each i <= j the first k with j <= k but
+    # not i <= k is the lowest bit of up[j] & ~up[i], and only the first
+    # witness of each law is kept, so later k need not be visited
+    for i, ui in enumerate(up):
+        for j in bits(ui):
+            if i != j and up[j] >> i & 1:
                 record("antisymmetry", (names[i], names[j]))
-            for k in range(n):
-                if lat.le(i, j) and lat.le(j, k) and not lat.le(i, k):
-                    record("transitivity", (names[i], names[j], names[k]))
+            miss = up[j] & ~ui
+            if miss:
+                record("transitivity", (names[i], names[j], names[(miss & -miss).bit_length() - 1]))
     for i in range(n):
-        if not lat.le(lat.bot, i):
+        if not up[lat.bot] >> i & 1:
             record("least-element", (names[i],), "bot is not below every element")
-        if not lat.le(i, lat.top):
+        if not up[i] >> lat.top & 1:
             record("greatest-element", (names[i],), "top is not above every element")
 
-    join2, meet2 = lat._pair_bounds()
+    join2, meet2 = lat._pair_bounds
     for i in range(n):
         for j in range(i, n):
             if join2[i][j] is None:
@@ -391,17 +387,27 @@ def lattice_from_dict(data: dict) -> FiniteLattice:
                          _read_products(data, elements, look, top, bot), bot, top)
 
 
+def lattice_to_dict(lat: FiniteLattice) -> dict:
+    """The JSON document of a lattice: :func:`lattice_from_dict` reads it back
+    equal whenever the order is a partial order with bot least and top
+    greatest and the product is commutative (both are written in full)."""
+    names, n = lat.names, lat.n
+    return {
+        "elements": list(names),
+        "order": {"leq": [[names[i], names[j]] for i in range(n) for j in bits(lat.up[i]) if i != j]},
+        "mul": [[names[x], names[y], names[lat.mul[x][y]]] for x in range(n) for y in range(x, n)],
+        "top": names[lat.top],
+        "bot": names[lat.bot],
+    }
+
+
 def _closure_step(up: list[int]) -> bool:
     """One transitive-closure pass over the up-masks, in place: each row
     takes in the rows of its members.  True when some row changed."""
     changed = False
-    for i in range(len(up)):
-        acc = up[i]
-        for j in bits(up[i]):
-            acc |= up[j]
-        if acc != up[i]:
-            up[i] = acc
-            changed = True
+    for i, row in enumerate(up):
+        up[i] = reduce(or_, (up[j] for j in bits(row)), row)
+        changed |= up[i] != row
     return changed
 
 
@@ -553,22 +559,27 @@ def _tables_for_order(n: int, up: tuple[int, ...]) -> Iterator[FiniteLattice]:
     cells = list(combinations_with_replacement(inner, 2))
     assoc = list(combinations_with_replacement(inner, 3))
     distr = [(x, y, z) for x in inner for y in range(n) for z in range(y + 1, n)]
+    # After cell {i, j} is set only the checks that read it are rerun: the
+    # search starts from a consistent table and descends only from one.
+    # Every lookup of a triple (x, y, z) has x, y or z as one index, so it
+    # reads {i, j} only if i or j is in the triple; a distributivity row
+    # reads mul[x][.] at y, z and y v z, so it reads {i, j} only if x is i
+    # (or j) and the other index is one of y, z, y v z.
+    touching = [
+        ([t for t in assoc if i in t or j in t],
+         [(x, y, z) for x, y, z in distr
+          if (x == i and j in (y, z, join2[y][z])) or (x == j and i in (y, z, join2[y][z]))])
+        for i, j in cells]
 
-    def consistent() -> bool:
+    def consistent(k: int) -> bool:
+        assoc_k, distr_k = touching[k]
         # commutativity holds by construction; for each unordered triple the
         # three groupings must agree wherever they are already determined
-        for x, y, z in assoc:
-            xy, yz, xz = mul[x][y], mul[y][z], mul[x][z]
-            vals = []
-            if xy is not None and mul[xy][z] is not None:
-                vals.append(mul[xy][z])
-            if yz is not None and mul[x][yz] is not None:
-                vals.append(mul[x][yz])
-            if xz is not None and mul[xz][y] is not None:
-                vals.append(mul[xz][y])
-            if any(v != vals[0] for v in vals[1:]):
+        for x, y, z in assoc_k:
+            vals = {mul[p][q] for p, q in ((mul[x][y], z), (mul[y][z], x), (mul[x][z], y)) if p is not None}
+            if len(vals - {None}) > 1:
                 return False
-        for x, y, z in distr:
+        for x, y, z in distr_k:
             lhs, a, b = mul[x][join2[y][z]], mul[x][y], mul[x][z]
             if lhs is None or a is None or b is None:
                 continue
@@ -583,7 +594,7 @@ def _tables_for_order(n: int, up: tuple[int, ...]) -> Iterator[FiniteLattice]:
         i, j = cells[k]
         for v in range(n):
             mul[i][j] = mul[j][i] = v
-            if consistent():
+            if consistent(k):
                 yield from rec(k + 1)
         mul[i][j] = mul[j][i] = None
 

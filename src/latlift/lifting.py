@@ -71,16 +71,16 @@ def _mult_closed(lat: FiniteLattice, subset: int, elems: list[int]) -> bool:
     return all(subset >> lat.mul[s][t] & 1 for s in elems for t in elems)
 
 
-def _m_condition(lat: FiniteLattice, subset: int, elems: list[int]) -> tuple[bool, tuple[int, int, int] | None]:
-    downs = lat.downs
+def _m_condition(lat: FiniteLattice, elems: list[int]) -> tuple[bool, tuple[int, int, int] | None]:
+    up, downs = lat.up, lat.downs
     for s in elems:
         for t in elems:
             row = lat.mul[t]
+            # some u in H below a has t*u = s exactly when hits meets [0, a]
+            hits = mask_from(u for u in elems if row[u] == s)
             for a in range(lat.n):
-                if lat.le(s, row[a]):
-                    box = subset & downs[a]
-                    if not any(row[u] == s for u in bits(box)):
-                        return False, (s, t, a)
+                if up[s] >> row[a] & 1 and not hits & downs[a]:
+                    return False, (s, t, a)
     return True, None
 
 
@@ -100,7 +100,7 @@ def analyze_wire(lat: FiniteLattice, subset: int) -> WireReport:
     wire = contains_one and contains_zero and closed and generates
     is_m, witness = (False, None)
     if wire:
-        is_m, witness = _m_condition(lat, subset, elems)
+        is_m, witness = _m_condition(lat, elems)
     return WireReport(lat, subset, contains_one, contains_zero, closed,
                       generates, wire, is_m, witness)
 
@@ -174,12 +174,10 @@ def _certify_isomorphism(lat: FiniteLattice, subset: int,
         if cut not in ideal_pos:
             raise TheoremViolation(f"H intersect [0,{lat.names[y]}] is not an r-ideal")
         g.append(ideal_pos[cut])
-    for i in range(len(il.ideals)):
-        if g[f[i]] != i:
-            raise TheoremViolation("g o f is not the identity on ideals")
-    for y in range(lat.n):
-        if f[g[y]] != y:
-            raise TheoremViolation("f o g is not the identity on the lattice")
+    if any(g[fi] != i for i, fi in enumerate(f)):
+        raise TheoremViolation("g o f is not the identity on ideals")
+    if any(f[gy] != y for y, gy in enumerate(g)):
+        raise TheoremViolation("f o g is not the identity on the lattice")
     k = len(il.ideals)
     for i in range(k):
         for j in range(k):
@@ -213,20 +211,21 @@ def lift(lat: FiniteLattice, subset: int) -> LiftResult:
         raise ValueError(f"wire size {h} exceeds powerset cap {POWERSET_CAP}")
     pos = {e: i for i, e in enumerate(elems)}
     names = tuple(lat.names[e] for e in elems)
-    rows = []
-    for s in elems:
-        row = []
-        for t in elems:
-            p = lat.mul[s][t]
-            if p not in pos:
-                raise TheoremViolation("wire is not closed under multiplication")
-            row.append(pos[p])
-        rows.append(tuple(row))
-    monoid = FiniteMonoid(names, tuple(rows), pos[lat.top], pos[lat.bot])
+    rows = tuple(tuple(pos[lat.mul[s][t]] for t in elems) for s in elems)  # wires are closed
+    monoid = FiniteMonoid(names, rows, pos[lat.top], pos[lat.bot])
 
     # cut[v] is H intersect [0, v] in monoid coordinates
     cut = [mask_from(pos[e] for e in bits(down & subset)) for down in lat.downs]
-    table = tuple(cut[lat.join_of(mask_from(elems[i] for i in bits(sm)))] for sm in range(1 << h))
+    tables = lat._tables
+    if tables is None:
+        table = tuple(cut[lat.join_of(mask_from(elems[i] for i in bits(sm)))] for sm in range(1 << h))
+    else:
+        # joins[X] = join(X) by the low-bit recurrence over the binary join table
+        join2, joins = tables[0], [tables[2]] * (1 << h)
+        for sm in range(1, 1 << h):
+            low = sm & -sm
+            joins[sm] = join2[joins[sm ^ low]][elems[low.bit_length() - 1]]
+        table = tuple(cut[v] for v in joins)
     system = ClosureMap(monoid, table)
 
     weak = system.weak_verdict

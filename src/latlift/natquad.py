@@ -95,12 +95,7 @@ class QuadOrder:
 
 
 def _squarefree(n: int) -> bool:
-    k = 2
-    while k * k <= n:
-        if n % (k * k) == 0:
-            return False
-        k += 1
-    return True
+    return all(n % (k * k) for k in range(2, isqrt(n) + 1))
 
 
 def norm(q: QuadOrder, a: int, b: int) -> int:
@@ -150,14 +145,7 @@ def norm_image(q: QuadOrder, bound: int) -> tuple[int, ...]:
 
 
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    k = 2
-    while k * k <= n:
-        if n % k == 0:
-            return False
-        k += 1
-    return True
+    return n >= 2 and all(n % k for k in range(2, isqrt(n) + 1))
 
 
 def primes_upto(n: int) -> list[int]:

@@ -233,6 +233,32 @@ def test_corpus_counts_failed_finitary_and_compactness_checks(capsys, monkeypatc
     assert all(entry[key] is False and entry["equivalence_violations"] == [] for entry in violations)
 
 
+def test_corpus_violation_replays_through_lift(capsys, monkeypatch, tmp_path):
+    # every lift reads as not an ideal system, so each lattice with an
+    # M-wire is a violation, and lift must reproduce it from the document
+    monkeypatch.delenv("LATLIFT_THREADS", raising=False)
+    never_ideal = lambda r: monoid.Verdict(False)
+    monkeypatch.setattr(lifting, "verify_ideal_system", never_ideal)
+    monkeypatch.setattr(cli, "verify_ideal_system", never_ideal)
+    code, report = run_json(capsys, "corpus", "--max-n", "4")
+    assert code == 3
+    violations = report["results"]["violations"]
+    assert violations and all(entry["equivalence_violations"] for entry in violations)
+    for k, entry in enumerate(violations):
+        doc = tmp_path / f"violation{k}.json"
+        doc.write_text(json.dumps(entry["lattice"]))
+        assert main(["lift", str(doc), "--all-wires"]) == 3
+        assert capsys.readouterr().err.startswith("oracle violation: ideal-system verdict disagrees")
+    monkeypatch.undo()
+    for k, entry in enumerate(violations):
+        code, replayed = run_json(capsys, "lift", str(tmp_path / f"violation{k}.json"), "--all-wires")
+        wires = replayed["results"]["wires"]
+        assert code == 0 and len(wires) == entry["wires"]
+        assert sum(w["is_m_wire"] for w in wires) == entry["m_wires"]
+        assert sorted(w["wire"] for w in wires if w["is_m_wire"]) == sorted(
+            names for names, is_m_wire, _ in entry["equivalence_violations"] if is_m_wire)
+
+
 @pytest.mark.parametrize("break_sweep", [_sweep_finitary_fails, _sweep_compactness_fails])
 def test_corpus_sweep_script_counts_failed_finitary_and_compactness_checks(capsys, monkeypatch,
                                                                            break_sweep):

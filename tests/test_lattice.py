@@ -1,4 +1,5 @@
 import json
+from itertools import combinations_with_replacement
 
 import pytest
 from hypothesis import given, settings
@@ -13,10 +14,12 @@ from latlift import (
     enumerate_small_lattices,
     is_domain,
     lattice_from_dict,
+    lattice_to_dict,
     load_lattice,
     verify_lattice,
 )
 from latlift.bitset import bits, mask_from
+from latlift.lattice import _closure_step, _extreme, _lattice_orders, _tables_for_order
 
 from conftest import FIXTURES
 
@@ -273,3 +276,101 @@ def test_adjunction_on_random_subset_joins(s, t):
     r = lat.residual(a, b)
     for y in range(lat.n):
         assert lat.le(lat.mul[b][y], a) == lat.le(y, r)
+
+
+def tables_for_order_full_check(n, up):
+    """The table search as it was before the incremental check: after every
+    cell, every associativity triple and distributivity row is rechecked."""
+    bot, top = 0, n - 1
+    join2 = [[_extreme(up, up[i] & up[j]) for j in range(n)] for i in range(n)]
+    inner = list(range(1, n - 1))
+    mul = [[None] * n for _ in range(n)]
+    for x in range(n):
+        mul[top][x] = mul[x][top] = x
+        mul[bot][x] = mul[x][bot] = bot
+    cells = list(combinations_with_replacement(inner, 2))
+    assoc = list(combinations_with_replacement(inner, 3))
+    distr = [(x, y, z) for x in inner for y in range(n) for z in range(y + 1, n)]
+
+    def consistent():
+        for x, y, z in assoc:
+            xy, yz, xz = mul[x][y], mul[y][z], mul[x][z]
+            vals = []
+            if xy is not None and mul[xy][z] is not None:
+                vals.append(mul[xy][z])
+            if yz is not None and mul[x][yz] is not None:
+                vals.append(mul[x][yz])
+            if xz is not None and mul[xz][y] is not None:
+                vals.append(mul[xz][y])
+            if any(v != vals[0] for v in vals[1:]):
+                return False
+        for x, y, z in distr:
+            lhs, a, b = mul[x][join2[y][z]], mul[x][y], mul[x][z]
+            if lhs is None or a is None or b is None:
+                continue
+            if lhs != join2[a][b]:
+                return False
+        return True
+
+    def rec(k):
+        if k == len(cells):
+            yield tuple(tuple(r) for r in mul)
+            return
+        i, j = cells[k]
+        for v in range(n):
+            mul[i][j] = mul[j][i] = v
+            if consistent():
+                yield from rec(k + 1)
+        mul[i][j] = mul[j][i] = None
+
+    yield from rec(0)
+
+
+def test_incremental_table_search_matches_the_full_check():
+    for n in range(1, 6):
+        for up in _lattice_orders(n):
+            found = [(lat.up, lat.mul) for lat in _tables_for_order(n, up)]
+            assert found == [(up, mul) for mul in tables_for_order_full_check(n, up)]
+
+
+@st.composite
+def documented_carriers(draw):
+    """A partial order with a least and a greatest element under random
+    labels, and any commutative product table on it."""
+    n = draw(st.integers(1, 6))
+    label = draw(st.permutations(range(n)))
+    # i < j in the drawn order only if i < j as integers, so it is acyclic
+    up = [1 << i | (1 << n - 1) for i in range(n)]
+    up[0] = (1 << n) - 1
+    for i in range(1, n - 1):
+        for j in range(i + 1, n - 1):
+            if draw(st.booleans()):
+                up[i] |= 1 << j
+    while _closure_step(up):
+        pass
+    mul = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            mul[i][j] = mul[j][i] = draw(st.integers(0, n - 1))
+    names = draw(st.lists(st.text("abcxyz01", min_size=1, max_size=3), min_size=n, max_size=n, unique=True))
+    relabel = lambda mask: mask_from(label[i] for i in bits(mask))
+    lab_up, lab_mul = [0] * n, [[0] * n for _ in range(n)]
+    for i in range(n):
+        lab_up[label[i]] = relabel(up[i])
+        for j in range(n):
+            lab_mul[label[i]][label[j]] = label[mul[i][j]]
+    return FiniteLattice(tuple(names), tuple(lab_up), tuple(map(tuple, lab_mul)), label[0], label[n - 1])
+
+
+@settings(max_examples=300, deadline=None)
+@given(documented_carriers())
+def test_lattice_document_round_trips(lat):
+    doc = lattice_to_dict(lat)
+    assert json.loads(json.dumps(doc)) == doc
+    assert lattice_from_dict(doc) == lat
+
+
+def test_lattice_document_round_trips_on_fixtures_and_the_corpus(l6, two, chain3, chain3_nil):
+    lattices = [l6, two, chain3, chain3_nil] + [lat for n in range(1, 6) for lat in enumerate_small_lattices(n)]
+    for lat in lattices:
+        assert lattice_from_dict(lattice_to_dict(lat)) == lat

@@ -279,9 +279,43 @@ def test_wire_cap_enforced():
 
 
 def test_lift_beyond_the_pair_sanity_cap():
-    # 10 > PAIR_SANITY_CAP elements: the pairwise r(XY) = r(r(X)r(Y)) scan is
-    # skipped, every other certificate still runs
+    # a 10-element carrier: the r(XY) = r(r(X)r(Y)) oracle, once capped at 8
+    # elements, now runs on every carrier with every other certificate
     lat = chain(10)
     assert verify_lattice(lat).passed
     result = lift(lat, lat.full)
     assert result.certified and len(result.ideal_lattice.ideals) == 10
+
+
+def m_condition_by_box_scan(lat, subset):
+    """(M) as it was scanned before the preimage masks: for each s, t, a
+    with s <= t*a, look for some u in H below a with t*u = s."""
+    for s in bits(subset):
+        for t in bits(subset):
+            row = lat.mul[t]
+            for a in range(lat.n):
+                if lat.le(s, row[a]):
+                    if not any(row[u] == s for u in bits(subset & lat.down(a))):
+                        return False, (s, t, a)
+    return True, None
+
+
+def test_m_condition_matches_the_box_scan():
+    for n in range(1, 6):
+        for lat in enumerate_small_lattices(n):
+            for subset in range(1 << n):
+                rep = analyze_wire(lat, subset)
+                if rep.is_wire:
+                    assert (rep.is_m_wire, rep.m_witness) == m_condition_by_box_scan(lat, subset)
+
+
+def test_lift_table_is_the_join_cut_on_every_wire():
+    # r(X) = H intersect [0, join(X)], with join(X) folded by join_of
+    for n in range(1, 6):
+        for lat in enumerate_small_lattices(n):
+            for rep in enumerate_wires(lat):
+                elems = list(bits(rep.subset))
+                table = lift(lat, rep.subset).system.table
+                for sm, closed in enumerate(table):
+                    cut = rep.subset & lat.down(lat.join_of(mask_from(elems[i] for i in bits(sm))))
+                    assert closed == mask_from(k for k, e in enumerate(elems) if cut >> e & 1)
