@@ -14,9 +14,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cached_property
 from itertools import combinations, combinations_with_replacement, permutations, product
-from operator import and_, or_
 from pathlib import Path
 from typing import Iterator
 
@@ -105,10 +104,17 @@ class FiniteLattice(_Carrier):
         return self.downs[j]
 
     def upper_bounds(self, mask: int) -> int:
-        return reduce(and_, (self.up[i] for i in bits(mask)), self.full)
+        ubs = self.full
+        for i in bits(mask):
+            ubs &= self.up[i]
+        return ubs
 
     def lower_bounds(self, mask: int) -> int:
-        return mask_from(j for j in range(self.n) if mask & ~self.up[j] == 0)
+        lbs = 0
+        for j in range(self.n):
+            if mask & ~self.up[j] == 0:
+                lbs |= 1 << j
+        return lbs
 
     def least_of(self, mask: int) -> int | None:
         """Member of mask below every member, or None."""
@@ -271,8 +277,11 @@ def classify_element(lat: FiniteLattice, x: int) -> ElementFlags:
 
 def is_domain(lat: FiniteLattice) -> bool:
     """True when products only vanish if a factor is bot."""
-    every = range(lat.n)
-    return not any(lat.mul[a][b] == lat.bot and a != lat.bot and b != lat.bot for a in every for b in every)
+    for a in range(lat.n):
+        for b in range(lat.n):
+            if lat.mul[a][b] == lat.bot and a != lat.bot and b != lat.bot:
+                return False
+    return True
 
 
 def verify_lattice(lat: FiniteLattice) -> Verdict:
@@ -405,9 +414,13 @@ def _closure_step(up: list[int]) -> bool:
     """One transitive-closure pass over the up-masks, in place: each row
     takes in the rows of its members.  True when some row changed."""
     changed = False
-    for i, row in enumerate(up):
-        up[i] = reduce(or_, (up[j] for j in bits(row)), row)
-        changed |= up[i] != row
+    for i in range(len(up)):
+        acc = up[i]
+        for j in bits(up[i]):
+            acc |= up[j]
+        if acc != up[i]:
+            up[i] = acc
+            changed = True
     return changed
 
 
@@ -576,8 +589,15 @@ def _tables_for_order(n: int, up: tuple[int, ...]) -> Iterator[FiniteLattice]:
         # commutativity holds by construction; for each unordered triple the
         # three groupings must agree wherever they are already determined
         for x, y, z in assoc_k:
-            vals = {mul[p][q] for p, q in ((mul[x][y], z), (mul[y][z], x), (mul[x][z], y)) if p is not None}
-            if len(vals - {None}) > 1:
+            xy, yz, xz = mul[x][y], mul[y][z], mul[x][z]
+            vals = []
+            if xy is not None and mul[xy][z] is not None:
+                vals.append(mul[xy][z])
+            if yz is not None and mul[x][yz] is not None:
+                vals.append(mul[x][yz])
+            if xz is not None and mul[xz][y] is not None:
+                vals.append(mul[xz][y])
+            if any(v != vals[0] for v in vals[1:]):
                 return False
         for x, y, z in distr_k:
             lhs, a, b = mul[x][join2[y][z]], mul[x][y], mul[x][z]

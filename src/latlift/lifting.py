@@ -174,10 +174,12 @@ def _certify_isomorphism(lat: FiniteLattice, subset: int,
         if cut not in ideal_pos:
             raise TheoremViolation(f"H intersect [0,{lat.names[y]}] is not an r-ideal")
         g.append(ideal_pos[cut])
-    if any(g[fi] != i for i, fi in enumerate(f)):
-        raise TheoremViolation("g o f is not the identity on ideals")
-    if any(f[gy] != y for y, gy in enumerate(g)):
-        raise TheoremViolation("f o g is not the identity on the lattice")
+    for i in range(len(il.ideals)):
+        if g[f[i]] != i:
+            raise TheoremViolation("g o f is not the identity on ideals")
+    for y in range(lat.n):
+        if f[g[y]] != y:
+            raise TheoremViolation("f o g is not the identity on the lattice")
     k = len(il.ideals)
     for i in range(k):
         for j in range(k):
@@ -194,8 +196,12 @@ def lift(lat: FiniteLattice, subset: int) -> LiftResult:
     The returned system is verified as a weak ideal system, its ideal
     lattice is built and the isomorphism onto the original lattice is
     certified; any failure of these guaranteed steps raises
-    TheoremViolation.  Non-wires are rejected with WireError.
+    TheoremViolation.  A carrier that is not a lattice is rejected with
+    ValueError, and non-wires with WireError.
     """
+    tables = lat._tables
+    if tables is None:
+        raise ValueError("carrier is not a lattice")
     report = analyze_wire(lat, subset)
     if not report.is_wire:
         missing = [name for name, ok in (
@@ -216,16 +222,12 @@ def lift(lat: FiniteLattice, subset: int) -> LiftResult:
 
     # cut[v] is H intersect [0, v] in monoid coordinates
     cut = [mask_from(pos[e] for e in bits(down & subset)) for down in lat.downs]
-    tables = lat._tables
-    if tables is None:
-        table = tuple(cut[lat.join_of(mask_from(elems[i] for i in bits(sm)))] for sm in range(1 << h))
-    else:
-        # joins[X] = join(X) by the low-bit recurrence over the binary join table
-        join2, joins = tables[0], [tables[2]] * (1 << h)
-        for sm in range(1, 1 << h):
-            low = sm & -sm
-            joins[sm] = join2[joins[sm ^ low]][elems[low.bit_length() - 1]]
-        table = tuple(cut[v] for v in joins)
+    # joins[X] = join(X) by the low-bit recurrence over the binary join table
+    join2, joins = tables[0], [tables[2]] * (1 << h)
+    for sm in range(1, 1 << h):
+        low = sm & -sm
+        joins[sm] = join2[joins[sm ^ low]][elems[low.bit_length() - 1]]
+    table = tuple(cut[v] for v in joins)
     system = ClosureMap(monoid, table)
 
     weak = system.weak_verdict

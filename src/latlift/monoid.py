@@ -24,7 +24,7 @@ from functools import cached_property, reduce
 from operator import or_
 from pathlib import Path
 
-from .bitset import bits, mask_from
+from .bitset import bits
 from .lattice import (
     FiniteLattice, _Carrier, _read_carrier, _read_json, _read_products, _scan_monoid_laws,
     verify_lattice,
@@ -273,26 +273,43 @@ def build_ideal_lattice(r: ClosureMap) -> IdealLattice:
                     "intersection of r-ideals escaped the image: "
                     f"{mon.subset_names(ideals[i])} and {mon.subset_names(ideals[j])}")
 
-    up = tuple(mask_from(j for j, w in enumerate(ideals) if v & ~w == 0) for v in ideals)
-    mul_rows = tuple(tuple(pos[table[subset_product(mon, v, w)]] for w in ideals) for v in ideals)
+    up = [0] * k
+    for i in range(k):
+        for j in range(k):
+            if ideals[i] & ~ideals[j] == 0:
+                up[i] |= 1 << j
+    mul_rows = []
+    for i in range(k):
+        row = []
+        for j in range(k):
+            row.append(pos[table[subset_product(mon, ideals[i], ideals[j])]])
+        mul_rows.append(tuple(row))
     names = tuple("{" + ",".join(mon.subset_names(v)) + "}" for v in ideals)
-    lat = FiniteLattice(names, up, mul_rows, pos[table[0]], pos[full])
+    lat = FiniteLattice(names, tuple(up), tuple(mul_rows), pos[table[0]], pos[full])
 
     verdict = verify_lattice(lat)
     if not verdict.passed:
         raise TheoremViolation(
             f"r-ideals do not form a multiplicative lattice: {verdict.violations[0]}")
     join2 = lat._tables[0]  # present: lat has just passed verify_lattice
-    if any(join2[i][j] != pos[table[ideals[i] | ideals[j]]] for i in range(k) for j in range(i, k)):
-        raise TheoremViolation("join of ideals differs from closing the union")
+    for i in range(k):
+        for j in range(i, k):
+            if join2[i][j] != pos[table[ideals[i] | ideals[j]]]:
+                raise TheoremViolation("join of ideals differs from closing the union")
     _check_product_interchange(r)
     # principal closures form a generating submonoid (all elements of a
     # finite ideal family are compact, so the finitary clause is automatic)
-    if any(table[subset_product(mon, table[1 << a], table[1 << b])] != table[1 << mon.mul[a][b]]
-           for a in range(mon.n) for b in range(mon.n)):
-        raise TheoremViolation("principal closures are not closed under products")
-    if any(table[reduce(or_, (table[1 << a] for a in bits(v)), 0)] != v for v in ideals):
-        raise TheoremViolation("principal closures fail to generate the ideal lattice")
+    for a in range(mon.n):
+        for b in range(mon.n):
+            lhs = table[subset_product(mon, table[1 << a], table[1 << b])]
+            if lhs != table[1 << mon.mul[a][b]]:
+                raise TheoremViolation("principal closures are not closed under products")
+    for v in ideals:
+        union = 0
+        for a in bits(v):
+            union |= table[1 << a]
+        if table[union] != v:
+            raise TheoremViolation("principal closures fail to generate the ideal lattice")
     return IdealLattice(mon, tuple(ideals), lat)
 
 
@@ -315,12 +332,13 @@ def _check_product_interchange(r: ClosureMap) -> None:
     scans also cross-check the weak verdict.
     """
     mon, table = r.monoid, r.table
-    every = range(len(table))
-    # step[X] is Xc or X | {b}; closed[X] = r(step[X]) must equal closed[r(X)]
-    scans = [("(P) r(Xc) != r(r(X)c)", "c", c, cmap) for c, cmap in enumerate(mon.element_maps)]
-    scans += [("(U) r(X|{b}) != r(r(X)|{b})", "b", b, map((1 << b).__or__, every)) for b in range(mon.n)]
-    for law, role, e, step in scans:
-        closed = list(map(table.__getitem__, step))
-        if list(map(closed.__getitem__, table)) != closed:
-            x = next(x for x in every if closed[table[x]] != closed[x])
-            raise TheoremViolation(f"{law} at X={mon.subset_names(x)} {role}={mon.names[e]}")
+    for c, cmap in enumerate(mon.element_maps):
+        closed = [table[xc] for xc in cmap]  # closed[X] = r(Xc)
+        for x, rx in enumerate(table):
+            if closed[rx] != closed[x]:
+                raise TheoremViolation(f"(P) r(Xc) != r(r(X)c) at X={mon.subset_names(x)} c={mon.names[c]}")
+    for b in range(mon.n):
+        bit = 1 << b
+        for x, rx in enumerate(table):
+            if table[rx | bit] != table[x | bit]:
+                raise TheoremViolation(f"(U) r(X|{{b}}) != r(r(X)|{{b}}) at X={mon.subset_names(x)} b={mon.names[b]}")

@@ -95,7 +95,12 @@ class QuadOrder:
 
 
 def _squarefree(n: int) -> bool:
-    return all(n % (k * k) for k in range(2, isqrt(n) + 1))
+    k = 2
+    while k * k <= n:
+        if n % (k * k) == 0:
+            return False
+        k += 1
+    return True
 
 
 def norm(q: QuadOrder, a: int, b: int) -> int:
@@ -145,7 +150,14 @@ def norm_image(q: QuadOrder, bound: int) -> tuple[int, ...]:
 
 
 def is_prime(n: int) -> bool:
-    return n >= 2 and all(n % k for k in range(2, isqrt(n) + 1))
+    if n < 2:
+        return False
+    k = 2
+    while k * k <= n:
+        if n % k == 0:
+            return False
+        k += 1
+    return True
 
 
 def primes_upto(n: int) -> list[int]:

@@ -112,6 +112,18 @@ def test_lift_rejects_non_wire(l6):
         lift(l6, wire_mask(l6, "0a1"))
 
 
+def test_lift_rejects_a_non_lattice():
+    # a and 1 lie below each other, so the order is not antisymmetric even
+    # though every bound search finds an answer; a and b have no join
+    loop = FiniteLattice(("0", "a", "1"), (0b001, 0b111, 0b111),
+                         ((2, 0, 2), (0, 1, 1), (2, 0, 1)), 0, 2)
+    vee = FiniteLattice(("0", "a", "b"), (0b111, 0b010, 0b100),
+                        ((0, 0, 0), (0, 1, 0), (0, 0, 2)), 0, 1)
+    for carrier in (loop, vee):
+        with pytest.raises(ValueError, match="^carrier is not a lattice$"):
+            lift(carrier, carrier.full)
+
+
 def test_generation_identity_for_wires(l6):
     # join(H n [0, join(X)]) == join(X) for every X inside a wire
     for rep in enumerate_wires(l6):
