@@ -125,7 +125,7 @@ class FiniteLattice(_Carrier):
         return _extreme(self.downs, mask)
 
     @cached_property
-    def _pair_bounds(self) -> tuple[list[list[int | None]], list[list[int | None]]]:
+    def _pair_bounds(self) -> tuple[tuple[tuple[int | None, ...], ...], tuple[tuple[int | None, ...], ...]]:
         """Binary join and meet tables by bound search, with None where a
         pair has no least upper respectively greatest lower bound; built
         once for both :func:`verify_lattice` and the lattice tables."""
@@ -136,7 +136,7 @@ class FiniteLattice(_Carrier):
             for j in range(i, n):
                 join2[i][j] = join2[j][i] = _extreme(up, up[i] & up[j])
                 meet2[i][j] = meet2[j][i] = _extreme(downs, downs[i] & downs[j])
-        return join2, meet2
+        return tuple(map(tuple, join2)), tuple(map(tuple, meet2))
 
     @cached_property
     def _tables(self) -> tuple | None:
@@ -158,8 +158,7 @@ class FiniteLattice(_Carrier):
         join2, meet2 = self._pair_bounds
         if any(None in row for row in join2 + meet2):
             return None
-        return (tuple(map(tuple, join2)), tuple(map(tuple, meet2)),
-                self.least_of(self.full), self.greatest_of(self.full))
+        return join2, meet2, self.least_of(self.full), self.greatest_of(self.full)
 
     def join_of(self, mask: int) -> int:
         """Least upper bound of a subset; the empty join is bot."""
