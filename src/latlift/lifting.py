@@ -217,8 +217,16 @@ def lift(lat: FiniteLattice, subset: int) -> LiftResult:
         raise ValueError(f"wire size {h} exceeds powerset cap {POWERSET_CAP}")
     pos = {e: i for i, e in enumerate(elems)}
     names = tuple(lat.names[e] for e in elems)
-    rows = tuple(tuple(pos[lat.mul[s][t]] for t in elems) for s in elems)  # wires are closed
-    monoid = FiniteMonoid(names, rows, pos[lat.top], pos[lat.bot])
+    rows = []
+    for s in elems:
+        row = []
+        for t in elems:
+            p = lat.mul[s][t]
+            if p not in pos:
+                raise TheoremViolation("wire is not closed under multiplication")
+            row.append(pos[p])
+        rows.append(tuple(row))
+    monoid = FiniteMonoid(names, tuple(rows), pos[lat.top], pos[lat.bot])
 
     # cut[v] is H intersect [0, v] in monoid coordinates
     cut = [mask_from(pos[e] for e in bits(down & subset)) for down in lat.downs]
