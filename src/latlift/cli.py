@@ -21,7 +21,7 @@ import time
 from dataclasses import dataclass
 
 from . import __version__
-from .lattice import enumerate_small_lattices, lattice_to_dict, load_lattice, verify_lattice
+from .lattice import ENUM_CAP, enumerate_small_lattices, lattice_to_dict, load_lattice, verify_lattice
 from .lifting import (
     WIRE_ENUM_CAP,
     WireError,
@@ -198,8 +198,8 @@ def corpus_threads(value: str | None) -> int:
 
 
 def _cmd_corpus(args) -> tuple[dict, bool, int]:
-    if not 1 <= args.max_n <= 6:
-        raise LoadError("--max-n must be between 1 and 6")
+    if not 1 <= args.max_n <= ENUM_CAP:
+        raise LoadError(f"--max-n must be between 1 and {ENUM_CAP}")
     if args.limit is not None and args.limit < 1:
         raise LoadError("--limit must be at least 1")
     threads = corpus_threads(os.environ.get("LATLIFT_THREADS"))
@@ -278,13 +278,13 @@ def _quad(order: QuadOrder, args) -> tuple[dict, bool, int]:
 def _render_text(report: RunReport) -> str:
     lines = [f"latlift {report.version} :: {report.command}"]
     results = report.results
-    if report.command == "check-lattice":
+    if report.command in ("check-lattice", "lift"):  # both report the lattice verdict of one file
         lines.append(f"file: {results['path']}")
         if "elements" in results:
             lines.append(f"elements: {','.join(results['elements'])}")
         for v in results.get("violations", []):
             lines.append(f"violation: {v['law']} at ({','.join(map(str, v['witness']))}) {v['detail']}")
-    elif report.command == "lift":
+    if report.command == "lift":
         for entry in results.get("wires", []):
             lines.append(f"wire {{{','.join(entry['wire'])}}}: "
                          f"{'M-wire' if entry['is_m_wire'] else 'wire'}, "

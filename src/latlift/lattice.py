@@ -64,7 +64,9 @@ class FiniteLattice(_Carrier):
     shape only; :func:`verify_lattice` checks the axioms.  Instances are
     immutable and all operations are pure, so values can be shared freely
     across threads or processes; lookup tables (lower sets, binary joins
-    and meets) are derived from the fields on first use.
+    and meets) are derived from the fields on first use.  Joins, meets and
+    residuals have one path, through those tables: on a carrier that is
+    not a lattice they raise ValueError("carrier is not a lattice").
     """
 
     names: tuple[str, ...]
@@ -103,27 +105,6 @@ class FiniteLattice(_Carrier):
         """Bitmask of the lower set {i : i <= j}."""
         return self.downs[j]
 
-    def upper_bounds(self, mask: int) -> int:
-        ubs = self.full
-        for i in bits(mask):
-            ubs &= self.up[i]
-        return ubs
-
-    def lower_bounds(self, mask: int) -> int:
-        lbs = 0
-        for j in range(self.n):
-            if mask & ~self.up[j] == 0:
-                lbs |= 1 << j
-        return lbs
-
-    def least_of(self, mask: int) -> int | None:
-        """Member of mask below every member, or None."""
-        return _extreme(self.up, mask)
-
-    def greatest_of(self, mask: int) -> int | None:
-        """Member of mask above every member, or None."""
-        return _extreme(self.downs, mask)
-
     @cached_property
     def _pair_bounds(self) -> tuple[tuple[tuple[int | None, ...], ...], tuple[tuple[int | None, ...], ...]]:
         """Binary join and meet tables by bound search, with None where a
@@ -139,36 +120,28 @@ class FiniteLattice(_Carrier):
         return tuple(map(tuple, join2)), tuple(map(tuple, meet2))
 
     @cached_property
-    def _tables(self) -> tuple | None:
-        """(binary join table, binary meet table, least, greatest), or None
-        when the carrier is not a lattice.
+    def _tables(self) -> tuple:
+        """(binary join table, binary meet table, least, greatest): the one
+        lattice gate.  Joins, meets, residuals, principality flags and the
+        lift all read these tables; a carrier that is not a lattice raises
+        ValueError here.
 
         In a finite lattice the join of a subset is the fold of binary joins
-        from the least element, and dually for meets.  Any other carrier
-        keeps the definitional bound search, so its joins and meets succeed
-        and fail exactly where that search does.
+        from the least element, and dually for meets.
         """
         n, up = self.n, self.up
-        for i in range(n):
-            if not up[i] >> i & 1:
-                return None
-            for j in bits(up[i]):
-                if up[j] & ~up[i] or (j != i and up[j] >> i & 1):
-                    return None  # not transitive, or not antisymmetric
         join2, meet2 = self._pair_bounds
-        if any(None in row for row in join2 + meet2):
-            return None
-        return join2, meet2, self.least_of(self.full), self.greatest_of(self.full)
+        # not reflexive, not transitive or not antisymmetric, or some pair
+        # without a least upper or a greatest lower bound
+        if (any(not up[i] >> i & 1 for i in range(n))
+                or any(up[j] & ~up[i] or (j != i and up[j] >> i & 1) for i in range(n) for j in bits(up[i]))
+                or any(None in row for row in join2 + meet2)):
+            raise ValueError("carrier is not a lattice")
+        return join2, meet2, _extreme(up, self.full), _extreme(self.downs, self.full)
 
     def join_of(self, mask: int) -> int:
         """Least upper bound of a subset; the empty join is bot."""
-        tables = self._tables
-        if tables is None:
-            u = self.least_of(self.upper_bounds(mask))
-            if u is None:
-                raise ValueError("subset has no least upper bound; carrier is not a lattice")
-            return u
-        join2, acc = tables[0], tables[2]
+        join2, _, acc, _ = self._tables
         while mask:
             low = mask & -mask
             acc = join2[acc][low.bit_length() - 1]
@@ -177,13 +150,7 @@ class FiniteLattice(_Carrier):
 
     def meet_of(self, mask: int) -> int:
         """Greatest lower bound of a subset; the empty meet is top."""
-        tables = self._tables
-        if tables is None:
-            u = self.greatest_of(self.lower_bounds(mask))
-            if u is None:
-                raise ValueError("subset has no greatest lower bound; carrier is not a lattice")
-            return u
-        meet2, acc = tables[1], tables[3]
+        _, meet2, _, acc = self._tables
         while mask:
             low = mask & -mask
             acc = meet2[acc][low.bit_length() - 1]
@@ -245,32 +212,19 @@ def classify_element(lat: FiniteLattice, x: int) -> ElementFlags:
 
     meet principal:  a ^ xb == x((a:x) ^ b)          for all a, b
     join principal:  a v (b:x) == (ax v b):x         for all a, b
-    The weak variants fix b = top respectively b = bot.  A lattice reads
-    the binary join/meet tables and stops each flag at its first failing
-    pair; any other carrier keeps the bound search and its errors.
+    The weak variants fix b = top respectively b = bot.  Every join and
+    meet is read from the lattice's binary tables, and each flag stops at
+    its first failing pair; a carrier that is not a lattice raises
+    ValueError.
     """
     n, mul = lat.n, lat.mul
+    join2, meet2 = lat._tables[:2]
     res_x = [lat.residual(a, x) for a in range(n)]
-    tables = lat._tables
-    if tables is not None:
-        join2, meet2 = tables[0], tables[1]
-        mul_x, every = mul[x], range(n)
-        wmp = all(meet2[a][x] == mul_x[res_x[a]] for a in every)
-        wjp = all(join2[a][res_x[lat.bot]] == res_x[mul[a][x]] for a in every)
-        mp = all(meet2[a][mul_x[b]] == mul_x[meet2[res_x[a]][b]] for a in every for b in every)
-        jp = all(join2[a][res_x[b]] == res_x[join2[mul[a][x]][b]] for a in every for b in every)
-        return ElementFlags(lat.names[x], mp, wmp, jp, wjp, mp and jp, wmp and wjp)
-    mp = wmp = jp = wjp = True
-    for a in range(n):
-        if lat.meet(a, x) != mul[x][res_x[a]]:
-            wmp = False
-        if lat.join(a, res_x[lat.bot]) != res_x[mul[a][x]]:
-            wjp = False
-        for b in range(n):
-            if lat.meet(a, mul[x][b]) != mul[x][lat.meet(res_x[a], b)]:
-                mp = False
-            if lat.join(a, res_x[b]) != res_x[lat.join(mul[a][x], b)]:
-                jp = False
+    mul_x, every = mul[x], range(n)
+    wmp = all(meet2[a][x] == mul_x[res_x[a]] for a in every)
+    wjp = all(join2[a][res_x[lat.bot]] == res_x[mul[a][x]] for a in every)
+    mp = all(meet2[a][mul_x[b]] == mul_x[meet2[res_x[a]][b]] for a in every for b in every)
+    jp = all(join2[a][res_x[b]] == res_x[join2[mul[a][x]][b]] for a in every for b in every)
     return ElementFlags(lat.names[x], mp, wmp, jp, wjp, mp and jp, wmp and wjp)
 
 

@@ -199,9 +199,7 @@ def lift(lat: FiniteLattice, subset: int) -> LiftResult:
     TheoremViolation.  A carrier that is not a lattice is rejected with
     ValueError, and non-wires with WireError.
     """
-    tables = lat._tables
-    if tables is None:
-        raise ValueError("carrier is not a lattice")
+    join2, _, least, _ = lat._tables  # raises ValueError on a non-lattice
     report = analyze_wire(lat, subset)
     if not report.is_wire:
         missing = [name for name, ok in (
@@ -231,7 +229,7 @@ def lift(lat: FiniteLattice, subset: int) -> LiftResult:
     # cut[v] is H intersect [0, v] in monoid coordinates
     cut = [mask_from(pos[e] for e in bits(down & subset)) for down in lat.downs]
     # joins[X] = join(X) by the low-bit recurrence over the binary join table
-    join2, joins = tables[0], [tables[2]] * (1 << h)
+    joins = [least] * (1 << h)
     for sm in range(1, 1 << h):
         low = sm & -sm
         joins[sm] = join2[joins[sm ^ low]][elems[low.bit_length() - 1]]

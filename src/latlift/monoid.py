@@ -97,15 +97,10 @@ def load_monoid(path: str | Path) -> FiniteMonoid:
 
 
 def subset_product(mon: FiniteMonoid, xm: int, ym: int) -> int:
-    """Elementwise product set {x*y : x in X, y in Y} as a bitmask."""
-    out = 0
-    if mon.n > POWERSET_CAP:  # no element maps past the cap: multiply pairwise
-        for x in bits(xm):
-            row = mon.mul[x]
-            for y in bits(ym):
-                out |= 1 << row[y]
-        return out
-    maps = mon.element_maps
+    """Elementwise product set {x*y : x in X, y in Y} as a bitmask, the
+    union of the element maps x*Y over x in X; a carrier above
+    POWERSET_CAP has no element maps and raises ValueError."""
+    out, maps = 0, mon.element_maps
     while xm:
         low = xm & -xm
         out |= maps[low.bit_length() - 1][ym]
@@ -291,7 +286,7 @@ def build_ideal_lattice(r: ClosureMap) -> IdealLattice:
     if not verdict.passed:
         raise TheoremViolation(
             f"r-ideals do not form a multiplicative lattice: {verdict.violations[0]}")
-    join2 = lat._tables[0]  # present: lat has just passed verify_lattice
+    join2 = lat._tables[0]  # lat has just passed verify_lattice, so the gate lets it through
     for i in range(k):
         for j in range(i, k):
             if join2[i][j] != pos[table[ideals[i] | ideals[j]]]:

@@ -407,3 +407,16 @@ def test_text_format_smoke(capsys):
     code, out = run(capsys, "lift", fixture_path("l6.json"), "--wire", "0,a,b,c,1")
     assert code == 0
     assert "6 ideals" in out and "PASS" in out
+
+
+def test_text_lift_of_a_non_lattice_names_the_file_and_violations(capsys):
+    path = fixture_path("l6_broken.json")
+    code, out = run(capsys, "lift", path, "--all-wires")
+    lines = out.splitlines()
+    assert code == 1
+    assert lines[1:-1] == [
+        f"file: {path}",
+        "violation: associativity at (a,a,d) ",
+        "violation: distributivity at (a,b,c) a(b v c) != ab v ac",
+    ]
+    assert lines[-1].startswith("result: FAIL (") and lines[-1].endswith(", exit 1)")

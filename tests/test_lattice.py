@@ -15,6 +15,7 @@ from latlift import (
     is_domain,
     lattice_from_dict,
     lattice_to_dict,
+    lift,
     load_lattice,
     verify_lattice,
 )
@@ -69,17 +70,27 @@ def test_join_of_subsets_agrees_with_oracle(l6):
             assert lat.down(a) == mask_from(i for i in range(lat.n) if lat.le(i, a))
 
 
-def test_join_of_on_a_non_lattice_keeps_the_definitional_errors():
-    # a and b are incomparable maximal elements: they have a meet but no join
+def non_lattices():
+    # loop: a and 1 lie below each other, so the order is not antisymmetric
+    # although every bound search finds an answer; vee: a and b have a meet
+    # but no join; wedge: every join exists, but a and b have no meet
+    loop = FiniteLattice(("0", "a", "1"), (0b001, 0b111, 0b111),
+                         ((2, 0, 2), (0, 1, 1), (2, 0, 1)), 0, 2)
     vee = FiniteLattice(("0", "a", "b"), (0b111, 0b010, 0b100),
                         ((0, 0, 0), (0, 1, 0), (0, 0, 2)), 0, 1)
-    a, b = 1, 2
-    assert vee.meet(a, b) == 0
-    assert vee.join(0, a) == a
-    with pytest.raises(ValueError, match="no least upper bound"):
-        vee.join(a, b)
-    with pytest.raises(ValueError, match="no greatest lower bound"):
-        vee.meet_of(0)
+    wedge = FiniteLattice(("a", "b", "1"), (0b101, 0b110, 0b100),
+                          ((0, 0, 0), (0, 1, 1), (0, 1, 2)), 0, 2)
+    return loop, vee, wedge
+
+
+def test_join_of_on_a_non_lattice_keeps_the_definitional_errors():
+    # join_of and meet_of have no bound-search answer on a non-lattice:
+    # even where a bound exists they raise the one lattice error
+    for carrier in non_lattices():
+        for operation in (lambda: carrier.join_of(0), lambda: carrier.meet_of(0),
+                          lambda: carrier.join(0, 1), lambda: carrier.meet(0, 1)):
+            with pytest.raises(ValueError, match="^carrier is not a lattice$"):
+                operation()
 
 
 def test_join_is_associative_over_unions(l6):
@@ -139,21 +150,15 @@ def test_classify_top_bot_all_corpus():
 
 def classify_by_bound_search(lat, x):
     """classify_element's flags, with every join, meet and residual found
-    by the lattice's own bound search and every pair checked."""
-    n, mul, every = lat.n, lat.mul, range(lat.n)
-
-    def join(a, b):
-        return lat.least_of(lat.upper_bounds(mask_from((a, b))))
-
-    def meet(a, b):
-        return lat.greatest_of(lat.lower_bounds(mask_from((a, b))))
-
-    res = [lat.least_of(lat.upper_bounds(mask_from(y for y in every if lat.le(mul[x][y], a))))
-           for a in every]
-    wmp = all(meet(a, x) == mul[x][res[a]] for a in every)
-    wjp = all(join(a, res[lat.bot]) == res[mul[a][x]] for a in every)
-    mp = all(meet(a, mul[x][b]) == mul[x][meet(res[a], b)] for a in every for b in every)
-    jp = all(join(a, res[b]) == res[join(mul[a][x], b)] for a in every for b in every)
+    by the brute-force bound search above and every pair checked."""
+    mul, every = lat.mul, range(lat.n)
+    join = [[brute_join(lat, mask_from((a, b))) for b in every] for a in every]
+    meet = [[brute_meet(lat, mask_from((a, b))) for b in every] for a in every]
+    res = [brute_residual(lat, a, x) for a in every]
+    wmp = all(meet[a][x] == mul[x][res[a]] for a in every)
+    wjp = all(join[a][res[lat.bot]] == res[mul[a][x]] for a in every)
+    mp = all(meet[a][mul[x][b]] == mul[x][meet[res[a]][b]] for a in every for b in every)
+    jp = all(join[a][res[b]] == res[join[mul[a][x]][b]] for a in every for b in every)
     return ElementFlags(lat.names[x], mp, wmp, jp, wjp, mp and jp, wmp and wjp)
 
 
@@ -167,18 +172,12 @@ def test_classify_element_matches_bound_search(l6, two, chain3, chain3_nil):
 
 
 def test_classify_element_on_a_non_lattice_keeps_the_bound_search():
-    # a and 1 lie below each other, so there are no tables, but every bound
-    # search finds an answer
-    loop = FiniteLattice(("0", "a", "1"), (0b001, 0b111, 0b111),
-                         ((2, 0, 2), (0, 1, 1), (2, 0, 1)), 0, 2)
-    assert loop._tables is None
-    flags = [classify_element(loop, x) for x in range(loop.n)]
-    assert flags == [classify_by_bound_search(loop, x) for x in range(loop.n)]
-    assert {f.join_principal for f in flags} == {True, False}
-    vee = FiniteLattice(("0", "a", "b"), (0b111, 0b010, 0b100),
-                        ((0, 0, 0), (0, 1, 0), (0, 0, 2)), 0, 1)
-    with pytest.raises(ValueError, match="no least upper bound"):
-        classify_element(vee, 0)
+    # classify_element and lift share the lattice gate: no flags and no lift
+    # are computed by bound search on a non-lattice
+    for carrier in non_lattices():
+        for operation in (lambda: classify_element(carrier, 0), lambda: lift(carrier, carrier.full)):
+            with pytest.raises(ValueError, match="^carrier is not a lattice$"):
+                operation()
 
 
 def test_is_domain(l6, two, chain3, chain3_nil):

@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 
 from latlift import (
     ClosureMap,
+    FiniteMonoid,
     LoadError,
     TheoremViolation,
     Verdict,
@@ -73,6 +74,14 @@ def test_subset_product_agrees_with_pairwise_definition(m3):
         for x in range(size):
             for y in range(size):
                 assert subset_product(mon, x, y) == brute_subset_product(mon, x, y)
+
+
+def test_subset_product_above_the_powerset_cap_raises():
+    # the 17-element chain under min has no element maps, and so no product
+    chain = FiniteMonoid(tuple(map(str, range(17))),
+                         tuple(tuple(min(i, j) for j in range(17)) for i in range(17)), 16, 0)
+    with pytest.raises(ValueError, match="exceeds powerset cap 16"):
+        subset_product(chain, 1, 1)
 
 
 def test_multiples_closure_is_weak_system(m3):
@@ -233,4 +242,14 @@ def test_build_rejects_broken_meet_closure(m3):
     table[0] = 1 << 1
     r = ClosureMap(m3, tuple(table))
     with pytest.raises((ValueError, TheoremViolation)):
+        build_ideal_lattice(r)
+
+
+def test_build_rejects_a_join_that_differs_from_closing_the_union(m3):
+    # the image {}, {x}, {0, x, 1} of this map is a chain, so the join of
+    # {} and {x} is {x}, but r({} | {x}) = r({x}) = {}; the map is not a
+    # weak ideal system, so a passing verdict is planted to reach the check
+    r = ClosureMap(m3, (0, 0, 0, 2, 7, 2, 7, 7))
+    r.__dict__["weak_verdict"] = Verdict(True)
+    with pytest.raises(TheoremViolation, match="^join of ideals differs from closing the union$"):
         build_ideal_lattice(r)
