@@ -1,5 +1,6 @@
-"""Pin the exact JSON payloads of the CLI on the lattice fixtures and the
-n <= 5 census: every key, value and list order, the ``stats`` block aside.
+"""Pin the exact JSON payloads of the CLI on the lattice fixtures, the
+n <= 5 census and four quad checks: every key, value and list order, the
+``stats`` block aside.
 
 The golden files in ``tests/golden/`` hold ``--format json`` reports with
 ``stats`` dropped, written as ``json.dumps(report, indent=2,
@@ -22,6 +23,11 @@ CASES = {
     **{f"check-lattice_{name}": ["check-lattice", f"fixtures/{name}.json"] for name in LATTICES},
     **{f"lift-all-wires_{name}": ["lift", f"fixtures/{name}.json", "--all-wires"] for name in LATTICES},
     "corpus_max-n-5": ["corpus", "--max-n", "5"],
+    "quad-verdict_d-17_bound-200000": ["quad", "verdict", "--d", "-17", "--bound", "200000"],
+    "quad-division-closure_d-5_bound-200000": ["quad", "division-closure", "--d", "-5", "--bound", "200000"],
+    "quad-s-wire_d-17_prime-bound-200_search-bound-100000":
+        ["quad", "s-wire", "--d", "-17", "--prime-bound", "200", "--search-bound", "100000"],
+    "quad-norms_d-6_bound-100": ["quad", "norms", "--d", "-6", "--bound", "100"],
 }
 
 
