@@ -19,6 +19,7 @@ import os
 import sys
 import time
 from dataclasses import dataclass
+from functools import cache
 
 from . import __version__
 from .lattice import ENUM_CAP, enumerate_small_lattices, lattice_to_dict, load_lattice, verify_lattice
@@ -330,7 +331,12 @@ DISPATCH = {
 }
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared after it:
+    ``parse_args`` reads the parser without changing it and gives each call
+    a fresh namespace, so ``main`` can run any number of times in one
+    process."""
     parser = argparse.ArgumentParser(
         prog="latlift",
         description="verify finite multiplicative lattices, lift wires to weak ideal "

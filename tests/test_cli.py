@@ -403,6 +403,30 @@ def test_usage_error_exit_code():
     assert exc.value.code == 2
 
 
+def test_one_parser_serves_every_call_in_a_process(capsys):
+    # main parses with one parser per process: no default, option or
+    # group choice of an earlier call, and no failed parse, reaches the next
+    parser = cli.build_parser()
+    code, report = run_json(capsys, "quad", "verdict", "--d", "-5", "--bound", "50")
+    assert code == 0 and report["options"]["bound"] == 50
+    code, report = run_json(capsys, "quad", "norms", "--d", "-5")
+    assert code == 0 and report["options"]["bound"] == 10000
+    code, report = run_json(capsys, "lift", fixture_path("l6.json"), "--wire", "0,a,b,c,1")
+    assert code == 0 and report["options"]["wire"] == "0,a,b,c,1"
+    code, report = run_json(capsys, "lift", fixture_path("two.json"), "--all-wires")
+    assert code == 0 and report["results"]["wire_count"] == 1
+    assert report["options"] == {"path": fixture_path("two.json"), "wire": None,
+                                 "all_wires": True, "m_wires_only": False}
+    with pytest.raises(SystemExit) as exc:
+        main(["lift", fixture_path("two.json"), "--wire", "0,1", "--all-wires"])
+    assert exc.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err
+    code, report = run_json(capsys, "lift", fixture_path("l6.json"), "--m-wires-only")
+    assert code == 0 and report["results"]["note"] == "no M-wires"
+    assert report["options"]["wire"] is None and not report["options"]["all_wires"]
+    assert cli.build_parser() is parser
+
+
 def test_text_format_smoke(capsys):
     code, out = run(capsys, "lift", fixture_path("l6.json"), "--wire", "0,a,b,c,1")
     assert code == 0
