@@ -262,13 +262,19 @@ def test_norm_table_matches_double_loop(D, bound):
 @settings(max_examples=150, deadline=None)
 @given(st.one_of(st.sampled_from(ADMISSIBLE), st.sampled_from(sorted(IDONEAL & set(ADMISSIBLE)))),
        st.integers(1, 5000))
-@example(41, 50)  # k = 2 hits first, at n = 25; the least n, 9, comes with k = 5
-@example(14, 21)  # the counterexample (9, 18, 2) has its divisor above sqrt(21)
-@example(17, 81)  # a perfect-square bound: the divisor 9 is the split itself
-@example(26, 36)  # a perfect-square bound with the divisor 9 above the split
-@example(17, 64)  # the divisor 9 is the first one above the split
+@example(41, 50)  # split == bound // 2 == 25: the first scan alone finds (9, 45, 5)
+@example(14, 21)  # the divisor of (9, 18, 2) is just below split == bound // 2 == 10
+@example(17, 81)  # a perfect-square bound: split 4 * 9 = 36, just below bound // 2 = 40
+@example(26, 36)  # a perfect-square bound where bound // 2 = 18 is below 4 * 6 = 24
+@example(17, 64)  # 4 * isqrt(bound) == bound // 2 == 32: both give the split
 @example(1, 2)  # split == bound // 2 == 1: neither scan has a divisor
 @example(2, 3)
+# The least divisor of a counterexample is never a multiple of 4 (a norm
+# divisible by 4 has a and b even, so (n/4, m/4, k) would come first), so
+# only a split of bound // 2, never 4 * isqrt(bound), can be that divisor.
+@example(17, 19)  # the divisor of (9, 18, 2) is split == bound // 2 == 9 itself
+@example(73, 144)  # (49, 98, 2): the divisor is the first one above split 48
+@example(1590, 1734)  # k = 6 hits first, at n = 289; the least n, 169, comes with k = 10
 def test_division_closure_matches_pairwise_scan(D, bound):
     assume(bound >= D)
     expected = division_counterexample_by_scan(norm_values_by_double_loop(D, bound), bound)
