@@ -2,7 +2,7 @@ from pathlib import Path
 
 import pytest
 
-from latlift import load_lattice, load_monoid
+from latlift import FiniteLattice, load_lattice, load_monoid
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -34,3 +34,18 @@ def m3():
 
 def fixture_path(name: str) -> str:
     return str(FIXTURES / name)
+
+
+def non_lattices():
+    """Three carriers that are not lattices, for the tests of the lattice gate.
+
+    loop: a and 1 lie below each other, so the order is not antisymmetric
+    although every bound search finds an answer; vee: a and b have a meet
+    but no join; wedge: every join exists, but a and b have no meet."""
+    loop = FiniteLattice(("0", "a", "1"), (0b001, 0b111, 0b111),
+                         ((2, 0, 2), (0, 1, 1), (2, 0, 1)), 0, 2)
+    vee = FiniteLattice(("0", "a", "b"), (0b111, 0b010, 0b100),
+                        ((0, 0, 0), (0, 1, 0), (0, 0, 2)), 0, 1)
+    wedge = FiniteLattice(("a", "b", "1"), (0b101, 0b110, 0b100),
+                          ((0, 0, 0), (0, 1, 1), (0, 1, 2)), 0, 2)
+    return loop, vee, wedge

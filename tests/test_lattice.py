@@ -22,7 +22,7 @@ from latlift import (
 from latlift.bitset import bits, mask_from
 from latlift.lattice import _closure_step, _extreme, _lattice_orders, _tables_for_order
 
-from conftest import FIXTURES
+from conftest import FIXTURES, non_lattices
 
 
 # Independent oracles: recompute bounds from the raw order relation only.
@@ -68,19 +68,6 @@ def test_join_of_subsets_agrees_with_oracle(l6):
             assert lat.meet_of(mask) == brute_meet(lat, mask)
         for a in range(lat.n):
             assert lat.down(a) == mask_from(i for i in range(lat.n) if lat.le(i, a))
-
-
-def non_lattices():
-    # loop: a and 1 lie below each other, so the order is not antisymmetric
-    # although every bound search finds an answer; vee: a and b have a meet
-    # but no join; wedge: every join exists, but a and b have no meet
-    loop = FiniteLattice(("0", "a", "1"), (0b001, 0b111, 0b111),
-                         ((2, 0, 2), (0, 1, 1), (2, 0, 1)), 0, 2)
-    vee = FiniteLattice(("0", "a", "b"), (0b111, 0b010, 0b100),
-                        ((0, 0, 0), (0, 1, 0), (0, 0, 2)), 0, 1)
-    wedge = FiniteLattice(("a", "b", "1"), (0b101, 0b110, 0b100),
-                          ((0, 0, 0), (0, 1, 1), (0, 1, 2)), 0, 2)
-    return loop, vee, wedge
 
 
 def test_join_of_on_a_non_lattice_keeps_the_definitional_errors():

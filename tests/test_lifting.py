@@ -24,6 +24,8 @@ from latlift import (
 from latlift.bitset import bits, mask_from
 from latlift.lifting import verify_m_witness
 
+from conftest import non_lattices
+
 L6_IDEALS = {
     frozenset("0"),
     frozenset("0a"),
@@ -113,13 +115,7 @@ def test_lift_rejects_non_wire(l6):
 
 
 def test_lift_rejects_a_non_lattice():
-    # a and 1 lie below each other, so the order is not antisymmetric even
-    # though every bound search finds an answer; a and b have no join
-    loop = FiniteLattice(("0", "a", "1"), (0b001, 0b111, 0b111),
-                         ((2, 0, 2), (0, 1, 1), (2, 0, 1)), 0, 2)
-    vee = FiniteLattice(("0", "a", "b"), (0b111, 0b010, 0b100),
-                        ((0, 0, 0), (0, 1, 0), (0, 0, 2)), 0, 1)
-    for carrier in (loop, vee):
+    for carrier in non_lattices():
         with pytest.raises(ValueError, match="^carrier is not a lattice$"):
             lift(carrier, carrier.full)
 
