@@ -247,8 +247,9 @@ def division_closure_check(q: QuadOrder, bound: int) -> DivisionClosureReport:
     once; each divisor or quotient converts only its strided slice, and
     since & of two non-negative ints walks the shorter one, ANDing that
     with the whole prefix is exact and costs no more than ANDing the
-    matching slice.  That is at most 4 sqrt(bound) ANDs over divisors and
-    sqrt(bound) / 4 over quotients.
+    matching slice.  That is one AND per norm up to the split (fewer than
+    4 sqrt(bound)) and one per non-norm quotient of the second scan (fewer
+    than sqrt(bound) / 4).
     """
     if bound < q.D:
         raise ValueError("bound must be at least |d|")
