@@ -1,5 +1,8 @@
 #!/usr/bin/env python3
-"""Sweep the enumerated lattice corpus and tabulate per-size statistics.
+"""Sweep the lattice corpus, one lattice per isomorphism class, and tabulate
+per-size statistics.  Every verdict is invariant under relabelling, so the
+labelled lattices, wires, M-wires and violating lattices are the classes'
+counts weighted by the copies of each class that the limit keeps.
 
 Usage: python scripts/corpus_sweep.py [max_n] [limit_per_n]
 """
@@ -7,24 +10,25 @@ Usage: python scripts/corpus_sweep.py [max_n] [limit_per_n]
 import sys
 import time
 
-from latlift import enumerate_small_lattices, sweep_lattice
+from latlift import enumerate_lattice_classes, sweep_lattice
 
 
 def sweep(max_n: int, limit: int | None) -> int:
     bad = 0
-    print(f"{'n':>2} {'lattices':>9} {'wires':>6} {'m-wires':>8} {'violations':>11} {'secs':>7}")
+    print(f"{'n':>2} {'classes':>8} {'lattices':>9} {'wires':>6} {'m-wires':>8} {'violations':>11} {'secs':>7}")
     for n in range(1, max_n + 1):
         started = time.perf_counter()
-        lattices = wires = m_wires = violations = 0
-        for lat in enumerate_small_lattices(n, limit=limit):
-            lattices += 1
+        classes = lattices = wires = m_wires = violations = 0
+        for lat, _, kept in enumerate_lattice_classes(n, limit):
+            classes += 1
+            lattices += kept
             equivalence, liftability, embedding = sweep_lattice(lat)
-            wires += equivalence.wires_checked
-            m_wires += equivalence.m_wires
+            wires += kept * equivalence.wires_checked
+            m_wires += kept * equivalence.m_wires
             if not equivalence.ok or not liftability.ok or not embedding.ok:
-                violations += 1
+                violations += kept
         bad += violations
-        print(f"{n:>2} {lattices:>9} {wires:>6} {m_wires:>8} {violations:>11} "
+        print(f"{n:>2} {classes:>8} {lattices:>9} {wires:>6} {m_wires:>8} {violations:>11} "
               f"{time.perf_counter() - started:>7.2f}")
     print("all clean" if bad == 0 else f"{bad} lattices with violations")
     return 1 if bad else 0

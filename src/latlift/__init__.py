@@ -8,8 +8,9 @@ from .lattice import (
     CARRIER_CAP,
     ElementFlags,
     FiniteLattice,
-    are_isomorphic,
+    canonical_form,
     classify_element,
+    enumerate_lattice_classes,
     enumerate_small_lattices,
     is_domain,
     lattice_from_dict,

@@ -6,9 +6,7 @@ stable contract for test harnesses.  Exit codes: 0 all requested checks
 passed, 1 a check failed, 2 usage or load error, 3 a certainty-backed
 oracle check failed (a bug, never an acceptable result).
 
-Everything is deterministic; the only environment variable honoured is
-LATLIFT_THREADS, which parallelizes the corpus sweep across processes
-(at most one per CPU).
+Everything is deterministic, and no environment variable is read.
 """
 
 from __future__ import annotations
@@ -18,11 +16,11 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache
 
 from . import __version__
-from .lattice import ENUM_CAP, enumerate_small_lattices, lattice_to_dict, load_lattice, verify_lattice
+from .lattice import ENUM_CAP, enumerate_lattice_classes, lattice_to_dict, load_lattice, verify_lattice
 from .lifting import (
     WIRE_ENUM_CAP,
     WireError,
@@ -58,6 +56,7 @@ class RunReport:
     elapsed_s: float
     version: str
     results: dict
+    stats: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
         return {
@@ -67,7 +66,7 @@ class RunReport:
             "exit_code": self.exit_code,
             "version": self.version,
             "results": self.results,
-            "stats": {"elapsed_s": self.elapsed_s},
+            "stats": {"elapsed_s": self.elapsed_s, **self.stats},
         }
 
 
@@ -85,7 +84,7 @@ def _plain(x):
 # ----- check-lattice ---------------------------------------------------
 
 
-def _cmd_check_lattice(args) -> tuple[dict, bool, int]:
+def _cmd_check_lattice(args, stats: dict) -> tuple[dict, bool, int]:
     lat = load_lattice(args.path)
     verdict = verify_lattice(lat)
     results = {
@@ -122,7 +121,7 @@ def _wire_entry(lat, report) -> dict:
     }
 
 
-def _cmd_lift(args) -> tuple[dict, bool, int]:
+def _cmd_lift(args, stats: dict) -> tuple[dict, bool, int]:
     lat = load_lattice(args.path)
     verdict = verify_lattice(lat)
     if not verdict.passed:
@@ -161,14 +160,16 @@ def _cmd_lift(args) -> tuple[dict, bool, int]:
 # ----- corpus ----------------------------------------------------------
 
 
-def _corpus_entry(lat) -> tuple[dict, bool]:
-    """The report entry of one lattice, and whether all three sweeps are ok.
+def _corpus_entry(lat, orbit: int) -> tuple[dict, bool]:
+    """The report entry of one class representative, and whether all three
+    sweeps are ok.
 
     The entry of a lattice that is not ok also carries its document, so a
     violation can be replayed with ``latlift lift``."""
     reports = equivalence, liftability, embedding = sweep_lattice(lat)
     entry = {
         "elements": lat.n,
+        "orbit": orbit,
         "wires": equivalence.wires_checked,
         "m_wires": equivalence.m_wires,
         "equivalence_violations": [list(map(_plain, v)) for v in equivalence.violations],
@@ -184,44 +185,33 @@ def _corpus_entry(lat) -> tuple[dict, bool]:
     return entry, ok
 
 
-def corpus_threads(value: str | None) -> int:
-    """Worker count from a LATLIFT_THREADS value: unset means 1, and values
-    above the CPU count are clamped to it."""
-    if value is None:
-        return 1
-    try:
-        threads = int(value)
-    except ValueError:
-        raise LoadError(f"LATLIFT_THREADS must be a positive integer, got {value!r}") from None
-    if threads < 1:
-        raise LoadError(f"LATLIFT_THREADS must be a positive integer, got {value!r}")
-    return min(threads, os.cpu_count() or 1)
-
-
-def _cmd_corpus(args) -> tuple[dict, bool, int]:
+def _cmd_corpus(args, stats: dict) -> tuple[dict, bool, int]:
+    """Sweep one lattice per isomorphism class; every verdict is invariant
+    under relabelling, so the labelled totals are the representatives'
+    counts times the copies of each class that the limit keeps."""
     if not 1 <= args.max_n <= ENUM_CAP:
         raise LoadError(f"--max-n must be between 1 and {ENUM_CAP}")
     if args.limit is not None and args.limit < 1:
         raise LoadError("--limit must be at least 1")
-    threads = corpus_threads(os.environ.get("LATLIFT_THREADS"))
-    lattices = []
+    lattices = wires = m_wires = 0
+    violations = []
+    classes = stats["classes"] = {}
     for n in range(1, args.max_n + 1):
-        lattices.extend(enumerate_small_lattices(n, limit=args.limit))
-    if threads > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            swept = list(pool.map(_corpus_entry, lattices, chunksize=8))
-    else:
-        swept = [_corpus_entry(lat) for lat in lattices]
-    entries = [entry for entry, _ in swept]
-    violations = [entry for entry, ok in swept if not ok]
+        classes[n] = 0
+        for lat, orbit, kept in enumerate_lattice_classes(n, args.limit):
+            entry, ok = _corpus_entry(lat, orbit)
+            classes[n] += 1
+            lattices += kept
+            wires += kept * entry["wires"]
+            m_wires += kept * entry["m_wires"]
+            if not ok:
+                violations.append(entry)
     results = {
         "max_n": args.max_n,
         "limit": args.limit,
-        "lattices": len(entries),
-        "wires": sum(e["wires"] for e in entries),
-        "m_wires": sum(e["m_wires"] for e in entries),
+        "lattices": lattices,
+        "wires": wires,
+        "m_wires": m_wires,
         "violations": violations,
     }
     if violations:
@@ -232,7 +222,7 @@ def _cmd_corpus(args) -> tuple[dict, bool, int]:
 # ----- quad ------------------------------------------------------------
 
 
-def _cmd_quad(args) -> tuple[dict, bool, int]:
+def _cmd_quad(args, stats: dict) -> tuple[dict, bool, int]:
     # natquad rejects an inadmissible d or an out-of-range bound with ValueError
     try:
         return _quad(QuadOrder(args.d), args)
@@ -362,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
                             help="sweep the enumerated lattice corpus through every oracle")
     corpus.add_argument("--max-n", type=int, default=4)
     corpus.add_argument("--limit", type=int, default=None,
-                        help="cap on lattices per carrier size")
+                        help="cap on labelled lattices per carrier size")
 
     quad = sub.add_parser("quad", parents=[common],
                           help="quadratic-order norm experiments")
@@ -377,8 +367,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     started = time.perf_counter()
+    stats: dict = {}
     try:
-        results, passed, code = DISPATCH[args.command](args)
+        results, passed, code = DISPATCH[args.command](args, stats)
     except LoadError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -397,6 +388,7 @@ def main(argv=None) -> int:
         elapsed_s=round(time.perf_counter() - started, 6),
         version=__version__,
         results=results,
+        stats=stats,
     )
     try:
         if args.format == "json":

@@ -16,6 +16,7 @@ import json
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, combinations_with_replacement, permutations, product
+from math import factorial, inf
 from pathlib import Path
 from typing import Iterator
 
@@ -574,27 +575,73 @@ def _tables_for_order(n: int, up: tuple[int, ...]) -> Iterator[FiniteLattice]:
     yield from rec(0)
 
 
-def are_isomorphic(a: FiniteLattice, b: FiniteLattice) -> bool:
-    """Brute-force isomorphism test for handover with the enumerator.
+def _relabellings(bot: int, top: int, n: int) -> list[tuple[tuple[int, ...], list[int]]]:
+    """Every relabelling that sends bot to 0 and top to n-1, as (old, new):
+    new element k is old element old[k], and old element i is new[i]."""
+    moves = []
+    for perm in permutations(i for i in range(n) if i not in (bot, top)):
+        old = (bot, *perm, top)[:n]  # on one element bot is top
+        moves.append((old, sorted(range(n), key=old.__getitem__)))  # new is old's inverse
+    return moves
 
-    Permutation search, so only sensible for small carriers (n <= 7).
+
+def _relabel_up(up, old, new) -> tuple[int, ...]:
+    return tuple(mask_from(new[j] for j in bits(up[i])) for i in old)
+
+
+def _relabel_mul(mul, old, new) -> tuple[tuple[int, ...], ...]:
+    return tuple(tuple(new[mul[i][j]] for j in old) for i in old)
+
+
+def canonical_form(lat: FiniteLattice) -> tuple:
+    """(up, mul) of the least relabelling of lat that puts bot at 0 and top
+    at n-1, least as a pair of tuples: equal exactly for isomorphic
+    lattices, whatever the positions of their bot and top.
+
+    Permutation search over the inner elements, so capped at 7 elements.
     """
-    if a.n != b.n:
-        return False
-    if a.n > 7:
-        raise ValueError("isomorphism search is capped at 7 elements")
-    n = a.n
-    for perm in permutations(range(n)):
-        if perm[a.bot] != b.bot or perm[a.top] != b.top:
-            continue
-        ok = True
-        for i in range(n):
-            for j in range(n):
-                if a.le(i, j) != b.le(perm[i], perm[j]) or perm[a.mul[i][j]] != b.mul[perm[i]][perm[j]]:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            return True
-    return False
+    if lat.n > 7:
+        raise ValueError("canonical form is capped at 7 elements")
+    return min((_relabel_up(lat.up, old, new), _relabel_mul(lat.mul, old, new))
+               for old, new in _relabellings(lat.bot, lat.top, lat.n))
+
+
+def _order_classes(n: int) -> Iterator[tuple[tuple[int, ...], list]]:
+    """(up, automorphisms) of one lattice order per isomorphism class: the
+    order of :func:`_lattice_orders` that is least among its relabellings,
+    with the relabellings that fix it."""
+    moves = _relabellings(0, n - 1, n)
+    for up in _lattice_orders(n):
+        images = [_relabel_up(up, old, new) for old, new in moves]
+        if min(images) == up:
+            yield up, [move for move, image in zip(moves, images) if image == up]
+
+
+def enumerate_lattice_classes(n: int, limit: int | None = None) -> Iterator[tuple[FiniteLattice, int, int]]:
+    """Yield (lattice, orbit, kept) for one multiplicative lattice per
+    isomorphism class on n elements.
+
+    The lattice is the class's least labelling, so canonical_form(lattice)
+    is (lattice.up, lattice.mul); its orbit, (n-2)!/|Aut|, is the number of
+    labelled copies :func:`enumerate_small_lattices` yields, where Aut is
+    the order automorphisms that also fix the product.  The labelled
+    stream is each class's orbit in turn: kept is the number of the class's
+    copies among its first limit lattices (all of them without a limit),
+    and the stream ends at the class that reaches the limit.
+    """
+    if not 1 <= n <= ENUM_CAP:
+        raise ValueError(f"enumeration is capped at {ENUM_CAP} elements")
+    labellings, left = factorial(max(n - 2, 0)), inf if limit is None else limit
+    for up, automorphisms in _order_classes(n):
+        # the relabellings that fix the order map its tables onto its
+        # tables; keep each table that is least in its orbit
+        for lat in _tables_for_order(n, up):
+            images = [_relabel_mul(lat.mul, old, new) for old, new in automorphisms]
+            if min(images) != lat.mul:
+                continue
+            orbit = labellings // images.count(lat.mul)
+            kept = min(orbit, left)
+            yield lat, orbit, kept
+            left -= kept
+            if not left:
+                return

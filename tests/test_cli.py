@@ -5,14 +5,13 @@ import json
 import os
 import subprocess
 import sys
-from concurrent import futures
 from pathlib import Path
 
 import pytest
 
 import latlift
 from latlift import cli, lifting, monoid, natquad
-from latlift.cli import corpus_threads, main
+from latlift.cli import main
 
 from conftest import fixture_path
 
@@ -142,44 +141,6 @@ def test_corpus_limit_below_one_is_usage_error(capsys, limit):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
-@pytest.mark.parametrize("value", ["abc", "0", "-2", ""])
-def test_corpus_bad_threads_is_usage_error(capsys, monkeypatch, value):
-    monkeypatch.setenv("LATLIFT_THREADS", value)
-    assert main(["corpus", "--max-n", "3"]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: LATLIFT_THREADS") and err.count("\n") == 1
-
-
-def test_corpus_threads_parse_and_clamp(monkeypatch):
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    assert corpus_threads(None) == 1
-    assert corpus_threads("1") == 1
-    assert corpus_threads(" 2 ") == 2
-    assert corpus_threads("3") == 2
-    assert corpus_threads("1000000") == 2
-    monkeypatch.setattr(os, "cpu_count", lambda: None)
-    assert corpus_threads("4") == 1
-
-
-def test_corpus_process_pool_matches_one_process(capsys, monkeypatch):
-    monkeypatch.delenv("LATLIFT_THREADS", raising=False)
-    _, single = run_json(capsys, "corpus", "--max-n", "4")
-    pools = []
-    real_pool = futures.ProcessPoolExecutor
-
-    def pool(*args, **kwargs):
-        pools.append(kwargs["max_workers"])
-        return real_pool(*args, **kwargs)
-
-    monkeypatch.setattr(futures, "ProcessPoolExecutor", pool)
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    monkeypatch.setenv("LATLIFT_THREADS", "2")
-    _, pooled = run_json(capsys, "corpus", "--max-n", "4")
-    assert pools == [2]
-    del single["stats"], pooled["stats"]
-    assert pooled == single
-
-
 def _count_calls(monkeypatch, module, name, keys):
     """Wrap ``name`` wherever latlift binds it, recording each call's arguments."""
     original = getattr(module, name)
@@ -194,17 +155,41 @@ def _count_calls(monkeypatch, module, name, keys):
 
 
 def test_corpus_lifts_each_wire_once(capsys, monkeypatch):
-    monkeypatch.delenv("LATLIFT_THREADS", raising=False)
+    # the corpus lifts each wire of each class representative once, and
+    # the labelled total counts every copy of the class
+    representative_wires = sum(len(list(latlift.enumerate_wires(lat)))
+                               for n in range(1, 5) for lat, _, _ in latlift.enumerate_lattice_classes(n))
+    assert representative_wires == 11
     lifts, weak = [], []
     _count_calls(monkeypatch, lifting, "lift", lifts)
     _count_calls(monkeypatch, monoid, "verify_weak_ideal_system", weak)
     code, report = run_json(capsys, "corpus", "--max-n", "4")
     assert code == 0
-    wires = report["results"]["wires"]
-    assert wires == 17
-    assert len(lifts) == len(set(lifts)) == wires
+    assert report["results"]["wires"] == 17
+    assert len(lifts) == len(set(lifts)) == representative_wires
     tables = {(r.monoid, r.table) for (r,) in weak}
-    assert len(weak) == len(tables) == wires
+    assert len(weak) == len(tables) == representative_wires
+
+
+def test_corpus_limit_keeps_the_first_labelled_copies(capsys):
+    # the labelled n = 4 stream runs through the classes' orbits in
+    # enumeration order, each 2 copies long but the last; --limit 5 keeps
+    # both copies of the first two classes and one of the third, whose
+    # lattices have one wire each and no M-wire in the first two classes
+    orbits = [orbit for _, orbit, _ in latlift.enumerate_lattice_classes(4)]
+    assert orbits == [2, 2, 2, 2, 2, 2, 1]
+    assert [kept for _, _, kept in latlift.enumerate_lattice_classes(4, limit=5)] == [2, 2, 1]
+    code, limited = run_json(capsys, "corpus", "--max-n", "4", "--limit", "5")
+    assert code == 0
+    results = limited["results"]
+    assert (results["lattices"], results["wires"], results["m_wires"]) == (1 + 1 + 2 + 5, 4 + 5, 4 + 1)
+    assert limited["stats"]["classes"] == {"1": 1, "2": 1, "3": 2, "4": 3}
+    _, unlimited = run_json(capsys, "corpus", "--max-n", "4")
+    for limit in (13, 14, 1000):
+        _, report = run_json(capsys, "corpus", "--max-n", "4", "--limit", str(limit))
+        assert report["options"] == unlimited["options"] | {"limit": limit}
+        assert report["results"] == unlimited["results"] | {"limit": limit}
+        assert report["stats"]["classes"] == unlimited["stats"]["classes"]
 
 
 def _sweep_finitary_fails(monkeypatch):
