@@ -11,13 +11,13 @@ the checks below report exactly that, with every witness re-verified
 before it is returned.
 
 The norm image, the division-closure scan and the gcd search of the s-wire
-check all read one cached membership table per (d, bound): a ``bytes``
-object whose byte v is 1 exactly when v is a nonzero norm.  The
-division-closure scan walks the divisors up to 4 sqrt(bound) and, for the
-larger divisors, the quotients up to sqrt(bound) / 4: one big-int AND each,
-against a table prefix converted to a big int once per scan.  The gcd
-search pulls multiples off the table lazily.  The re-verification of each
-witness never reads the table.
+check all read a membership table cached per (d, bound): a ``bytes`` object
+whose byte v is 1 exactly when v is a nonzero norm.  The division-closure
+scan walks the norm-free divisors up to 4 sqrt(bound) and, for the larger
+divisors, the norm-free quotients up to sqrt(bound) / 4: one big-int AND
+each.  The s-wire check grows its table from 2^16 values only while an
+answer may lie beyond it.  The re-verification of each witness never reads
+the table.
 """
 
 from __future__ import annotations
@@ -36,6 +36,9 @@ M_WIRE_CONSISTENT = "CONSISTENT-WITH-M-WIRE-UP-TO-BOUND"
 
 # Swaps the bytes 0 and 1: the table's complement, "v is not a norm".
 _SWAP = bytes.maketrans(b"\0\1", b"\1\0")
+
+# Size of the first table of s_wire_check, which grows it on demand.
+_FIRST_REACH = 1 << 16
 
 
 # ----- the divisibility lattice ----------------------------------------
@@ -218,55 +221,69 @@ def division_closure_check(q: QuadOrder, bound: int) -> DivisionClosureReport:
     """Scan the norm image up to bound for nested values whose quotient is
     not a norm.
 
-    The divisors split at split = min(4 isqrt(bound), bound // 2).  For each
-    norm 2 <= n <= split, ascending (n = 1 has no counterexample), the set
-    bits of (table[k*n] and not table[k]) over k = 2..bound//n are one
-    big-int AND whose lowest bit is the smallest quotient k, so the first
-    hit is the lexicographically smallest counterexample.  Larger divisors
-    have quotients k <= bound // (split + 1): for each non-norm k,
+    The divisors split at split = min(4 isqrt(bound), bound // 2).  A value
+    v is norm-free when no norm a with 2 <= a < v divides it.  For each
+    norm-free norm 2 <= n <= split, ascending, the set bits of
+    (table[k*n] and not table[k]) over k = 2..bound//n are one big-int AND
+    whose lowest bit is the smallest quotient k, so the first hit is the
+    lexicographically smallest counterexample.  Larger divisors have
+    quotients k <= bound // (split + 1): for each norm-free non-norm k,
     ascending, the lowest set bit of (table[n] and table[k*n]) over
     n = split+1..bound//k is the smallest n for that k; the least n wins,
     the smaller k on a tie.  The counterexample is re-verified
     arithmetically, without the table, before being returned.
 
-    Any split in [1, bound // 2] gives the same counterexample: the first
-    scan covers every n <= split with every k, and a pair with n > split
-    has k <= bound // n <= bound // (split + 1), which the second scan
-    covers.  Norms are sparse among small n but non-norms are dense among
-    small k, so a split above sqrt(bound) trades cheap divisors for costly
-    quotients.  Scan time over the 120 D of the benchmark's quad pass
-    (bound max(200000, 50 D), tables prebuilt, medians of 25 rounds,
-    Python 3.11.7, 2 cores) for split = c isqrt(bound) with
-    c = 1, 2, 4, 8, 16: 0.189, 0.169, 0.158, 0.164, 0.160 s (0.209 s with
-    the split at isqrt(bound) and each prefix converted per divisor);
-    bound ** 0.6 and isqrt(bound) log2(bound) / 4 read 0.162 and 0.156 s,
-    inside the noise.
+    Any split in [1, bound // 2] gives the same counterexample: a pair with
+    n > split has k <= bound // (split + 1).  Norms are sparse among small n
+    and non-norms dense among small k, so the split sits above sqrt(bound)
+    (scan time over the benchmark's 120 D for split = c isqrt(bound),
+    c = 1, 2, 4, 8, 16, before the skips below: 0.189, 0.169, 0.158, 0.164,
+    0.160 s; Python 3.11.7, 2 cores).
 
-    Each side of an AND is one big int.  "k is not a norm" over
-    k = 2..bound//2 and the table over n = split+1..bound//2 are converted
-    once; each divisor or quotient converts only its strided slice, and
-    since & of two non-negative ints walks the shorter one, ANDing that
-    with the whole prefix is exact and costs no more than ANDing the
-    matching slice.  That is one AND per norm up to the split (fewer than
-    4 sqrt(bound)) and one per non-norm quotient of the second scan (fewer
-    than sqrt(bound) / 4).
+    Only norm-free divisors can be least.  Norms are closed under
+    multiplication.  Let (n, k) be a counterexample, n = a w, a >= 2 a norm,
+    w >= 2.  If w is no norm, (a, w) is a counterexample; if w and wk are
+    norms, (w, k) is one; else (a, wk) is one.  Each has a smaller divisor
+    and a multiple at most kn.  The least norm a >= 2 dividing n is
+    norm-free, so zeroing the multiples of each divisor as it is scanned
+    clears every such n in time; a first scan without a hit leaves set
+    exactly the values up to split that no norm >= 2 divides.
+
+    Only norm-free quotients can win.  Let (n, k) be a hit of the second
+    scan, k = k1 k2, k1 >= 2 a norm.  Then k1 <= k <= bound // (split + 1)
+    <= split, and no counterexample has a divisor up to split, so
+    (k1, k2 n) is none: with kn a norm, k2 n is one.  k2 is no norm and
+    not 1 (else k would be a norm), so (n, k2) is a hit with the same n
+    and a smaller k.
+
+    "k is not a norm" over k = 2..bound//first (first is the least norm
+    >= 2, so no divisor has a larger quotient) and the table over
+    n = split+1..bound//2 are each converted to a big int once.  & of two
+    non-negative ints walks the shorter one, so ANDing a strided slice
+    with a whole prefix costs no more than with the matching part.
     """
     if bound < q.D:
         raise ValueError("bound must be at least |d|")
     table = _norm_table(q.d, bound)
     half = bound // 2
     split = min(4 * isqrt(bound), half)
-    missing = int.from_bytes(table[2:half + 1].translate(_SWAP), "little")
+    first = max(table.find(1, 2), 2)  # 2 when no norm lies in [2, bound]
+    missing = int.from_bytes(table[2:bound // first + 1].translate(_SWAP), "little")
+    free = bytearray(b"\1") * (split + 1)  # no norm >= 2 scanned so far divides v
     best: tuple[int, int] | None = None
     for n in compress(range(2, split + 1), table[2:split + 1]):
+        if not free[n]:
+            continue
         hits = int.from_bytes(table[2 * n::n], "little") & missing
         if hits:
             best = (n, 2 + ((hits & -hits).bit_length() - 1) // 8)
             break
+        free[n::n] = bytes(split // n)
     if best is None:
         low = split + 1
+        top = bound // low
         upper = int.from_bytes(table[low:half + 1], "little")
-        for k in compress(range(2, bound // low + 1), table[2:bound // low + 1].translate(_SWAP)):
+        for k in compress(range(2, top + 1), free[2:top + 1]):
             high = bound // k if best is None else min(bound // k, best[0] - 1)
             hits = upper & int.from_bytes(table[k * low:k * high + 1:k], "little")
             if hits:
@@ -362,10 +379,21 @@ def s_wire_check(q: QuadOrder, prime_bound: int, search_bound: int) -> SGenRepor
     within search_bound.  Primes that cannot be resolved are reported as
     unresolved rather than dropped.  Witnesses are re-verified before the
     report is assembled.
+
+    The table grows on demand from reach = min(search_bound, _FIRST_REACH)
+    while a prime has no pair or its pair's product P exceeds p * reach.
+    That is exact: a multiple of p is at least p, so a pair with a member
+    above reach has product above p * reach >= P and cannot beat or tie.
+    reach doubles up to search_bound / 2, then jumps to search_bound, so the
+    earlier tables sum to less than search_bound and an unresolved prime
+    costs under two full-size builds.  Grown tables bypass the cache, so it
+    never holds the series.  For D = 5 and 17 and the primes up to 2000,
+    P / p is at most 11,922 and 41,979: no table grows.
     """
     if prime_bound < 2 or search_bound < 1:
         raise ValueError("bounds must be positive")
-    table = _norm_table(q.d, search_bound)
+    reach = min(search_bound, _FIRST_REACH)
+    table = _norm_table(q.d, reach)
     verdicts = []
     for p in primes_upto(prime_bound):
         if is_inert(q, p):
@@ -378,6 +406,10 @@ def s_wire_check(q: QuadOrder, prime_bound: int, search_bound: int) -> SGenRepor
             verdicts.append(PrimeVerdict(p, "norm", rep=rep))
             continue
         pair = _gcd_pair(p, table)
+        while reach < search_bound and (pair is None or pair[0] * pair[1] // p > reach):
+            reach = search_bound if 4 * reach > search_bound else 2 * reach
+            table = _norm_table.__wrapped__(q.d, reach)
+            pair = _gcd_pair(p, table)
         if pair is None:
             verdicts.append(PrimeVerdict(p, "unresolved"))
             continue

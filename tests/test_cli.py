@@ -209,7 +209,6 @@ def _sweep_compactness_fails(monkeypatch):
 
 @pytest.mark.parametrize("break_sweep", [_sweep_finitary_fails, _sweep_compactness_fails])
 def test_corpus_counts_failed_finitary_and_compactness_checks(capsys, monkeypatch, break_sweep):
-    monkeypatch.delenv("LATLIFT_THREADS", raising=False)
     key = break_sweep(monkeypatch)
     code, report = run_json(capsys, "corpus", "--max-n", "3")
     assert code == 3
@@ -221,7 +220,6 @@ def test_corpus_counts_failed_finitary_and_compactness_checks(capsys, monkeypatc
 def test_corpus_violation_replays_through_lift(capsys, monkeypatch, tmp_path):
     # every lift reads as not an ideal system, so each lattice with an
     # M-wire is a violation, and lift must reproduce it from the document
-    monkeypatch.delenv("LATLIFT_THREADS", raising=False)
     never_ideal = lambda r: monoid.Verdict(False)
     monkeypatch.setattr(lifting, "verify_ideal_system", never_ideal)
     monkeypatch.setattr(cli, "verify_ideal_system", never_ideal)
@@ -320,6 +318,15 @@ def test_quad_table_too_large_to_allocate_is_usage_error(capsys, monkeypatch, ar
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(f"error: bound {HUGE_BOUND} ") and captured.err.count("\n") == 1
+
+
+def test_quad_s_wire_builds_only_the_table_it_reads(capsys):
+    # every prime up to 200 resolves in the first 2^16 values, so a search
+    # bound far beyond memory needs no larger table
+    code, report = run_json(capsys, "quad", "s-wire", "--d", "-5", "--search-bound", HUGE_BOUND)
+    assert code == 0
+    assert report["results"]["search_bound"] == int(HUGE_BOUND)
+    assert report["results"]["unresolved"] == []
 
 
 @pytest.mark.parametrize("argv", [

@@ -38,7 +38,6 @@ def test_every_golden_file_has_a_case():
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_payload_matches_golden(capsys, monkeypatch, name):
     monkeypatch.chdir(ROOT)
-    monkeypatch.delenv("LATLIFT_THREADS", raising=False)
     code = main([*CASES[name], "--format", "json"])
     report = json.loads(capsys.readouterr().out)
     del report["stats"]

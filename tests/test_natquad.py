@@ -1,4 +1,5 @@
 from math import gcd
+from unittest import mock
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -18,6 +19,7 @@ from latlift import (
     norm_witness,
     s_wire_check,
 )
+from latlift import natquad
 from latlift.natquad import (
     M_WIRE_CONSISTENT,
     NOT_M_WIRE,
@@ -275,6 +277,11 @@ def test_norm_table_matches_double_loop(D, bound):
 @example(17, 19)  # the divisor of (9, 18, 2) is split == bound // 2 == 9 itself
 @example(73, 144)  # (49, 98, 2): the divisor is the first one above split 48
 @example(1590, 1734)  # k = 6 hits first, at n = 289; the least n, 169, comes with k = 10
+@example(2, 5000)  # 2 is the first norm: the prefix ends at bound // 2 and 4, 6, 8, ... are skipped
+@example(34, 50)  # (25, 50, 2) comes after the skipped 16 = 4 * 4
+@example(322, 1352)  # (169, 338, 2): the skipped quotient 8 = 4 * 2 hits at 169 too
+@example(17, 18)  # (9, 18, 2): the quotient 2 is bound // 9, the last one a divisor >= 9 can reach
+@example(9373, 27869)  # k = 14 hits at n = 841 and the later k = 29 at 961: the first stays
 def test_division_closure_matches_pairwise_scan(D, bound):
     assume(bound >= D)
     expected = division_counterexample_by_scan(norm_values_by_double_loop(D, bound), bound)
@@ -292,6 +299,30 @@ def test_division_closure_matches_pairwise_scan(D, bound):
 def test_gcd_pair_matches_image_filter(D, bound, p):
     image = tuple(sorted(norm_values_by_double_loop(D, bound)))
     assert _gcd_pair(p, _norm_table(-D, bound)) == gcd_pair_by_filter(p, image)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(ADMISSIBLE), st.integers(2, 300), st.integers(1, 200_000),
+       st.sampled_from([natquad._FIRST_REACH, 64, 256]))
+@example(214, 619, 100_000, natquad._FIRST_REACH)  # 619 pairs as (1238, 66233): one growth
+@example(214, 619, 66_000, natquad._FIRST_REACH)  # no pair for 619: the table grows to search_bound
+@example(17, 30, 20, natquad._FIRST_REACH)  # search_bound below the first table
+# 113 finds (6441, 7910) in a table of 8192, a product above 113 * 8192,
+# and the grown table holds the smaller (1695, 8362)
+@example(854, 113, 20_000, 256)
+def test_s_wire_grown_table_matches_full_table(D, prime_bound, search_bound, first_reach):
+    q = QuadOrder(-D)
+    table = _norm_table(-D, search_bound)
+    with mock.patch.object(natquad, "_FIRST_REACH", first_reach):
+        verdicts = s_wire_check(q, prime_bound, search_bound).verdicts
+    for v in verdicts:
+        if is_inert(q, v.p):
+            assert v.kind == "inert"
+        elif is_norm(q, v.p):
+            assert v.kind == "norm"
+        else:
+            pair = _gcd_pair(v.p, table)
+            assert (v.kind, v.pair) == (("unresolved", None) if pair is None else ("gcd_generated", pair))
 
 
 # ----- the verdicts of the benchmark's quad workload -------------------
