@@ -22,10 +22,10 @@ def sweep(max_n: int, limit: int | None) -> int:
         for lat, _, kept in enumerate_lattice_classes(n, limit):
             classes += 1
             lattices += kept
-            equivalence, liftability, embedding = sweep_lattice(lat)
+            reports = equivalence, _, _ = sweep_lattice(lat)
             wires += kept * equivalence.wires_checked
             m_wires += kept * equivalence.m_wires
-            if not equivalence.ok or not liftability.ok or not embedding.ok:
+            if not all(report.ok for report in reports):
                 violations += kept
         bad += violations
         print(f"{n:>2} {classes:>8} {lattices:>9} {wires:>6} {m_wires:>8} {violations:>11} "

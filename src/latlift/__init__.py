@@ -31,7 +31,6 @@ from .lifting import (
     check_liftability,
     check_m_wire_ideal_equivalence,
     enumerate_wires,
-    finitary_closure,
     lift,
     sweep_lattice,
 )

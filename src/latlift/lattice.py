@@ -29,10 +29,6 @@ CARRIER_CAP = 64
 # Exhaustive enumeration guard: the table search blows up past this.
 ENUM_CAP = 6
 
-# On a finite carrier any join is a finite join, so compactness cannot
-# fail; the flag is reported anyway to keep classification totals honest.
-COMPACT_NOTE = "every element of a finite lattice is compact"
-
 
 class _Carrier:
     """Element naming and the full mask, shared by lattice and monoid carriers."""
@@ -192,9 +188,9 @@ def _extreme(cones, mask: int) -> int | None:
 class ElementFlags:
     """Principality flags of one element, each from an exhaustive scan.
 
-    ``compact`` is constantly true on these finite carriers (see
-    COMPACT_NOTE); it is kept so equivalences quantifying over it stay
-    checkable rather than silently omitted.
+    ``compact`` is constantly true on these finite carriers, where any
+    join is a finite join; it is kept so equivalences quantifying over it
+    stay checkable rather than silently omitted.
     """
 
     element: str
@@ -205,7 +201,6 @@ class ElementFlags:
     principal: bool
     weak_principal: bool
     compact: bool = True
-    note: str = COMPACT_NOTE
 
 
 def classify_element(lat: FiniteLattice, x: int) -> ElementFlags:

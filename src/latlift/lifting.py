@@ -141,8 +141,8 @@ class LiftResult:
     """A lifted weak ideal system together with its isomorphism certificate.
 
     ``iso_f[i]`` is the lattice element join(ideal i); ``iso_g[y]`` is the
-    ideal index of H intersect [0, y].  ``certified`` is always True on a
-    returned value; certification failures raise instead.
+    ideal index of H intersect [0, y].  A returned value is certified;
+    certification failures raise instead.
     """
 
     wire: WireReport
@@ -151,7 +151,6 @@ class LiftResult:
     ideal_lattice: IdealLattice
     iso_f: tuple[int, ...]
     iso_g: tuple[int, ...]
-    certified: bool
 
     def ideal_members(self) -> tuple[tuple[str, ...], ...]:
         return tuple(self.ideal_lattice.members(k) for k in range(len(self.ideal_lattice.ideals)))
@@ -241,7 +240,7 @@ def lift(lat: FiniteLattice, subset: int) -> LiftResult:
         raise TheoremViolation(f"lifted closure map failed {weak.laws}")
     il = build_ideal_lattice(system)
     f, g = _certify_isomorphism(lat, subset, il)
-    return LiftResult(report, monoid, system, il, f, g, True)
+    return LiftResult(report, monoid, system, il, f, g)
 
 
 # ----- equivalence and liftability sweeps ------------------------------
@@ -290,27 +289,22 @@ class EquivalenceReport:
     lattice: FiniteLattice
     wires_checked: int
     m_wires: int
-    finitary_all: bool
-    all_compact: bool
     violations: tuple[tuple[tuple[str, ...], bool, bool], ...]
 
     @property
     def ok(self) -> bool:
-        return not self.violations and self.finitary_all and self.all_compact
+        return not self.violations
 
 
 def check_m_wire_ideal_equivalence(lat: FiniteLattice,
                                    work: LatticeWork | None = None) -> EquivalenceReport:
     """For every wire H: the lift is an ideal system iff H satisfies (M).
 
-    Also confirms every lift is finitary and every element compact, the
-    degenerate finite readings of the companion equivalence.  Mismatches
-    are returned as violations, never dropped; they signal a bug or a
-    genuine discrepancy and callers should surface them loudly.
+    Mismatches are returned as violations, never dropped; they signal a bug
+    or a genuine discrepancy and callers should surface them loudly.
     """
     work = _shared(lat, work)
     wires = m_wires = 0
-    finitary_all = True
     violations = []
     for report in work.wires:
         wires += 1
@@ -320,10 +314,7 @@ def check_m_wire_ideal_equivalence(lat: FiniteLattice,
             m_wires += 1
         if ideal_ok != report.is_m_wire:
             violations.append((lat.subset_names(report.subset), report.is_m_wire, ideal_ok))
-        if not verify_finitary(result.system).passed:
-            finitary_all = False
-    all_compact = all(flags.compact for flags in work.flags)
-    return EquivalenceReport(lat, wires, m_wires, finitary_all, all_compact, tuple(violations))
+    return EquivalenceReport(lat, wires, m_wires, tuple(violations))
 
 
 @dataclass(frozen=True)
@@ -336,7 +327,6 @@ class LiftabilityReport:
     """
 
     lattice: FiniteLattice
-    lift_full_certified: bool
     m_wire_exists: bool
     meet_principal: tuple[str, ...]
     weak_meet_principal: tuple[str, ...]
@@ -348,7 +338,7 @@ class LiftabilityReport:
 
     @property
     def ok(self) -> bool:
-        return self.lift_full_certified and not self.findings
+        return not self.findings
 
 
 def check_liftability(lat: FiniteLattice, work: LatticeWork | None = None) -> LiftabilityReport:
@@ -364,7 +354,7 @@ def check_liftability(lat: FiniteLattice, work: LatticeWork | None = None) -> Li
     Implication failures come back as findings.
     """
     work = _shared(lat, work)
-    result = work.lift(lat.full)
+    work.lift(lat.full)  # (a): raises unless certified
     flags = work.flags
     mp_mask = mask_from(x for x in range(lat.n) if flags[x].meet_principal)
     wmp_mask = mask_from(x for x in range(lat.n) if flags[x].weak_meet_principal)
@@ -388,51 +378,45 @@ def check_liftability(lat: FiniteLattice, work: LatticeWork | None = None) -> Li
         elif not verify_ideal_system(work.lift(h).system).passed:
             findings.append("the principal-element wire lifts to a weak but not an ideal system")
     return LiftabilityReport(
-        lat, result.certified, m_wire_exists,
+        lat, m_wire_exists,
         lat.subset_names(mp_mask), lat.subset_names(wmp_mask), lat.subset_names(p_mask),
         mp_generates, domain, p_generates, tuple(findings))
 
 
-# ----- finitary closure ------------------------------------------------
-
-
-def finitary_closure(r: ClosureMap) -> ClosureMap:
-    """The finitary system X -> union of r(Z) over finite subsets Z of X.
-
-    On a finite carrier X is its own largest finite subset, so the result
-    is r itself; a failed (s5) verdict means a bug and raises.  A map that
-    is not a weak ideal system is rejected by :func:`verify_finitary`.
-    """
-    if not verify_finitary(r).passed:
-        raise TheoremViolation("finitary closure moved a finite-carrier system")
-    return r
+# ----- finitary embedding ----------------------------------------------
 
 
 @dataclass(frozen=True)
 class FinitaryEmbeddingReport:
-    """Outcome of the compact-generation construction on one lattice."""
+    """The finite readings of the compact-generation construction on one
+    lattice: every wire lifts to a finitary system, every element is compact."""
 
     lattice: FiniteLattice
-    closure_unchanged: bool
-    embedding_certified: bool
+    finitary_all: bool
+    all_compact: bool
 
     @property
     def ok(self) -> bool:
-        return self.closure_unchanged and self.embedding_certified
+        return self.finitary_all and self.all_compact
 
 
 def check_finitary_embedding(lat: FiniteLattice,
                              work: LatticeWork | None = None) -> FinitaryEmbeddingReport:
-    """Lift the whole carrier, take the finitary closure, and certify that
-    x -> [0, x] is a lattice isomorphism onto the resulting ideal lattice.
+    """The finite readings of the compact-generation construction.
 
-    Finite lattices are generated by compact elements (all of them), so
-    the closure never moves (:func:`finitary_closure` raises otherwise) and
-    the lift's certified ideal lattice and isomorphism are the embedding.
+    A lattice generated by compact elements embeds by x -> [0, x] into the
+    ideal lattice of the finitary closure of its full-carrier lift.  On a
+    finite carrier every element is compact and every subset is finite, so
+    that closure is the lift itself and the embedding is the lift's
+    certified isomorphism g, built by :func:`check_liftability` (a).  Left
+    to check: every wire's lift passes :func:`verify_finitary`, and every
+    element's flags read compact.
     """
-    result = _shared(lat, work).lift(lat.full)
-    rs = finitary_closure(result.system)
-    return FinitaryEmbeddingReport(lat, rs.table == result.system.table, result.certified)
+    work = _shared(lat, work)
+    finitary_all = all(verify_finitary(work.lift(report.subset).system).passed
+                       for report in work.wires)
+    all_compact = all(flags.compact for flags in work.flags)
+    return FinitaryEmbeddingReport(lat, finitary_all, all_compact)
 
 
 def sweep_lattice(lat: FiniteLattice) -> tuple[

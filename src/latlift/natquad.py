@@ -11,7 +11,7 @@ the checks below report exactly that, with every witness re-verified
 before it is returned.
 
 The norm image, the division-closure scan and the gcd search of the s-wire
-check all read a membership table cached per (d, bound): a ``bytes`` object
+check each build the membership table of (d, bound): a ``bytes`` object
 whose byte v is 1 exactly when v is a nonzero norm.  The division-closure
 scan walks the norm-free divisors up to 4 sqrt(bound) and, for the larger
 divisors, the norm-free quotients up to sqrt(bound) / 4: one big-int AND
@@ -24,7 +24,6 @@ from __future__ import annotations
 
 from copy import copy
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import chain, compress, tee
 from math import gcd, isqrt, lcm
 from typing import Iterable
@@ -129,7 +128,6 @@ def is_norm(q: QuadOrder, n: int) -> bool:
     return norm_witness(q, n) is not None
 
 
-@lru_cache(maxsize=32)
 def _norm_table(d: int, bound: int) -> bytes:
     """Byte v (0 <= v <= bound) is 1 iff v > 0 and v = a^2 + |d| b^2; each
     row b marks |d| b^2 + a^2 for the precomputed squares a^2 that fit."""
@@ -144,7 +142,7 @@ def _norm_table(d: int, bound: int) -> bytes:
 
 
 def norm_image(q: QuadOrder, bound: int) -> tuple[int, ...]:
-    """Sorted distinct norm values in [1, bound], read off the cached table."""
+    """Sorted distinct norm values in [1, bound], read off the norm table."""
     if bound < 1:
         raise ValueError("bound must be positive")
     return tuple(compress(range(bound + 1), _norm_table(q.d, bound)))
@@ -356,7 +354,7 @@ def _gcd_pair(p: int, table: bytes) -> tuple[int, int] | None:
     broken toward the smaller first member).  The multiples of p are pulled
     off the table lazily, only as far as the cutoffs reach.
     """
-    multiples = tee(compress(range(p, len(table), p), table[p::p]), 1)[0]
+    multiples = tee(compress(range(p, len(table), p), memoryview(table)[p::p]), 1)[0]
     best: tuple[int, int, int] | None = None
     for m1 in multiples:
         if best is not None and m1 * m1 >= best[0]:
@@ -386,9 +384,8 @@ def s_wire_check(q: QuadOrder, prime_bound: int, search_bound: int) -> SGenRepor
     above reach has product above p * reach >= P and cannot beat or tie.
     reach doubles up to search_bound / 2, then jumps to search_bound, so the
     earlier tables sum to less than search_bound and an unresolved prime
-    costs under two full-size builds.  Grown tables bypass the cache, so it
-    never holds the series.  For D = 5 and 17 and the primes up to 2000,
-    P / p is at most 11,922 and 41,979: no table grows.
+    costs under two full-size builds.  For D = 5 and 17 and the primes up
+    to 2000, P / p is at most 11,922 and 41,979: no table grows.
     """
     if prime_bound < 2 or search_bound < 1:
         raise ValueError("bounds must be positive")
@@ -408,7 +405,7 @@ def s_wire_check(q: QuadOrder, prime_bound: int, search_bound: int) -> SGenRepor
         pair = _gcd_pair(p, table)
         while reach < search_bound and (pair is None or pair[0] * pair[1] // p > reach):
             reach = search_bound if 4 * reach > search_bound else 2 * reach
-            table = _norm_table.__wrapped__(q.d, reach)
+            table = _norm_table(q.d, reach)
             pair = _gcd_pair(p, table)
         if pair is None:
             verdicts.append(PrimeVerdict(p, "unresolved"))

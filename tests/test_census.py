@@ -57,7 +57,7 @@ def verdicts(lat):
     for report in enumerate_wires(lat):
         result = lift(lat, report.subset)
         wires[frozenset(lat.subset_names(report.subset))] = (
-            report.is_m_wire, result.certified, verify_ideal_system(result.system).passed)
+            report.is_m_wire, verify_ideal_system(result.system).passed)
     return {
         "wires": wires,
         "flags": {classify_element(lat, x) for x in range(lat.n)},

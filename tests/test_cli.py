@@ -193,10 +193,8 @@ def test_corpus_limit_keeps_the_first_labelled_copies(capsys):
 
 
 def _sweep_finitary_fails(monkeypatch):
-    """Make every lift read as not finitary, bypassing the finitary closure's
-    own raise so that the equivalence report alone carries the failure."""
+    """Make every lift read as not finitary."""
     monkeypatch.setattr(lifting, "verify_finitary", lambda r: monoid.Verdict(False))
-    monkeypatch.setattr(lifting, "finitary_closure", lambda r: r)
     return "finitary_all"
 
 
@@ -215,6 +213,9 @@ def test_corpus_counts_failed_finitary_and_compactness_checks(capsys, monkeypatc
     violations = report["results"]["violations"]
     assert len(violations) == report["results"]["lattices"] == 4
     assert all(entry[key] is False and entry["equivalence_violations"] == [] for entry in violations)
+    assert all(set(entry) == {"elements", "orbit", "wires", "m_wires", "equivalence_violations",
+                              "finitary_all", "all_compact", "liftability_findings", "lattice"}
+               for entry in violations)
 
 
 def test_corpus_violation_replays_through_lift(capsys, monkeypatch, tmp_path):
@@ -242,17 +243,35 @@ def test_corpus_violation_replays_through_lift(capsys, monkeypatch, tmp_path):
             names for names, is_m_wire, _ in entry["equivalence_violations"] if is_m_wire)
 
 
+def _load_by_path(*parts):
+    """Import a file of the repository outside the package, by its path."""
+    spec = importlib.util.spec_from_file_location(
+        parts[-1].removesuffix(".py"), Path(__file__).resolve().parent.parent.joinpath(*parts))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 @pytest.mark.parametrize("break_sweep", [_sweep_finitary_fails, _sweep_compactness_fails])
 def test_corpus_sweep_script_counts_failed_finitary_and_compactness_checks(capsys, monkeypatch,
                                                                            break_sweep):
-    spec = importlib.util.spec_from_file_location(
-        "corpus_sweep", Path(__file__).resolve().parent.parent / "scripts" / "corpus_sweep.py")
-    script = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(script)
+    script = _load_by_path("scripts", "corpus_sweep.py")
     assert script.sweep(3, None) == 0
     break_sweep(monkeypatch)
     assert script.sweep(3, None) == 1
     assert capsys.readouterr().out.endswith("4 lattices with violations\n")
+
+
+def test_every_traced_name_resolves():
+    # the benchmark tracer looks each target up as it installs, so a traced
+    # name removed from latlift fails every traced run
+    tracer = _load_by_path("bench", "tracer.py")
+    for name, home, attr, _, _ in tracer.TARGETS:
+        owner = importlib.import_module(home)
+        *classes, attr = attr.split(".")
+        for cls in classes:
+            owner = vars(owner)[cls]
+        assert attr in vars(owner), name
 
 
 def test_quad_division_closure_counterexample(capsys):

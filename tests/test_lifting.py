@@ -13,7 +13,6 @@ from latlift import (
     classify_element,
     enumerate_small_lattices,
     enumerate_wires,
-    finitary_closure,
     lift,
     sweep_lattice,
     verify_finitary,
@@ -88,14 +87,12 @@ def test_enumerate_wires_two(two):
 def test_lift_l6_reproduces_ideals(l6):
     res = lift(l6, wire_mask(l6, "0abc1"))
     assert {frozenset(m) for m in res.ideal_members()} == L6_IDEALS
-    assert res.certified
     assert verify_weak_ideal_system(res.system).passed
     assert not verify_ideal_system(res.system).passed
 
 
 def test_lift_full_carrier_is_interval_map(l6):
     res = lift(l6, l6.full)
-    assert res.certified
     # g sends y to its whole lower set
     for y in range(l6.n):
         ideal = res.ideal_lattice.ideals[res.iso_g[y]]
@@ -194,7 +191,7 @@ def test_shared_work_must_match_the_lattice(l6, two):
 
 def test_liftability_l6(l6):
     rep = check_liftability(l6)
-    assert rep.ok and rep.lift_full_certified
+    assert rep.ok
     assert not rep.m_wire_exists
     assert rep.weak_meet_principal == ("0", "a", "1")
     assert set(rep.meet_principal) <= set(rep.weak_meet_principal)
@@ -238,24 +235,7 @@ def test_nilpotent_singleton_is_principal_but_no_domain(chain3_nil):
     assert rep.ok and rep.p_generates and not rep.domain
 
 
-def test_finitary_closure_identity(l6, chain3):
-    for lat, names in ((l6, "0abc1"), (chain3, "0x1")):
-        res = lift(lat, mask_from(lat.index(n) for n in names))
-        rs = finitary_closure(res.system)
-        assert rs.table == res.system.table
-        assert verify_weak_ideal_system(rs).passed
-        assert verify_finitary(rs).passed
-
-
-def test_finitary_closure_of_constant_map(m3):
-    from latlift import constant_closure
-
-    r = constant_closure(m3)
-    assert finitary_closure(r).table == r.table
-
-
-@pytest.mark.parametrize("check", [
-    verify_finitary, verify_ideal_system, build_ideal_lattice, finitary_closure])
+@pytest.mark.parametrize("check", [verify_finitary, verify_ideal_system, build_ideal_lattice])
 def test_non_weak_maps_are_rejected_with_value_error(m3, check):
     r = ClosureMap(m3, (0,) * (1 << m3.n))  # X is not within r(X) = {}
     with pytest.raises(ValueError, match="^not a weak ideal system: extensivity"):
@@ -265,7 +245,7 @@ def test_non_weak_maps_are_rejected_with_value_error(m3, check):
 def test_finitary_embedding(l6, two, chain3, chain3_nil):
     for lat in (l6, two, chain3, chain3_nil):
         rep = check_finitary_embedding(lat)
-        assert rep.ok and rep.closure_unchanged and rep.embedding_certified
+        assert rep.ok and rep.finitary_all and rep.all_compact
 
 
 def test_m_witness_recheck_rejects_fake(l6):
@@ -292,7 +272,7 @@ def test_lift_beyond_the_pair_sanity_cap():
     lat = chain(10)
     assert verify_lattice(lat).passed
     result = lift(lat, lat.full)
-    assert result.certified and len(result.ideal_lattice.ideals) == 10
+    assert len(result.ideal_lattice.ideals) == 10
 
 
 def m_condition_by_box_scan(lat, subset):
