@@ -15,9 +15,13 @@ check each build the membership table of (d, bound): a ``bytes`` object
 whose byte v is 1 exactly when v is a nonzero norm.  The division-closure
 scan walks the norm-free divisors up to 4 sqrt(bound) and, for the larger
 divisors, the norm-free quotients up to sqrt(bound) / 4: one big-int AND
-each.  The s-wire check grows its table from 2^16 values only while an
-answer may lie beyond it.  The re-verification of each witness never reads
-the table.
+each.  It skips the divisors p^2 for p = 2, p | d and p inert: p^2 k a norm
+forces p to divide both a and b, so k is a norm.  The first divisor it does
+not skip is the least that can fail, so a hit for it in a table of 16 |d|
+values answers for every bound; only when that table has none is the table
+of (d, bound) built.  The s-wire check grows its table from 2^16 values
+only while an answer may lie beyond it.  The re-verification of each
+witness never reads the table.
 """
 
 from __future__ import annotations
@@ -38,6 +42,9 @@ _SWAP = bytes.maketrans(b"\0\1", b"\1\0")
 
 # Size of the first table of s_wire_check, which grows it on demand.
 _FIRST_REACH = 1 << 16
+
+# Size of the prefix table of division_closure_check, in multiples of |d|.
+_PREFIX_FACTOR = 16
 
 
 # ----- the divisibility lattice ----------------------------------------
@@ -215,6 +222,32 @@ class DivisionClosureReport:
     counterexample: tuple[int, int, int] | None
 
 
+def _first_scan(d: int, table: bytes, split: int, prefix: bool) -> tuple[tuple[int, int] | None, bytearray]:
+    """The first scan of division_closure_check over the norm-free norms
+    2 <= n <= split of table: the least hit (n, k), or None, and ``free``.
+
+    Divisors the lemma covers only have their multiples cleared.  "k is not
+    a norm" is converted up to (len(table) - 1) // n1 at n1, the first
+    divisor not skipped.  With ``prefix`` the walk ends at n1, hit or not.
+    """
+    free = bytearray(b"\1") * (split + 1)  # no norm >= 2 scanned so far divides v
+    missing = None
+    for n in compress(range(2, split + 1), table[2:split + 1]):
+        if not free[n]:
+            continue
+        root = isqrt(n)
+        if root * root != n or root > 2 and _legendre(d, root) == 1:
+            if missing is None:
+                missing = int.from_bytes(table[2:(len(table) - 1) // n + 1].translate(_SWAP), "little")
+            hits = int.from_bytes(table[2 * n::n], "little") & missing
+            if hits:
+                return (n, 2 + ((hits & -hits).bit_length() - 1) // 8), free
+            if prefix:
+                break
+        free[n::n] = bytes(split // n)
+    return None, free
+
+
 def division_closure_check(q: QuadOrder, bound: int) -> DivisionClosureReport:
     """Scan the norm image up to bound for nested values whose quotient is
     not a norm.
@@ -254,38 +287,53 @@ def division_closure_check(q: QuadOrder, bound: int) -> DivisionClosureReport:
     not 1 (else k would be a norm), so (n, k2) is a hit with the same n
     and a smaller k.
 
-    "k is not a norm" over k = 2..bound//first (first is the least norm
-    >= 2, so no divisor has a larger quotient) and the table over
-    n = split+1..bound//2 are each converted to a big int once.  & of two
-    non-negative ints walks the shorter one, so ANDing a strided slice
-    with a whole prefix costs no more than with the matching part.
+    Lemma: let p be prime with p = 2, p | D or (-D | p) = -1 (p inert).
+    If p^2 k = a^2 + D b^2, then p | a and p | b, so k = (a/p)^2 + D (b/p)^2
+    is a norm and p^2 is never the divisor of a counterexample.  p = 2:
+    D = 1 or 2 (mod 4) leaves a^2 + D b^2 = 0 (mod 4) only for a and b even.
+    p | D: p | a, so p^2 | D b^2, and p | b as D is squarefree.  p inert:
+    p | b, else -D = (a/b)^2 (mod p); then p | a.  A norm-free square r^2
+    has r prime (s^2 divides it for each s | r), so the first scan skips a
+    norm-free n = r^2 with r = 2 or (d | r) != 1.  A split r is not covered:
+    D = 17, r = 3 gives (9, 18, 2).  n1, the least divisor the scan does not
+    skip, is 2 for D = 1 and 2, D for D = 5 and 6, and at least 9 above, as
+    4 is skipped; "k is not a norm" stops at bound // n1.
+
+    Prefix: a first table of reach = min(bound, _PREFIX_FACTOR |d|) values
+    usually decides.  The least counterexample has a norm-free divisor, and
+    the norm-free norms below n1 all are skipped squares, which never fail:
+    if n1 <= reach // 2 has a least hit k with k n1 <= reach, (n1, k n1, k)
+    is the least counterexample at every bound >= reach.  Otherwise the
+    full table is built and scanned as above.  At bound max(200000, 50 D)
+    each of the 773 D < 2000 with a counterexample has its multiple below
+    9.7 D (D = 298: (169, 2873, 17)), so only the 34 closed D pay for a
+    full table.
+
+    The "not a norm" prefix and the table over n = split+1..bound//2 are
+    each converted to a big int once.  & of two non-negative ints walks the
+    shorter one, so ANDing a strided slice with a whole prefix costs no
+    more than with the matching part.
     """
     if bound < q.D:
         raise ValueError("bound must be at least |d|")
-    table = _norm_table(q.d, bound)
-    half = bound // 2
-    split = min(4 * isqrt(bound), half)
-    first = max(table.find(1, 2), 2)  # 2 when no norm lies in [2, bound]
-    missing = int.from_bytes(table[2:bound // first + 1].translate(_SWAP), "little")
-    free = bytearray(b"\1") * (split + 1)  # no norm >= 2 scanned so far divides v
     best: tuple[int, int] | None = None
-    for n in compress(range(2, split + 1), table[2:split + 1]):
-        if not free[n]:
-            continue
-        hits = int.from_bytes(table[2 * n::n], "little") & missing
-        if hits:
-            best = (n, 2 + ((hits & -hits).bit_length() - 1) // 8)
-            break
-        free[n::n] = bytes(split // n)
+    reach = min(bound, _PREFIX_FACTOR * q.D)
+    if reach < bound:
+        best, _ = _first_scan(q.d, _norm_table(q.d, reach), reach // 2, prefix=True)
     if best is None:
-        low = split + 1
-        top = bound // low
-        upper = int.from_bytes(table[low:half + 1], "little")
-        for k in compress(range(2, top + 1), free[2:top + 1]):
-            high = bound // k if best is None else min(bound // k, best[0] - 1)
-            hits = upper & int.from_bytes(table[k * low:k * high + 1:k], "little")
-            if hits:
-                best = (low + ((hits & -hits).bit_length() - 1) // 8, k)
+        table = _norm_table(q.d, bound)
+        half = bound // 2
+        split = min(4 * isqrt(bound), half)
+        best, free = _first_scan(q.d, table, split, prefix=False)
+        if best is None:
+            low = split + 1
+            top = bound // low
+            upper = int.from_bytes(table[low:half + 1], "little")
+            for k in compress(range(2, top + 1), free[2:top + 1]):
+                high = bound // k if best is None else min(bound // k, best[0] - 1)
+                hits = upper & int.from_bytes(table[k * low:k * high + 1:k], "little")
+                if hits:
+                    best = (low + ((hits & -hits).bit_length() - 1) // 8, k)
     if best is None:
         return DivisionClosureReport(q.d, bound, True, None)
     n, quotient = best

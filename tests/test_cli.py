@@ -348,6 +348,15 @@ def test_quad_s_wire_builds_only_the_table_it_reads(capsys):
     assert report["results"]["unresolved"] == []
 
 
+def test_quad_verdict_with_a_counterexample_builds_only_the_prefix_table(capsys):
+    # (9, 18, 2) lies within the first 16 |d| values, so a bound far beyond
+    # memory needs no full table
+    code, report = run_json(capsys, "quad", "verdict", "--d", "-17", "--bound", HUGE_BOUND)
+    assert code == 1
+    assert report["results"]["bound"] == int(HUGE_BOUND)
+    assert report["results"]["counterexample"] == [9, 18, 2]
+
+
 @pytest.mark.parametrize("argv", [
     ["quad", "verdict", "--d", "-17", "--bound", "2000"],
     ["check-lattice", fixture_path("l6_broken.json")],

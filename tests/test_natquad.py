@@ -282,12 +282,52 @@ def test_norm_table_matches_double_loop(D, bound):
 @example(322, 1352)  # (169, 338, 2): the skipped quotient 8 = 4 * 2 hits at 169 too
 @example(17, 18)  # (9, 18, 2): the quotient 2 is bound // 9, the last one a divisor >= 9 can reach
 @example(9373, 27869)  # k = 14 hits at n = 841 and the later k = 29 at 961: the first stays
+# (169, 2873, 17) has the largest multiple over D of all D < 2000; from the
+# full table at bound 16 D - 1 and 16 D, from the prefix table at 16 D + 1
+@example(298, 16 * 298 - 1)
+@example(298, 16 * 298)
+@example(298, 16 * 298 + 1)
 def test_division_closure_matches_pairwise_scan(D, bound):
     assume(bound >= D)
     expected = division_counterexample_by_scan(norm_values_by_double_loop(D, bound), bound)
     report = division_closure_check(QuadOrder(-D), bound)
     assert report.closed == (expected is None)
     assert report.counterexample == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(ADMISSIBLE), st.integers(1, 5000), st.sampled_from([1, 2, 4, 8]))
+@example(298, 5000, 9)  # n1 = 169 has no hit up to 2682; 2873 = 17 * 169 is in the full table
+@example(298, 5000, 1)  # n1 = 169 > reach // 2 = 149: the prefix has no divisor that can hit
+@example(337, 5000, 4)  # n1 = 121 has no hit up to 1348, where (169, 338, 2) would; (121, 1573, 13)
+def test_division_closure_prefix_falls_through_to_the_full_table(D, bound, factor):
+    assume(bound >= D)
+    expected = division_counterexample_by_scan(norm_values_by_double_loop(D, bound), bound)
+    with mock.patch.object(natquad, "_PREFIX_FACTOR", factor):
+        report = division_closure_check(QuadOrder(-D), bound)
+    assert report.counterexample == expected
+
+
+def test_square_of_a_ramified_inert_or_2_prime_never_divides_a_failing_pair():
+    # the lemma of division_closure_check: for p = 2, p | D or p inert,
+    # p^2 k a norm makes k a norm
+    checked = 0
+    for D in ADMISSIBLE:
+        if D >= 300:
+            break
+        q = QuadOrder(-D)
+        norms = norm_values_by_double_loop(D, 20_000)
+        for p in primes_upto(50):
+            if p == 2 or D % p == 0 or is_inert(q, p):
+                for v in norms:
+                    if v % (p * p) == 0:
+                        assert v // (p * p) in norms, (D, p, v)
+                        checked += 1
+    assert checked == 78_960
+    # the hypothesis is needed: 3 splits for D = 17, and (9, 18, 2) fails
+    q = QuadOrder(-17)
+    assert not is_inert(q, 3) and 17 % 3 != 0
+    assert is_norm(q, 9) and is_norm(q, 18) and not is_norm(q, 2)
 
 
 @settings(max_examples=150, deadline=None)
