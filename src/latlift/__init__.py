@@ -52,17 +52,14 @@ from .monoid import (
 )
 from .natquad import (
     DivisionClosureReport,
-    MWireVerdict,
     QuadOrder,
     SGenReport,
     division_closure_check,
     is_inert,
     is_norm,
-    m_wire_verdict,
     nat_join,
     nat_meet,
     nat_residual,
-    norm,
     norm_image,
     norm_witness,
     s_wire_check,

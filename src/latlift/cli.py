@@ -16,7 +16,6 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass, field
 from functools import cache
 
 from . import __version__
@@ -30,14 +29,7 @@ from .lifting import (
     verify_m_witness,
 )
 from .monoid import verify_ideal_system
-from .natquad import (
-    M_WIRE_CONSISTENT,
-    QuadOrder,
-    division_closure_check,
-    m_wire_verdict,
-    norm_image,
-    s_wire_check,
-)
+from .natquad import QuadOrder, division_closure_check, norm_image, s_wire_check
 from .verdicts import LoadError, TheoremViolation
 
 EXIT_PASS = 0
@@ -46,38 +38,8 @@ EXIT_USAGE = 2
 EXIT_ORACLE = 3
 
 
-@dataclass
-class RunReport:
-    command: str
-    options: dict
-    passed: bool
-    exit_code: int
-    elapsed_s: float
-    version: str
-    results: dict
-    stats: dict = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "options": self.options,
-            "passed": self.passed,
-            "exit_code": self.exit_code,
-            "version": self.version,
-            "results": self.results,
-            "stats": {"elapsed_s": self.elapsed_s, **self.stats},
-        }
-
-
 def _violations_json(verdict) -> list:
-    return [{"law": v.law, "witness": list(map(_plain, v.witness)), "detail": v.detail}
-            for v in verdict.violations]
-
-
-def _plain(x):
-    if isinstance(x, tuple):
-        return [_plain(v) for v in x]
-    return x
+    return [{"law": v.law, "witness": list(v.witness), "detail": v.detail} for v in verdict.violations]
 
 
 # ----- check-lattice ---------------------------------------------------
@@ -167,7 +129,8 @@ def _corpus_entry(lat, orbit: int) -> tuple[dict, bool]:
         "orbit": orbit,
         "wires": equivalence.wires_checked,
         "m_wires": equivalence.m_wires,
-        "equivalence_violations": [list(map(_plain, v)) for v in equivalence.violations],
+        "equivalence_violations": [[list(names), is_m, ideal_ok]
+                                   for names, is_m, ideal_ok in equivalence.violations],
         "finitary_all": embedding.finitary_all,
         "all_compact": embedding.all_compact,
         "liftability_findings": list(liftability.findings),
@@ -229,11 +192,6 @@ def _quad(order: QuadOrder, args) -> tuple[dict, bool, int]:
         values = norm_image(order, args.bound)
         results = base | {"bound": args.bound, "count": len(values), "values": list(values)}
         return results, True, EXIT_PASS
-    if args.check == "division-closure":
-        report = division_closure_check(order, args.bound)
-        results = base | {"bound": args.bound, "closed": report.closed,
-                          "counterexample": list(report.counterexample) if report.counterexample else None}
-        return results, report.closed, EXIT_PASS if report.closed else EXIT_FAIL
     if args.check == "s-wire":
         report = s_wire_check(order, args.prime_bound, args.search_bound)
         results = base | {
@@ -246,26 +204,27 @@ def _quad(order: QuadOrder, args) -> tuple[dict, bool, int]:
             "unresolved": list(report.unresolved),
         }
         return results, report.ok, EXIT_PASS if report.ok else EXIT_FAIL
-    report = m_wire_verdict(order, args.bound)
-    results = base | {"bound": args.bound, "verdict": report.verdict,
+    # division-closure and verdict read one report: "closed", or the M-wire verdict
+    report = division_closure_check(order, args.bound)
+    key, value = ("closed", report.closed) if args.check == "division-closure" else ("verdict", report.verdict)
+    results = base | {"bound": args.bound, key: value,
                       "counterexample": list(report.counterexample) if report.counterexample else None}
-    consistent = report.verdict == M_WIRE_CONSISTENT
-    return results, consistent, EXIT_PASS if consistent else EXIT_FAIL
+    return results, report.closed, EXIT_PASS if report.closed else EXIT_FAIL
 
 
 # ----- rendering -------------------------------------------------------
 
 
-def _render_text(report: RunReport) -> str:
-    lines = [f"latlift {report.version} :: {report.command}"]
-    results = report.results
-    if report.command in ("check-lattice", "lift"):  # both report the lattice verdict of one file
+def _render_text(report: dict) -> str:
+    command, results = report["command"], report["results"]
+    lines = [f"latlift {report['version']} :: {command}"]
+    if command in ("check-lattice", "lift"):  # both report the lattice verdict of one file
         lines.append(f"file: {results['path']}")
         if "elements" in results:
             lines.append(f"elements: {','.join(results['elements'])}")
         for v in results.get("violations", []):
             lines.append(f"violation: {v['law']} at ({','.join(map(str, v['witness']))}) {v['detail']}")
-    if report.command == "lift":
+    if command == "lift":
         for entry in results.get("wires", []):
             lines.append(f"wire {{{','.join(entry['wire'])}}}: "
                          f"{'M-wire' if entry['is_m_wire'] else 'wire'}, "
@@ -281,12 +240,12 @@ def _render_text(report: RunReport) -> str:
             lines.append(results["note"])
         if results.get("is_wire") is False:
             lines.append(f"not a wire: {{{','.join(results['wire'])}}}")
-    elif report.command == "corpus":
+    elif command == "corpus":
         lines.append(f"lattices: {results['lattices']}  wires: {results['wires']}  "
                      f"m-wires: {results['m_wires']}")
         for v in results["violations"]:
             lines.append(f"VIOLATION: {v}")
-    elif report.command == "quad":
+    elif command == "quad":
         for key in ("d", "check", "bound", "prime_bound", "search_bound",
                     "verdict", "closed", "counterexample", "count", "unresolved"):
             if key in results and results[key] is not None:
@@ -298,8 +257,8 @@ def _render_text(report: RunReport) -> str:
         for entry in results.get("primes", []):
             detail = entry["pair"] or entry["rep"] or ""
             lines.append(f"p={entry['p']:>4}  {entry['kind']}  {detail}")
-    lines.append(f"result: {'PASS' if report.passed else 'FAIL'} "
-                 f"({report.elapsed_s:.3f}s, exit {report.exit_code})")
+    lines.append(f"result: {'PASS' if report['passed'] else 'FAIL'} "
+                 f"({report['stats']['elapsed_s']:.3f}s, exit {report['exit_code']})")
     return "\n".join(lines)
 
 
@@ -369,20 +328,18 @@ def main(argv=None) -> int:
     except TheoremViolation as exc:
         print(f"oracle violation: {exc}", file=sys.stderr)
         return EXIT_ORACLE
-    options = {k: v for k, v in vars(args).items() if k not in ("command", "format")}
-    report = RunReport(
-        command=args.command,
-        options=options,
-        passed=passed,
-        exit_code=code,
-        elapsed_s=round(time.perf_counter() - started, 6),
-        version=__version__,
-        results=results,
-        stats=stats,
-    )
+    report = {
+        "command": args.command,
+        "options": {k: v for k, v in vars(args).items() if k not in ("command", "format")},
+        "passed": passed,
+        "exit_code": code,
+        "version": __version__,
+        "results": results,
+        "stats": {"elapsed_s": round(time.perf_counter() - started, 6), **stats},
+    }
     try:
         if args.format == "json":
-            print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
+            print(json.dumps(report, indent=2, sort_keys=True))
         else:
             print(_render_text(report))
         sys.stdout.flush()

@@ -31,9 +31,11 @@ ENUM_CAP = 6
 
 
 class _Carrier:
-    """Element naming and the full mask, shared by lattice and monoid carriers."""
+    """Element naming, the full mask and the shape check of the product
+    table, shared by lattice and monoid carriers."""
 
     names: tuple[str, ...]
+    mul: tuple[tuple[int, ...], ...]
 
     @property
     def n(self) -> int:
@@ -51,6 +53,19 @@ class _Carrier:
 
     def subset_names(self, mask: int) -> tuple[str, ...]:
         return tuple(self.names[i] for i in bits(mask))
+
+    def _check_shape(self, one: int, zero: int) -> None:
+        """Distinct names, an n x n product table of element indices, and the
+        identity one and the absorbing zero among the elements."""
+        n = self.n
+        if len(set(self.names)) != n:
+            raise LoadError("element names are not distinct")
+        if len(self.mul) != n or any(len(r) != n for r in self.mul):
+            raise LoadError("multiplication table dimensions do not match the carrier")
+        if any(not 0 <= v < n for row in self.mul for v in row):
+            raise LoadError("multiplication table references an unknown index")
+        if not (0 <= one < n and 0 <= zero < n):
+            raise LoadError("one/zero index out of range")
 
 
 @dataclass(frozen=True)
@@ -76,17 +91,11 @@ class FiniteLattice(_Carrier):
         n = len(self.names)
         if not 1 <= n <= CARRIER_CAP:
             raise LoadError(f"carrier size {n} outside 1..{CARRIER_CAP}")
-        if len(set(self.names)) != n:
-            raise LoadError("element names are not distinct")
-        if len(self.up) != n or len(self.mul) != n or any(len(r) != n for r in self.mul):
-            raise LoadError("table dimensions do not match the carrier")
-        full = (1 << n) - 1
-        if any(row & ~full for row in self.up):
+        self._check_shape(self.top, self.bot)
+        if len(self.up) != n:
+            raise LoadError("order table dimensions do not match the carrier")
+        if any(row & ~self.full for row in self.up):
             raise LoadError("order mask references an unknown element")
-        if any(not 0 <= v < n for row in self.mul for v in row):
-            raise LoadError("multiplication table references an unknown index")
-        if not (0 <= self.bot < n and 0 <= self.top < n):
-            raise LoadError("bot/top index out of range")
 
     # ----- order primitives ------------------------------------------
 
@@ -408,8 +417,11 @@ def _read_products(data: dict, elements: list[str], look, one: int, zero: int) -
     for x in range(n):
         grid[one][x] = grid[x][one] = x
         grid[zero][x] = grid[x][zero] = zero
+    entries = data.get("mul", [])
+    if not isinstance(entries, list):
+        raise LoadError("'mul' must be a list of [x, y, xy] entries")
     explicit: dict[tuple[int, int], int] = {}
-    for entry in data.get("mul", []):
+    for entry in entries:
         if not isinstance(entry, list) or len(entry) != 3:
             raise LoadError(f"mul entry {entry!r} must be [x, y, xy]")
         x, y, v = look(entry[0]), look(entry[1]), look(entry[2])
@@ -443,31 +455,18 @@ def load_lattice(path: str | Path) -> FiniteLattice:
 # ----- enumeration -----------------------------------------------------
 
 
-def enumerate_small_lattices(n: int, limit: int | None = None) -> Iterator[FiniteLattice]:
-    """Yield the distinct multiplicative lattices on n labeled elements.
+def enumerate_small_lattices(n: int) -> Iterator[FiniteLattice]:
+    """Yield the distinct multiplicative lattices on n labeled elements,
+    order by order: every table of one lattice order before the next order.
 
     Index 0 is bot and index n-1 is top; inner elements keep their labels,
     so the stream contains relabelings of the same isomorphism class but
-    never two identical lattices.  Orders are interleaved round-robin so a
-    small limit still samples many order shapes.  Every yield passes
-    :func:`verify_lattice`.
+    never two identical lattices.  Every yield passes :func:`verify_lattice`.
     """
     if not 1 <= n <= ENUM_CAP:
         raise ValueError(f"enumeration is capped at {ENUM_CAP} elements")
-    count = 0
-    streams = [_tables_for_order(n, up) for up in _lattice_orders(n)]
-    while streams:
-        alive = []
-        for gen in streams:
-            lat = next(gen, None)
-            if lat is None:
-                continue
-            yield lat
-            count += 1
-            if limit is not None and count >= limit:
-                return
-            alive.append(gen)
-        streams = alive
+    for up in _lattice_orders(n):
+        yield from _tables_for_order(n, up)
 
 
 def _small_names(n: int) -> tuple[str, ...]:
@@ -604,12 +603,12 @@ def canonical_form(lat: FiniteLattice) -> tuple:
 def _order_classes(n: int) -> Iterator[tuple[tuple[int, ...], list]]:
     """(up, automorphisms) of one lattice order per isomorphism class: the
     order of :func:`_lattice_orders` that is least among its relabellings,
-    with the relabellings that fix it."""
+    with the relabellings that fix it.  An order is dropped at its first
+    smaller image, and only the survivors list their automorphisms."""
     moves = _relabellings(0, n - 1, n)
     for up in _lattice_orders(n):
-        images = [_relabel_up(up, old, new) for old, new in moves]
-        if min(images) == up:
-            yield up, [move for move, image in zip(moves, images) if image == up]
+        if all(_relabel_up(up, old, new) >= up for old, new in moves):
+            yield up, [(old, new) for old, new in moves if _relabel_up(up, old, new) == up]
 
 
 def enumerate_lattice_classes(n: int, limit: int | None = None) -> Iterator[tuple[FiniteLattice, int, int]]:

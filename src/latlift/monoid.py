@@ -46,17 +46,9 @@ class FiniteMonoid(_Carrier):
     zero: int
 
     def __post_init__(self) -> None:
-        n = len(self.names)
-        if n == 0:
+        if not self.names:
             raise LoadError("monoid carrier is empty")
-        if len(set(self.names)) != n:
-            raise LoadError("element names are not distinct")
-        if len(self.mul) != n or any(len(r) != n for r in self.mul):
-            raise LoadError("multiplication table dimensions do not match the carrier")
-        if any(not 0 <= v < n for row in self.mul for v in row):
-            raise LoadError("multiplication table references an unknown index")
-        if not (0 <= self.one < n and 0 <= self.zero < n):
-            raise LoadError("one/zero index out of range")
+        self._check_shape(self.one, self.zero)
 
     @cached_property
     def element_maps(self) -> tuple[tuple[int, ...], ...]:

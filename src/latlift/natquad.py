@@ -113,10 +113,6 @@ def _squarefree(n: int) -> bool:
     return True
 
 
-def norm(q: QuadOrder, a: int, b: int) -> int:
-    return q.norm(a, b)
-
-
 def norm_witness(q: QuadOrder, n: int) -> tuple[int, int] | None:
     """An (a, b) with a^2 + |d| b^2 = n, scanning b upward, or None."""
     if n < 0:
@@ -170,14 +166,18 @@ def is_prime(n: int) -> bool:
 
 
 def primes_upto(n: int) -> list[int]:
+    """The primes up to n, from a sieve of n + 1 bytes; a sieve too large for
+    memory raises ValueError."""
     if n < 2:
         return []
-    sieve = bytearray((1,)) * (n + 1)
-    sieve[0] = sieve[1] = 0
-    for i in range(2, isqrt(n) + 1):
-        if sieve[i]:
-            sieve[i * i:: i] = bytearray(len(sieve[i * i:: i]))
-    return [i for i, flag in enumerate(sieve) if flag]
+    try:
+        composite = bytearray(n + 1)
+        for i in range(2, isqrt(n) + 1):
+            if not composite[i]:
+                composite[i * i::i] = b"\1" * len(range(i * i, n + 1, i))
+        return [i for i in range(2, n + 1) if not composite[i]]
+    except MemoryError:
+        raise ValueError(f"prime bound {n} is too large: its sieve does not fit in memory") from None
 
 
 def _legendre(a: int, p: int) -> int:
@@ -220,6 +220,13 @@ class DivisionClosureReport:
     bound: int
     closed: bool
     counterexample: tuple[int, int, int] | None
+
+    @property
+    def verdict(self) -> str:
+        """The bounded verdict on whether S can be an M-wire of the
+        divisibility lattice: a closed image is evidence up to the bound
+        only, a counterexample refutes (M)."""
+        return M_WIRE_CONSISTENT if self.closed else NOT_M_WIRE
 
 
 def _first_scan(d: int, table: bytes, split: int, prefix: bool) -> tuple[tuple[int, int] | None, bytearray]:
@@ -342,25 +349,6 @@ def division_closure_check(q: QuadOrder, bound: int) -> DivisionClosureReport:
             or m % n != 0 or is_norm(q, quotient)):
         raise TheoremViolation("division counterexample failed re-verification")
     return DivisionClosureReport(q.d, bound, False, (n, m, quotient))
-
-
-@dataclass(frozen=True)
-class MWireVerdict:
-    """Bounded verdict on whether S can be an M-wire of the divisibility
-    lattice.  Positive verdicts are evidence up to the bound only; the
-    negative verdict carries a verified counterexample."""
-
-    d: int
-    bound: int
-    verdict: str
-    counterexample: tuple[int, int, int] | None
-
-
-def m_wire_verdict(q: QuadOrder, bound: int) -> MWireVerdict:
-    report = division_closure_check(q, bound)
-    if report.closed:
-        return MWireVerdict(q.d, bound, M_WIRE_CONSISTENT, None)
-    return MWireVerdict(q.d, bound, NOT_M_WIRE, report.counterexample)
 
 
 @dataclass(frozen=True)

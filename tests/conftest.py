@@ -3,6 +3,7 @@ from pathlib import Path
 import pytest
 
 from latlift import FiniteLattice, load_lattice, load_monoid
+from latlift.bitset import bits, mask_from
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -49,3 +50,15 @@ def non_lattices():
     wedge = FiniteLattice(("a", "b", "1"), (0b101, 0b110, 0b100),
                           ((0, 0, 0), (0, 1, 1), (0, 1, 2)), 0, 2)
     return loop, vee, wedge
+
+
+def product_lattice(first, second):
+    """first x second with the componentwise order and product: element
+    (i, j) has index i * second.n + j and name "(x,y)"."""
+    n2 = second.n
+    pairs = [(i, j) for i in range(first.n) for j in range(n2)]
+    return FiniteLattice(
+        tuple(f"({first.names[i]},{second.names[j]})" for i, j in pairs),
+        tuple(mask_from(k * n2 + l for k in bits(first.up[i]) for l in bits(second.up[j])) for i, j in pairs),
+        tuple(tuple(first.mul[i][k] * n2 + second.mul[j][l] for k, l in pairs) for i, j in pairs),
+        first.bot * n2 + second.bot, first.top * n2 + second.top)

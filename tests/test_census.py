@@ -26,10 +26,10 @@ from latlift import (
     verify_lattice,
 )
 from latlift.bitset import bits, mask_from
-from latlift.lattice import _order_classes
+from latlift.lattice import _lattice_orders, _order_classes, _relabel_up, _relabellings
 
 CLASSES = {1: 1, 2: 1, 3: 2, 4: 7, 5: 26}
-ORDER_CLASSES = {1: 1, 2: 1, 3: 1, 4: 2, 5: 5}  # OEIS A006966
+ORDER_CLASSES = {1: 1, 2: 1, 3: 1, 4: 2, 5: 5, 6: 15}  # OEIS A006966
 
 
 @cache
@@ -80,6 +80,21 @@ def test_verdicts_are_invariant_under_relabelling(data):
 def test_class_and_order_class_counts():
     assert {n: len(list(enumerate_lattice_classes(n))) for n in CLASSES} == CLASSES
     assert {n: len(list(_order_classes(n))) for n in ORDER_CLASSES} == ORDER_CLASSES
+
+
+def order_classes_by_all_images(n):
+    """_order_classes by the definition: each order relabelled under every
+    inner permutation, kept when it is the least image."""
+    moves = _relabellings(0, n - 1, n)
+    for up in _lattice_orders(n):
+        images = [_relabel_up(up, old, new) for old, new in moves]
+        if min(images) == up:
+            yield up, [move for move, image in zip(moves, images) if image == up]
+
+
+def test_order_classes_match_the_all_images_reference():
+    for n in ORDER_CLASSES:
+        assert list(_order_classes(n)) == list(order_classes_by_all_images(n))
 
 
 @pytest.mark.parametrize("n", sorted(CLASSES))

@@ -49,6 +49,17 @@ def test_check_lattice_missing_file(capsys):
     assert main(["check-lattice", fixture_path("nope.json")]) == 2
 
 
+@pytest.mark.parametrize("mul", [5, None])
+def test_check_lattice_malformed_mul_is_usage_error(capsys, tmp_path, mul):
+    doc = json.loads(Path(fixture_path("l6.json")).read_text()) | {"mul": mul}
+    path = tmp_path / "bad_mul.json"
+    path.write_text(json.dumps(doc))
+    assert main(["check-lattice", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: 'mul' must be a list") and captured.err.count("\n") == 1
+
+
 def test_lift_named_wire(capsys):
     code, report = run_json(capsys, "lift", fixture_path("l6.json"), "--wire", "0,a,b,c,1")
     assert code == 0
@@ -337,6 +348,16 @@ def test_quad_table_too_large_to_allocate_is_usage_error(capsys, monkeypatch, ar
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(f"error: bound {HUGE_BOUND} ") and captured.err.count("\n") == 1
+
+
+def test_quad_prime_bound_too_large_to_sieve_is_usage_error(capsys):
+    # no address space holds a sieve of 2^62 bytes, so its allocation fails
+    # at once and touches no memory
+    bound = str(2 ** 62)
+    assert main(["quad", "s-wire", "--d", "-5", "--prime-bound", bound, "--format", "json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: prime bound {bound} ") and captured.err.count("\n") == 1
 
 
 def test_quad_s_wire_builds_only_the_table_it_reads(capsys):

@@ -11,6 +11,7 @@ from latlift import (
     LoadError,
     canonical_form,
     classify_element,
+    enumerate_lattice_classes,
     enumerate_small_lattices,
     is_domain,
     lattice_from_dict,
@@ -204,6 +205,13 @@ def test_load_errors():
     bad = dict(good, mul=good["mul"][:-1])  # drop d*d, not fillable
     with pytest.raises(LoadError):
         lattice_from_dict(bad)
+    for mul in (5, None):
+        with pytest.raises(LoadError, match="^'mul' must be a list"):
+            lattice_from_dict(dict(good, mul=mul))
+    bad = dict(good)
+    del bad["mul"]  # products with top or bot alone are filled in, d*d is not
+    with pytest.raises(LoadError):
+        lattice_from_dict(bad)
     bad = dict(good, order={"covers": good["order"]["covers"] + [["1", "0"]]})
     with pytest.raises(LoadError):
         lattice_from_dict(bad)  # cycle
@@ -234,15 +242,13 @@ def test_enumerate_counts():
 
 
 def test_enumerated_lattices_all_verify():
-    for n in (1, 2, 3, 4):
+    for n in (1, 2, 3, 4, 5):
         for lat in enumerate_small_lattices(n):
             assert verify_lattice(lat).passed
-    for lat in enumerate_small_lattices(5, limit=60):
-        assert verify_lattice(lat).passed
 
 
 def test_enumerate_six_contains_l6_class(l6):
-    assert canonical_form(l6) in {canonical_form(lat) for lat in enumerate_small_lattices(6, limit=100)}
+    assert canonical_form(l6) in {canonical_form(lat) for lat, _, _ in enumerate_lattice_classes(6)}
 
 
 def test_enumerate_yields_distinct_tables():

@@ -11,6 +11,7 @@ from latlift import (
     check_liftability,
     check_m_wire_ideal_equivalence,
     classify_element,
+    enumerate_lattice_classes,
     enumerate_small_lattices,
     enumerate_wires,
     lift,
@@ -23,7 +24,7 @@ from latlift import (
 from latlift.bitset import bits, mask_from
 from latlift.lifting import verify_m_witness
 
-from conftest import non_lattices
+from conftest import non_lattices, product_lattice
 
 L6_IDEALS = {
     frozenset("0"),
@@ -259,6 +260,29 @@ def chain(n):
     return FiniteLattice(tuple(map(str, range(n))),
                          tuple(((1 << n) - 1) ^ ((1 << i) - 1) for i in range(n)),
                          tuple(tuple(min(i, j) for j in range(n)) for i in range(n)), 0, n - 1)
+
+
+def test_m_condition_factorizes_over_products():
+    # H1 x H2 is a wire of L1 x L2, M(H1 x H2) holds iff M(H1) and M(H2)
+    # hold, and a factor's (M) witness (s, t, a) fails in the product as
+    # ((s, 1), (t, 1), (a, 1)), or ((1, s), (1, t), (1, a)) for the second
+    factors = [(lat, report) for n in (2, 3, 4) for lat, _, _ in enumerate_lattice_classes(n)
+               for report in enumerate_wires(lat)]
+    failing = 0
+    for first, h1 in factors:
+        for second, h2 in factors:
+            product = product_lattice(first, second)
+            assert verify_lattice(product).passed
+            n2 = second.n
+            report = analyze_wire(product, mask_from(s * n2 + t for s in bits(h1.subset) for t in bits(h2.subset)))
+            assert report.is_wire
+            assert report.is_m_wire == (h1.is_m_wire and h2.is_m_wire)
+            failing += not report.is_m_wire
+            for witness, embed in ((h1.m_witness, lambda x: x * n2 + second.top),
+                                   (h2.m_witness, lambda x: first.top * n2 + x)):
+                if witness is not None:
+                    assert verify_m_witness(product, report.subset, tuple(map(embed, witness)))
+    assert (len(factors) ** 2, failing) == (100, 36)
 
 
 def test_wire_cap_enforced():

@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 
 from latlift import (
     ClosureMap,
+    FiniteLattice,
     FiniteMonoid,
     LoadError,
     TheoremViolation,
@@ -39,6 +40,21 @@ def test_monoid_load_errors():
     with pytest.raises(LoadError):
         monoid_from_dict({"elements": ["0", "x", "1"], "one": "1", "zero": "0",
                           "mul": [["x", "x", "x"], ["x", "x", "0"]]})
+    with pytest.raises(LoadError, match="^'mul' must be a list"):
+        monoid_from_dict({"elements": ["0", "1"], "one": "1", "zero": "0", "mul": 5})
+
+
+@pytest.mark.parametrize("names, mul, one, message", [
+    (("0", "0"), ((0, 0), (0, 1)), 1, "element names are not distinct"),
+    (("0", "1"), ((0, 0),), 1, "multiplication table dimensions"),
+    (("0", "1"), ((0, 0), (0, 2)), 1, "unknown index"),
+    (("0", "1"), ((0, 0), (0, 1)), 2, "one/zero index out of range"),
+])
+def test_lattice_and_monoid_share_the_shape_check(names, mul, one, message):
+    with pytest.raises(LoadError, match=message):
+        FiniteMonoid(names, mul, one, 0)
+    with pytest.raises(LoadError, match=message):
+        FiniteLattice(names, (0b11, 0b10), mul, 0, one)
 
 
 def test_verify_monoid_catches_broken_laws():

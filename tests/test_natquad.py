@@ -10,11 +10,9 @@ from latlift import (
     division_closure_check,
     is_inert,
     is_norm,
-    m_wire_verdict,
     nat_join,
     nat_meet,
     nat_residual,
-    norm,
     norm_image,
     norm_witness,
     s_wire_check,
@@ -104,17 +102,17 @@ def test_quad_order_validation():
 
 def test_norm_values():
     q = QuadOrder(-17)
-    assert norm(q, 5, 1) == 42
-    assert norm(q, 2, 1) == 21
-    assert norm(q, 1, 0) == 1
-    assert norm(QuadOrder(-5), 0, 1) == 5
+    assert q.norm(5, 1) == 42
+    assert q.norm(2, 1) == 21
+    assert q.norm(1, 0) == 1
+    assert QuadOrder(-5).norm(0, 1) == 5
 
 
 def test_is_norm_and_witness():
     q17, q5 = QuadOrder(-17), QuadOrder(-5)
     assert not is_norm(q17, 2)
     assert norm_witness(q5, 21) == (4, 1)
-    assert norm(q5, 4, 1) == 21
+    assert q5.norm(4, 1) == 21
     assert norm_witness(q5, 0) == (0, 0)
     assert norm_witness(q5, -3) is None
     assert norm_witness(q5, 7) is None
@@ -132,9 +130,9 @@ def test_norm_image_small():
        st.integers(0, 12), st.integers(0, 6), st.integers(0, 12), st.integers(0, 6))
 def test_norm_multiplicativity_via_composition(d, a, b, c, e):
     q = QuadOrder(d)
-    m, n = norm(q, a, b), norm(q, c, e)
+    m, n = q.norm(a, b), q.norm(c, e)
     u, v = compose_norm_witnesses(q, (a, b), (c, e))
-    assert norm(q, u, v) == m * n
+    assert q.norm(u, v) == m * n
     assert is_norm(q, m * n)
 
 
@@ -178,10 +176,10 @@ def test_division_closure_bound_guard():
 
 
 def test_m_wire_verdicts():
-    assert m_wire_verdict(QuadOrder(-17), 50).verdict == NOT_M_WIRE
-    assert m_wire_verdict(QuadOrder(-17), 50).counterexample == (9, 18, 2)
-    assert m_wire_verdict(QuadOrder(-5), 2000).verdict == M_WIRE_CONSISTENT
-    assert m_wire_verdict(QuadOrder(-6), 2000).verdict == M_WIRE_CONSISTENT
+    assert division_closure_check(QuadOrder(-17), 50).verdict == NOT_M_WIRE
+    assert division_closure_check(QuadOrder(-17), 50).counterexample == (9, 18, 2)
+    assert division_closure_check(QuadOrder(-5), 2000).verdict == M_WIRE_CONSISTENT
+    assert division_closure_check(QuadOrder(-6), 2000).verdict == M_WIRE_CONSISTENT
 
 
 def test_s_wire_small_run():
@@ -372,7 +370,7 @@ def test_quad_workload_verdicts_follow_idoneal_numbers():
     for D in ADMISSIBLE:
         if D >= 300:
             break
-        report = m_wire_verdict(QuadOrder(-D), max(200_000, 50 * D))
+        report = division_closure_check(QuadOrder(-D), max(200_000, 50 * D))
         assert (report.verdict == M_WIRE_CONSISTENT) == (D in IDONEAL), D
         if D == 17:
             assert report.counterexample == (9, 18, 2)
