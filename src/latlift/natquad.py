@@ -12,16 +12,19 @@ before it is returned.
 
 The norm image, the division-closure scan and the gcd search of the s-wire
 check each build the membership table of (d, bound): a ``bytes`` object
-whose byte v is 1 exactly when v is a nonzero norm.  The division-closure
-scan walks the norm-free divisors up to 4 sqrt(bound) and, for the larger
-divisors, the norm-free quotients up to sqrt(bound) / 4: one big-int AND
-each.  It skips the divisors p^2 for p = 2, p | d and p inert: p^2 k a norm
-forces p to divide both a and b, so k is a norm.  The first divisor it does
-not skip is the least that can fail, so a hit for it in a table of 16 |d|
-values answers for every bound; only when that table has none is the table
-of (d, bound) built.  The s-wire check grows its table from 2^16 values
-only while an answer may lie beyond it.  The re-verification of each
-witness never reads the table.
+whose byte v is 1 exactly when v is a nonzero norm.  Its rows mark only the
+pairs (a, b) not both even and copy table[4k] from table[k]: a norm is 0
+(mod 4) only for a and b both even.  The division-closure scan walks the
+norm-free divisors up to 4 sqrt(bound) and, for the larger divisors, the
+norm-free quotients up to sqrt(bound) / 4 with no inert prime factor: one
+big-int AND each.  It skips the divisors p^2 for p = 2, p | d and p inert:
+p^2 k a norm forces p to divide both a and b, so k is a norm.  The first
+divisor it does not skip is the least that can fail, so a hit for it in a
+table of 16 |d| values answers for every bound; only when that table has
+none is the table of (d, bound) built.  The s-wire check classifies the
+primes of its sieve without testing them for primality again, and grows
+its table from 2^16 values only while an answer may lie beyond it.  The
+re-verification of each witness never reads the table.
 """
 
 from __future__ import annotations
@@ -117,9 +120,10 @@ def norm_witness(q: QuadOrder, n: int) -> tuple[int, int] | None:
     """An (a, b) with a^2 + |d| b^2 = n, scanning b upward, or None."""
     if n < 0:
         return None
+    D = q.D
     b = 0
-    while q.D * b * b <= n:
-        rem = n - q.D * b * b
+    while D * b * b <= n:
+        rem = n - D * b * b
         a = isqrt(rem)
         if a * a == rem:
             return (a, b)
@@ -132,15 +136,28 @@ def is_norm(q: QuadOrder, n: int) -> bool:
 
 
 def _norm_table(d: int, bound: int) -> bytes:
-    """Byte v (0 <= v <= bound) is 1 iff v > 0 and v = a^2 + |d| b^2; each
-    row b marks |d| b^2 + a^2 for the precomputed squares a^2 that fit."""
+    """Byte v (0 <= v <= bound) is 1 iff v > 0 and v = a^2 + |d| b^2.
+
+    Each row b marks |d| b^2 + a^2 for the precomputed squares a^2 that fit,
+    the odd a only when b is even.  With D = |d| = 1 or 2 (mod 4), a^2 is 0
+    or 1 and D b^2 is 0 or D (mod 4), so a^2 + D b^2 = 0 (mod 4) only for a
+    and b both even: the rows mark exactly the norms that are not multiples
+    of 4, and 4k is a norm iff k is.  The multiples of 4 are then copied
+    level by level, table[4 lo:4 hi:4] = table[lo:hi] over [4^j, 4^(j+1)),
+    each level's sources being final before it is copied.
+    """
     table = bytearray(bound + 1)
     squares = [a * a for a in range(isqrt(bound) + 1)]
     for b in range(isqrt(bound // -d) + 1):
         base = -d * b * b
-        for square in squares[:isqrt(bound - base) + 1]:
+        fit = isqrt(bound - base) + 1
+        for square in squares[:fit] if b % 2 else squares[1:fit:2]:
             table[base + square] = 1
-    table[0] = 0
+    lo = 1
+    while 4 * lo <= bound:
+        hi = min(4 * lo, bound // 4 + 1)
+        table[4 * lo:4 * hi:4] = table[lo:hi]
+        lo *= 4
     return bytes(table)
 
 
@@ -199,9 +216,12 @@ def is_inert(q: QuadOrder, p: int) -> bool:
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    if p == 2 or q.D % p == 0:
-        return False
-    return _legendre(q.d % p, p) == -1
+    return _inert(q, p)
+
+
+def _inert(q: QuadOrder, p: int) -> bool:
+    """is_inert for a p already known to be prime."""
+    return p != 2 and q.D % p != 0 and _legendre(q.d, p) == -1
 
 
 # ----- division closure and the wire checks ----------------------------
@@ -294,6 +314,19 @@ def division_closure_check(q: QuadOrder, bound: int) -> DivisionClosureReport:
     not 1 (else k would be a norm), so (n, k2) is a hit with the same n
     and a smaller k.
 
+    No quotient with an inert prime factor can win, so the second scan
+    clears the multiples of each inert p <= bound // (split + 1) in free
+    first.  Let (n, kn, k) be the least counterexample; both n and k are
+    norm-free.  If p is inert and p | k, then p | kn, so p^2 | kn (the
+    lemma below: an inert p dividing a^2 + D b^2 divides a and b).  p^2 is
+    a norm, so it does not divide the norm-free k, and p | n.  Then p^2 | n,
+    as n is a norm, and n is norm-free, so n = p^2; by the lemma k is a
+    norm, a contradiction.  Dropping quotients that cannot win changes no
+    answer: the scan keeps the least n, the smaller k on a tie.  The
+    hypothesis is needed: 2 and the ramified primes divide winning
+    quotients ((841, 11774, 14) for D = 9373, with 7 | 9373), and so do the
+    split ones ((289, 4913, 17) for D = 1138).
+
     Lemma: let p be prime with p = 2, p | D or (-D | p) = -1 (p inert).
     If p^2 k = a^2 + D b^2, then p | a and p | b, so k = (a/p)^2 + D (b/p)^2
     is a norm and p^2 is never the divisor of a counterexample.  p = 2:
@@ -336,6 +369,9 @@ def division_closure_check(q: QuadOrder, bound: int) -> DivisionClosureReport:
             low = split + 1
             top = bound // low
             upper = int.from_bytes(table[low:half + 1], "little")
+            for p in primes_upto(top):
+                if _inert(q, p):
+                    free[p:top + 1:p] = bytes(top // p)
             for k in compress(range(2, top + 1), free[2:top + 1]):
                 high = bound // k if best is None else min(bound // k, best[0] - 1)
                 hits = upper & int.from_bytes(table[k * low:k * high + 1:k], "little")
@@ -429,7 +465,7 @@ def s_wire_check(q: QuadOrder, prime_bound: int, search_bound: int) -> SGenRepor
     table = _norm_table(q.d, reach)
     verdicts = []
     for p in primes_upto(prime_bound):
-        if is_inert(q, p):
+        if _inert(q, p):
             verdicts.append(PrimeVerdict(p, "inert"))
             continue
         rep = norm_witness(q, p)

@@ -1,4 +1,4 @@
-from math import gcd
+from math import gcd, isqrt
 from unittest import mock
 
 import pytest
@@ -225,6 +225,19 @@ def norm_values_by_double_loop(D, bound):
     return values
 
 
+def norm_table_by_rows(D, bound):
+    # one row per b over every a, the pairs both even included: the
+    # reference for _norm_table, which copies the multiples of 4 instead
+    table = bytearray(bound + 1)
+    squares = [a * a for a in range(isqrt(bound) + 1)]
+    for b in range(isqrt(bound // D) + 1):
+        base = D * b * b
+        for square in squares[:isqrt(bound - base) + 1]:
+            table[base + square] = 1
+    table[0] = 0
+    return bytes(table)
+
+
 def division_counterexample_by_scan(members, bound):
     for n in sorted(members):
         for m in range(2 * n, bound + 1, n):
@@ -251,9 +264,33 @@ def gcd_pair_by_filter(p, image):
 
 @settings(max_examples=150, deadline=None)
 @given(st.sampled_from(ADMISSIBLE), st.integers(1, 5000))
+# the edges of the copy's levels [4^j, 4^(j+1)), for D = 1 and 2 (mod 4)
+@example(1, 1)
+@example(2, 1)
+@example(1, 3)  # no multiple of 4: nothing is copied
+@example(2, 3)
+@example(1, 4)
+@example(2, 4)
+@example(1, 5)
+@example(2, 5)
+@example(1, 15)
+@example(2, 15)
+@example(1, 16)  # the first target of the second level
+@example(2, 16)
+@example(1, 17)
+@example(2, 17)
+@example(1, 64)
+@example(2, 64)
+@example(1, 256)
+@example(2, 256)
+@example(1, 1024)
+@example(2, 1024)
+@example(1, 4096)
+@example(2, 4096)
 def test_norm_table_matches_double_loop(D, bound):
     table = _norm_table(-D, bound)
     values = norm_values_by_double_loop(D, bound)
+    assert table == norm_table_by_rows(D, bound)
     assert len(table) == bound + 1 and set(table) <= {0, 1}
     assert {v for v, flag in enumerate(table) if flag} == values
     assert norm_image(QuadOrder(-D), bound) == tuple(sorted(values))
@@ -280,6 +317,10 @@ def test_norm_table_matches_double_loop(D, bound):
 @example(322, 1352)  # (169, 338, 2): the skipped quotient 8 = 4 * 2 hits at 169 too
 @example(17, 18)  # (9, 18, 2): the quotient 2 is bound // 9, the last one a divisor >= 9 can reach
 @example(9373, 27869)  # k = 14 hits at n = 841 and the later k = 29 at 961: the first stays
+# the second scan drops the quotients with an inert prime factor, never a
+# split one: 17 splits for D = 1138 and 13 for D = 1257
+@example(1138, 5000)  # (289, 4913, 17): n = 289 above split 280
+@example(1257, 3771)  # (289, 3757, 13)
 # (169, 2873, 17) has the largest multiple over D of all D < 2000; from the
 # full table at bound 16 D - 1 and 16 D, from the prefix table at 16 D + 1
 @example(298, 16 * 298 - 1)
