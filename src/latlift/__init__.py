@@ -40,10 +40,8 @@ from .monoid import (
     FiniteMonoid,
     IdealLattice,
     build_ideal_lattice,
-    constant_closure,
     load_monoid,
     monoid_from_dict,
-    multiples_closure,
     subset_product,
     verify_finitary,
     verify_ideal_system,
@@ -57,8 +55,6 @@ from .natquad import (
     division_closure_check,
     is_inert,
     is_norm,
-    nat_join,
-    nat_meet,
     nat_residual,
     norm_image,
     norm_witness,

@@ -69,11 +69,10 @@ def _wire_entry(lat, report) -> dict:
         raise TheoremViolation(
             f"ideal-system verdict disagrees with the M-wire verdict for "
             f"{{{','.join(lat.subset_names(report.subset))}}}")
-    witness = report.witness_names()
     return {
         "wire": list(lat.subset_names(report.subset)),
         "is_m_wire": report.is_m_wire,
-        "m_witness": list(witness) if witness else None,
+        "m_witness": [lat.names[i] for i in report.m_witness] if report.m_witness else None,
         "ideal_count": len(result.ideal_lattice.ideals),
         "ideals": [list(m) for m in result.ideal_members()],
         "certified": True,  # lift raises rather than return an uncertified result

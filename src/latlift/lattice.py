@@ -107,10 +107,6 @@ class FiniteLattice(_Carrier):
         """``downs[j]`` is the bitmask of the lower set {i : i <= j}."""
         return _down_sets(self.up)
 
-    def down(self, j: int) -> int:
-        """Bitmask of the lower set {i : i <= j}."""
-        return self.downs[j]
-
     @cached_property
     def _pair_bounds(self) -> tuple[tuple[tuple[int | None, ...], ...], tuple[tuple[int | None, ...], ...]]:
         """Binary join and meet tables by bound search, with None where a
@@ -442,10 +438,14 @@ def _read_json(path: str | Path) -> object:
         text = Path(path).read_text()
     except OSError as exc:
         raise LoadError(f"cannot read {path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise LoadError(f"{path} is not UTF-8: {exc}") from None
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise LoadError(f"invalid JSON in {path}: {exc}") from None
+    except RecursionError:
+        raise LoadError(f"JSON in {path} is nested too deeply") from None
 
 
 def load_lattice(path: str | Path) -> FiniteLattice:

@@ -50,7 +50,6 @@ class WireReport:
     exactly when H is a wire that fails condition (M).
     """
 
-    lattice: FiniteLattice
     subset: int
     contains_one: bool
     contains_zero: bool
@@ -59,12 +58,6 @@ class WireReport:
     is_wire: bool
     is_m_wire: bool
     m_witness: tuple[int, int, int] | None
-
-    def witness_names(self) -> tuple[str, str, str] | None:
-        if self.m_witness is None:
-            return None
-        s, t, a = self.m_witness
-        return (self.lattice.names[s], self.lattice.names[t], self.lattice.names[a])
 
 
 def _mult_closed(lat: FiniteLattice, subset: int, elems: list[int]) -> bool:
@@ -101,7 +94,7 @@ def analyze_wire(lat: FiniteLattice, subset: int) -> WireReport:
     is_m, witness = (False, None)
     if wire:
         is_m, witness = _m_condition(lat, elems)
-    return WireReport(lat, subset, contains_one, contains_zero, closed,
+    return WireReport(subset, contains_one, contains_zero, closed,
                       generates, wire, is_m, witness)
 
 
@@ -115,7 +108,7 @@ def verify_m_witness(lat: FiniteLattice, subset: int, witness: tuple[int, int, i
     s, t, a = witness
     if not lat.le(s, lat.mul[t][a]):
         return False
-    box = subset & lat.down(a)
+    box = subset & lat.downs[a]
     return not any(lat.mul[t][u] == s for u in bits(box))
 
 
@@ -146,7 +139,6 @@ class LiftResult:
     """
 
     wire: WireReport
-    monoid: FiniteMonoid
     system: ClosureMap
     ideal_lattice: IdealLattice
     iso_f: tuple[int, ...]
@@ -156,37 +148,23 @@ class LiftResult:
         return tuple(self.ideal_lattice.members(k) for k in range(len(self.ideal_lattice.ideals)))
 
 
-def _certify_isomorphism(lat: FiniteLattice, subset: int,
-                         il: IdealLattice) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Certify X -> join(X) and y -> H intersect [0, y] as mutually inverse
-    multiplicative order isomorphisms between the ideal lattice and lat."""
-    elems = list(bits(subset))
-    expand = lambda mask: mask_from(elems[i] for i in bits(mask))
-    pos = {e: i for i, e in enumerate(elems)}
-    compress = lambda latmask: mask_from(pos[e] for e in bits(latmask))
-
-    f = tuple(lat.join_of(expand(v)) for v in il.ideals)
-    ideal_pos = {v: i for i, v in enumerate(il.ideals)}
-    g = []
-    for y in range(lat.n):
-        cut = compress(lat.down(y) & subset)
-        if cut not in ideal_pos:
-            raise TheoremViolation(f"H intersect [0,{lat.names[y]}] is not an r-ideal")
-        g.append(ideal_pos[cut])
-    for i in range(len(il.ideals)):
+def _certify_isomorphism(lat: FiniteLattice, il: IdealLattice,
+                         f: tuple[int, ...], g: tuple[int, ...]) -> None:
+    """Certify f (ideal index -> lattice element) and g (lattice element ->
+    ideal index) as mutually inverse multiplicative order isomorphisms."""
+    k = len(il.ideals)
+    for i in range(k):
         if g[f[i]] != i:
             raise TheoremViolation("g o f is not the identity on ideals")
     for y in range(lat.n):
         if f[g[y]] != y:
             raise TheoremViolation("f o g is not the identity on the lattice")
-    k = len(il.ideals)
     for i in range(k):
         for j in range(k):
             if f[il.lattice.mul[i][j]] != lat.mul[f[i]][f[j]]:
                 raise TheoremViolation("f is not multiplicative")
             if il.lattice.le(i, j) != lat.le(f[i], f[j]):
                 raise TheoremViolation("f does not preserve and reflect the order")
-    return f, tuple(g)
 
 
 def lift(lat: FiniteLattice, subset: int) -> LiftResult:
@@ -196,7 +174,9 @@ def lift(lat: FiniteLattice, subset: int) -> LiftResult:
     lattice is built and the isomorphism onto the original lattice is
     certified; any failure of these guaranteed steps raises
     TheoremViolation.  A carrier that is not a lattice is rejected with
-    ValueError, and non-wires with WireError.
+    ValueError, and non-wires with WireError.  The certificate's maps are
+    read off the two tables the closure is built from: f(X) = joins[X] and
+    g(y) = cut[y].
     """
     join2, _, least, _ = lat._tables  # raises ValueError on a non-lattice
     report = analyze_wire(lat, subset)
@@ -213,17 +193,8 @@ def lift(lat: FiniteLattice, subset: int) -> LiftResult:
     if h > POWERSET_CAP:
         raise ValueError(f"wire size {h} exceeds powerset cap {POWERSET_CAP}")
     pos = {e: i for i, e in enumerate(elems)}
-    names = tuple(lat.names[e] for e in elems)
-    rows = []
-    for s in elems:
-        row = []
-        for t in elems:
-            p = lat.mul[s][t]
-            if p not in pos:
-                raise TheoremViolation("wire is not closed under multiplication")
-            row.append(pos[p])
-        rows.append(tuple(row))
-    monoid = FiniteMonoid(names, tuple(rows), pos[lat.top], pos[lat.bot])
+    rows = tuple(tuple(pos[lat.mul[s][t]] for t in elems) for s in elems)
+    monoid = FiniteMonoid(tuple(lat.names[e] for e in elems), rows, pos[lat.top], pos[lat.bot])
 
     # cut[v] is H intersect [0, v] in monoid coordinates
     cut = [mask_from(pos[e] for e in bits(down & subset)) for down in lat.downs]
@@ -232,15 +203,20 @@ def lift(lat: FiniteLattice, subset: int) -> LiftResult:
     for sm in range(1, 1 << h):
         low = sm & -sm
         joins[sm] = join2[joins[sm ^ low]][elems[low.bit_length() - 1]]
-    table = tuple(cut[v] for v in joins)
-    system = ClosureMap(monoid, table)
+    system = ClosureMap(monoid, tuple(cut[v] for v in joins))
 
     weak = system.weak_verdict
     if not weak.passed:
         raise TheoremViolation(f"lifted closure map failed {weak.laws}")
     il = build_ideal_lattice(system)
-    f, g = _certify_isomorphism(lat, subset, il)
-    return LiftResult(report, monoid, system, il, f, g)
+    index = {v: i for i, v in enumerate(il.ideals)}
+    for y, ideal in enumerate(cut):
+        if ideal not in index:
+            raise TheoremViolation(f"H intersect [0,{lat.names[y]}] is not an r-ideal")
+    f = tuple(joins[v] for v in il.ideals)
+    g = tuple(index[ideal] for ideal in cut)
+    _certify_isomorphism(lat, il, f, g)
+    return LiftResult(report, system, il, f, g)
 
 
 # ----- equivalence and liftability sweeps ------------------------------
@@ -251,8 +227,8 @@ class LatticeWork:
     the wires are enumerated once, each wire (the full carrier included)
     is lifted once, and each element is classified once.
 
-    Pass one instance as ``work`` to the ``check_*`` functions to run them
-    on the same results; :func:`sweep_lattice` does exactly that.
+    Each ``check_*`` function reads its lattice and results from one
+    instance; :func:`sweep_lattice` passes the same instance to all three.
     """
 
     def __init__(self, lat: FiniteLattice) -> None:
@@ -273,20 +249,10 @@ class LatticeWork:
         return self._lifts[subset]
 
 
-def _shared(lat: FiniteLattice, work: LatticeWork | None) -> LatticeWork:
-    """``work``, or fresh work for lat."""
-    if work is None:
-        return LatticeWork(lat)
-    if work.lattice != lat:
-        raise ValueError("shared work was built for another lattice")
-    return work
-
-
 @dataclass(frozen=True)
 class EquivalenceReport:
     """Per-lattice outcome of the M-wire / ideal-system equivalence sweep."""
 
-    lattice: FiniteLattice
     wires_checked: int
     m_wires: int
     violations: tuple[tuple[tuple[str, ...], bool, bool], ...]
@@ -296,14 +262,13 @@ class EquivalenceReport:
         return not self.violations
 
 
-def check_m_wire_ideal_equivalence(lat: FiniteLattice,
-                                   work: LatticeWork | None = None) -> EquivalenceReport:
+def check_m_wire_ideal_equivalence(work: LatticeWork) -> EquivalenceReport:
     """For every wire H: the lift is an ideal system iff H satisfies (M).
 
     Mismatches are returned as violations, never dropped; they signal a bug
     or a genuine discrepancy and callers should surface them loudly.
     """
-    work = _shared(lat, work)
+    lat = work.lattice
     wires = m_wires = 0
     violations = []
     for report in work.wires:
@@ -314,7 +279,7 @@ def check_m_wire_ideal_equivalence(lat: FiniteLattice,
             m_wires += 1
         if ideal_ok != report.is_m_wire:
             violations.append((lat.subset_names(report.subset), report.is_m_wire, ideal_ok))
-    return EquivalenceReport(lat, wires, m_wires, tuple(violations))
+    return EquivalenceReport(wires, m_wires, tuple(violations))
 
 
 @dataclass(frozen=True)
@@ -326,7 +291,6 @@ class LiftabilityReport:
     meet principal set.
     """
 
-    lattice: FiniteLattice
     m_wire_exists: bool
     meet_principal: tuple[str, ...]
     weak_meet_principal: tuple[str, ...]
@@ -341,7 +305,7 @@ class LiftabilityReport:
         return not self.findings
 
 
-def check_liftability(lat: FiniteLattice, work: LatticeWork | None = None) -> LiftabilityReport:
+def check_liftability(work: LatticeWork) -> LiftabilityReport:
     """Three liftability facts, checked directly.
 
     (a) the full carrier is a wire, so every lattice lifts to a weak ideal
@@ -353,7 +317,7 @@ def check_liftability(lat: FiniteLattice, work: LatticeWork | None = None) -> Li
         than assumed).
     Implication failures come back as findings.
     """
-    work = _shared(lat, work)
+    lat = work.lattice
     work.lift(lat.full)  # (a): raises unless certified
     flags = work.flags
     mp_mask = mask_from(x for x in range(lat.n) if flags[x].meet_principal)
@@ -378,7 +342,7 @@ def check_liftability(lat: FiniteLattice, work: LatticeWork | None = None) -> Li
         elif not verify_ideal_system(work.lift(h).system).passed:
             findings.append("the principal-element wire lifts to a weak but not an ideal system")
     return LiftabilityReport(
-        lat, m_wire_exists,
+        m_wire_exists,
         lat.subset_names(mp_mask), lat.subset_names(wmp_mask), lat.subset_names(p_mask),
         mp_generates, domain, p_generates, tuple(findings))
 
@@ -391,7 +355,6 @@ class FinitaryEmbeddingReport:
     """The finite readings of the compact-generation construction on one
     lattice: every wire lifts to a finitary system, every element is compact."""
 
-    lattice: FiniteLattice
     finitary_all: bool
     all_compact: bool
 
@@ -400,8 +363,7 @@ class FinitaryEmbeddingReport:
         return self.finitary_all and self.all_compact
 
 
-def check_finitary_embedding(lat: FiniteLattice,
-                             work: LatticeWork | None = None) -> FinitaryEmbeddingReport:
+def check_finitary_embedding(work: LatticeWork) -> FinitaryEmbeddingReport:
     """The finite readings of the compact-generation construction.
 
     A lattice generated by compact elements embeds by x -> [0, x] into the
@@ -412,11 +374,10 @@ def check_finitary_embedding(lat: FiniteLattice,
     to check: every wire's lift passes :func:`verify_finitary`, and every
     element's flags read compact.
     """
-    work = _shared(lat, work)
     finitary_all = all(verify_finitary(work.lift(report.subset).system).passed
                        for report in work.wires)
     all_compact = all(flags.compact for flags in work.flags)
-    return FinitaryEmbeddingReport(lat, finitary_all, all_compact)
+    return FinitaryEmbeddingReport(finitary_all, all_compact)
 
 
 def sweep_lattice(lat: FiniteLattice) -> tuple[
@@ -424,6 +385,6 @@ def sweep_lattice(lat: FiniteLattice) -> tuple[
     """Equivalence, liftability and finitary embedding of one lattice, run
     on one :class:`LatticeWork`, so each wire is lifted once for all three."""
     work = LatticeWork(lat)
-    return (check_m_wire_ideal_equivalence(lat, work),
-            check_liftability(lat, work),
-            check_finitary_embedding(lat, work))
+    return (check_m_wire_ideal_equivalence(work),
+            check_liftability(work),
+            check_finitary_embedding(work))

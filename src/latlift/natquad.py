@@ -32,8 +32,7 @@ from __future__ import annotations
 from copy import copy
 from dataclasses import dataclass
 from itertools import chain, compress, tee
-from math import gcd, isqrt, lcm
-from typing import Iterable
+from math import gcd, isqrt
 
 from .verdicts import TheoremViolation
 
@@ -49,18 +48,12 @@ _FIRST_REACH = 1 << 16
 # Size of the prefix table of division_closure_check, in multiples of |d|.
 _PREFIX_FACTOR = 16
 
+# The largest |d| accepted: QuadOrder tests squarefreeness by trial division
+# up to sqrt(|d|), which takes about 0.3 s at |d| = 10^12 + 2.
+_D_CAP = 10**12 + 2
+
 
 # ----- the divisibility lattice ----------------------------------------
-
-
-def nat_join(values: Iterable[int]) -> int:
-    """Join in the divisibility order: gcd.  The empty join is 0 (bot)."""
-    return gcd(*values)
-
-
-def nat_meet(values: Iterable[int]) -> int:
-    """Meet in the divisibility order: lcm.  The empty meet is 1 (top)."""
-    return lcm(*values)
 
 
 def nat_residual(a: int, b: int) -> int:
@@ -86,7 +79,7 @@ class QuadOrder:
 
     Only d < 0, squarefree, d = 2 or 3 (mod 4) is accepted: positive d
     makes the norm image unbounded per value, and d = 1 (mod 4) changes
-    the ring of integers away from Z[sqrt(d)].
+    the ring of integers away from Z[sqrt(d)].  |d| is capped at _D_CAP.
     """
 
     d: int
@@ -94,6 +87,8 @@ class QuadOrder:
     def __post_init__(self) -> None:
         if self.d >= 0:
             raise ValueError("d must be negative")
+        if -self.d > _D_CAP:
+            raise ValueError(f"|d| must be at most {_D_CAP}")
         if self.d % 4 not in (2, 3):
             raise ValueError("d must be 2 or 3 mod 4")
         if not _squarefree(-self.d):
@@ -236,8 +231,6 @@ class DivisionClosureReport:
     closed up to the bound.
     """
 
-    d: int
-    bound: int
     closed: bool
     counterexample: tuple[int, int, int] | None
 
@@ -378,13 +371,13 @@ def division_closure_check(q: QuadOrder, bound: int) -> DivisionClosureReport:
                 if hits:
                     best = (low + ((hits & -hits).bit_length() - 1) // 8, k)
     if best is None:
-        return DivisionClosureReport(q.d, bound, True, None)
+        return DivisionClosureReport(True, None)
     n, quotient = best
     m = quotient * n
     if (norm_witness(q, n) is None or norm_witness(q, m) is None
             or m % n != 0 or is_norm(q, quotient)):
         raise TheoremViolation("division counterexample failed re-verification")
-    return DivisionClosureReport(q.d, bound, False, (n, m, quotient))
+    return DivisionClosureReport(False, (n, m, quotient))
 
 
 @dataclass(frozen=True)
@@ -404,9 +397,6 @@ class PrimeVerdict:
 
 @dataclass(frozen=True)
 class SGenReport:
-    d: int
-    prime_bound: int
-    search_bound: int
     verdicts: tuple[PrimeVerdict, ...]
 
     @property
@@ -486,12 +476,4 @@ def s_wire_check(q: QuadOrder, prime_bound: int, search_bound: int) -> SGenRepor
         if gcd(w1, w2) != p or not is_norm(q, w1) or not is_norm(q, w2):
             raise TheoremViolation("gcd witness failed re-verification")
         verdicts.append(PrimeVerdict(p, "gcd_generated", pair=pair))
-    return SGenReport(q.d, prime_bound, search_bound, tuple(verdicts))
-
-
-def compose_norm_witnesses(q: QuadOrder, u: tuple[int, int], v: tuple[int, int]) -> tuple[int, int]:
-    """Witness for the product of two norms:
-    (a^2 + D b^2)(c^2 + D e^2) = (ac - D be)^2 + D (ae + bc)^2."""
-    a, b = u
-    c, e = v
-    return (abs(a * c - q.D * b * e), abs(a * e + b * c))
+    return SGenReport(tuple(verdicts))

@@ -32,7 +32,6 @@ class Violation:
 class Verdict:
     passed: bool
     violations: tuple[Violation, ...] = ()
-    notes: tuple[str, ...] = ()
 
     @property
     def laws(self) -> tuple[str, ...]:
@@ -47,5 +46,5 @@ class _Recorder(dict):
         if law not in self:
             self[law] = Violation(law, witness, detail)
 
-    def verdict(self, *notes: str) -> Verdict:
-        return Verdict(not self, tuple(self.values()), notes)
+    def verdict(self) -> Verdict:
+        return Verdict(not self, tuple(self.values()))

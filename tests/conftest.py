@@ -2,8 +2,9 @@ from pathlib import Path
 
 import pytest
 
-from latlift import FiniteLattice, load_lattice, load_monoid
+from latlift import ClosureMap, FiniteLattice, load_lattice, load_monoid
 from latlift.bitset import bits, mask_from
+from latlift.monoid import _multiples
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -35,6 +36,16 @@ def m3():
 
 def fixture_path(name: str) -> str:
     return str(FIXTURES / name)
+
+
+def constant_closure(mon):
+    """X -> H for every X (the coarsest closure)."""
+    return ClosureMap(mon, (mon.full,) * (1 << mon.n))
+
+
+def multiples_closure(mon):
+    """X -> X*H, the set of all multiples of members of X."""
+    return ClosureMap(mon, _multiples(mon))
 
 
 def non_lattices():

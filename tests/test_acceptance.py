@@ -10,6 +10,7 @@ import time
 from math import gcd
 
 from latlift import (
+    LatticeWork,
     QuadOrder,
     check_finitary_embedding,
     check_liftability,
@@ -25,7 +26,7 @@ from latlift import (
     verify_weak_ideal_system,
 )
 from latlift.bitset import mask_from
-from latlift.natquad import nat_join, nat_residual
+from latlift.natquad import nat_residual
 
 from conftest import FIXTURES
 
@@ -96,7 +97,7 @@ def test_criterion_3_equivalence_oracle():
     def body():
         small, five = corpus()
         for lat in small + five:
-            report = check_m_wire_ideal_equivalence(lat)
+            report = check_m_wire_ideal_equivalence(LatticeWork(lat))
             assert report.violations == ()
 
     announce(3, "ideal-system/M-wire equivalence", body)
@@ -106,10 +107,10 @@ def test_criterion_4_liftability_checks():
     def body():
         small, five = corpus()
         for lat in small + five:
-            report = check_liftability(lat)
+            report = check_liftability(LatticeWork(lat))
             assert report.findings == ()
         l6 = load_lattice(FIXTURES / "l6.json")
-        report = check_liftability(l6)
+        report = check_liftability(LatticeWork(l6))
         assert report.weak_meet_principal == ("0", "a", "1")
         assert set(report.meet_principal) <= {"0", "a", "1"}
         assert not report.mp_generates
@@ -122,7 +123,7 @@ def test_criterion_5_finitary_embedding():
     def body():
         small, five = corpus()
         for lat in small + five:
-            report = check_finitary_embedding(lat)
+            report = check_finitary_embedding(LatticeWork(lat))
             assert report.finitary_all and report.all_compact
 
     announce(5, "finitary closure embedding", body)
@@ -195,6 +196,6 @@ def test_criterion_9_residual_adjunction():
                     t = b * y
                     if (t % a == 0) if a else (t == 0):
                         qualifying.append(y)
-                assert nat_residual(a, b) == nat_join(qualifying)
+                assert nat_residual(a, b) == gcd(*qualifying)
 
     announce(9, "residual adjunction", body)

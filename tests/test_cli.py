@@ -49,6 +49,21 @@ def test_check_lattice_missing_file(capsys):
     assert main(["check-lattice", fixture_path("nope.json")]) == 2
 
 
+@pytest.mark.parametrize("content", [
+    b"[" * 200_000 + b"]" * 200_000,  # nested past the recursion limit of the JSON decoder
+    b'{"elements": ["\xff"]}',  # not UTF-8
+], ids=["nested", "not-utf8"])
+@pytest.mark.parametrize("command", [["check-lattice"], ["lift", "--all-wires"]], ids=["check-lattice", "lift"])
+def test_unreadable_json_is_one_line_usage_error(capsys, tmp_path, command, content):
+    path = tmp_path / "unreadable.json"
+    path.write_bytes(content)
+    assert main([command[0], str(path), *command[1:]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert str(path) in captured.err
+
+
 @pytest.mark.parametrize("mul", [5, None])
 def test_check_lattice_malformed_mul_is_usage_error(capsys, tmp_path, mul):
     doc = json.loads(Path(fixture_path("l6.json")).read_text()) | {"mul": mul}
@@ -423,6 +438,15 @@ def test_closed_pipe_gives_no_traceback():
 
 def test_quad_invalid_d(capsys):
     assert main(["quad", "verdict", "--d", "-4"]) == 2
+
+
+@pytest.mark.parametrize("check", ["s-wire", "norms", "verdict"])
+def test_quad_huge_d_is_usage_error_before_the_squarefree_test(capsys, check):
+    # trial division up to sqrt(10^30) would never finish
+    assert main(["quad", check, "--d", str(-(10**30 + 2))]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: |d| must be at most ") and captured.err.count("\n") == 1
 
 
 @pytest.mark.parametrize("argv", [

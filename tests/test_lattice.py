@@ -68,7 +68,7 @@ def test_join_of_subsets_agrees_with_oracle(l6):
             assert lat.join_of(mask) == brute_join(lat, mask)
             assert lat.meet_of(mask) == brute_meet(lat, mask)
         for a in range(lat.n):
-            assert lat.down(a) == mask_from(i for i in range(lat.n) if lat.le(i, a))
+            assert lat.downs[a] == mask_from(i for i in range(lat.n) if lat.le(i, a))
 
 
 def test_join_of_on_a_non_lattice_keeps_the_definitional_errors():

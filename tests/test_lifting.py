@@ -1,9 +1,12 @@
+from itertools import combinations_with_replacement
+
 import pytest
 
 from latlift import (
     ClosureMap,
     FiniteLattice,
     LatticeWork,
+    TheoremViolation,
     WireError,
     analyze_wire,
     build_ideal_lattice,
@@ -22,7 +25,7 @@ from latlift import (
     verify_weak_ideal_system,
 )
 from latlift.bitset import bits, mask_from
-from latlift.lifting import verify_m_witness
+from latlift.lifting import _certify_isomorphism, verify_m_witness
 
 from conftest import non_lattices, product_lattice
 
@@ -46,7 +49,7 @@ def test_analyze_wire_l6(l6):
     assert rep.is_wire and rep.contains_one and rep.contains_zero
     assert rep.mult_closed and rep.generates
     assert not rep.is_m_wire
-    assert rep.witness_names() == ("a", "b", "1")
+    assert tuple(l6.names[i] for i in rep.m_witness) == ("a", "b", "1")
     assert verify_m_witness(l6, h, rep.m_witness)
 
 
@@ -60,7 +63,7 @@ def test_analyze_wire_generation_failure(l6):
     assert not rep.generates and not rep.is_wire
     # b is join-irreducible, so it is only generated by itself
     b = l6.index("b")
-    assert l6.join_of(wire_mask(l6, "0a1") & l6.down(b)) == l6.index("a")
+    assert l6.join_of(wire_mask(l6, "0a1") & l6.downs[b]) == l6.index("a")
 
 
 def test_wirereport_invariants_over_all_subsets(l6):
@@ -97,7 +100,7 @@ def test_lift_full_carrier_is_interval_map(l6):
     # g sends y to its whole lower set
     for y in range(l6.n):
         ideal = res.ideal_lattice.ideals[res.iso_g[y]]
-        assert ideal == l6.down(y)
+        assert ideal == l6.downs[y]
 
 
 def test_lift_chain3_gives_ideal_system(chain3):
@@ -126,7 +129,7 @@ def test_generation_identity_for_wires(l6):
         for pick in range(1 << len(members)):
             x = mask_from(members[i] for i in bits(pick))
             v = l6.join_of(x)
-            assert l6.join_of(h & l6.down(v)) == v
+            assert l6.join_of(h & l6.downs[v]) == v
 
 
 def test_products_shrink_below_factors(l6, chain3):
@@ -152,46 +155,53 @@ def test_iso_maps_are_monotone_both_ways(l6):
                 assert il.ideals[gi] & ~il.ideals[gj] == 0
 
 
+def test_certificate_rejects_maps_with_two_entries_swapped(l6, chain3):
+    for lat, names in ((l6, "0abc1"), (l6, "0abc1d"), (chain3, "0x1")):
+        res = lift(lat, wire_mask(lat, names))
+        il, f, g = res.ideal_lattice, res.iso_f, res.iso_g
+        _certify_isomorphism(lat, il, f, g)
+        for i in range(len(f)):
+            for j in range(i + 1, len(f)):
+                swapped = list(f)
+                swapped[i], swapped[j] = f[j], f[i]
+                with pytest.raises(TheoremViolation):
+                    _certify_isomorphism(lat, il, tuple(swapped), g)
+                swapped = list(g)
+                swapped[i], swapped[j] = g[j], g[i]
+                with pytest.raises(TheoremViolation):
+                    _certify_isomorphism(lat, il, f, tuple(swapped))
+
+
 def test_equivalence_l6(l6):
-    rep = check_m_wire_ideal_equivalence(l6)
+    rep = check_m_wire_ideal_equivalence(LatticeWork(l6))
     assert rep.ok
     assert rep.wires_checked == 2
     assert rep.m_wires == 0
 
 
 def test_equivalence_two(two):
-    rep = check_m_wire_ideal_equivalence(two)
+    rep = check_m_wire_ideal_equivalence(LatticeWork(two))
     assert rep.ok and rep.wires_checked == 1 and rep.m_wires == 1
 
 
 def test_equivalence_small_corpus():
     for n in (1, 2, 3):
         for lat in enumerate_small_lattices(n):
-            assert check_m_wire_ideal_equivalence(lat).ok
+            assert check_m_wire_ideal_equivalence(LatticeWork(lat)).ok
 
 
 def test_sweep_matches_separate_checks(l6, chain3_nil):
     lattices = [l6, chain3_nil] + [lat for n in range(1, 5) for lat in enumerate_small_lattices(n)]
     for lat in lattices:
         equivalence, liftability, embedding = sweep_lattice(lat)
-        assert equivalence == check_m_wire_ideal_equivalence(lat)
-        assert liftability == check_liftability(lat)
-        assert embedding == check_finitary_embedding(lat)
+        assert equivalence == check_m_wire_ideal_equivalence(LatticeWork(lat))
+        assert liftability == check_liftability(LatticeWork(lat))
+        assert embedding == check_finitary_embedding(LatticeWork(lat))
         assert equivalence.ok and liftability.ok and embedding.ok
 
 
-def test_shared_work_must_match_the_lattice(l6, two):
-    work = LatticeWork(l6)
-    with pytest.raises(ValueError):
-        check_m_wire_ideal_equivalence(two, work=work)
-    with pytest.raises(ValueError):
-        check_liftability(two, work=work)
-    with pytest.raises(ValueError):
-        check_finitary_embedding(two, work=work)
-
-
 def test_liftability_l6(l6):
-    rep = check_liftability(l6)
+    rep = check_liftability(LatticeWork(l6))
     assert rep.ok
     assert not rep.m_wire_exists
     assert rep.weak_meet_principal == ("0", "a", "1")
@@ -200,7 +210,7 @@ def test_liftability_l6(l6):
 
 
 def test_liftability_chain3(chain3):
-    rep = check_liftability(chain3)
+    rep = check_liftability(LatticeWork(chain3))
     assert rep.ok
     # the full carrier is an M-wire, and the meet principal elements are
     # exactly the carrier, so the generation implication is non-vacuous
@@ -223,7 +233,7 @@ def test_chain3_join_principal_witness(chain3):
 
 
 def test_liftability_two_nonvacuous(two):
-    rep = check_liftability(two)
+    rep = check_liftability(LatticeWork(two))
     assert rep.ok and rep.m_wire_exists
     assert rep.domain and rep.p_generates
     assert rep.principal == ("0", "1")
@@ -232,7 +242,7 @@ def test_liftability_two_nonvacuous(two):
 def test_nilpotent_singleton_is_principal_but_no_domain(chain3_nil):
     flags = classify_element(chain3_nil, chain3_nil.index("x"))
     assert flags.principal
-    rep = check_liftability(chain3_nil)
+    rep = check_liftability(LatticeWork(chain3_nil))
     assert rep.ok and rep.p_generates and not rep.domain
 
 
@@ -245,7 +255,7 @@ def test_non_weak_maps_are_rejected_with_value_error(m3, check):
 
 def test_finitary_embedding(l6, two, chain3, chain3_nil):
     for lat in (l6, two, chain3, chain3_nil):
-        rep = check_finitary_embedding(lat)
+        rep = check_finitary_embedding(LatticeWork(lat))
         assert rep.ok and rep.finitary_all and rep.all_compact
 
 
@@ -285,6 +295,34 @@ def test_m_condition_factorizes_over_products():
     assert (len(factors) ** 2, failing) == (100, 36)
 
 
+def lift_product_wires(cap):
+    """Lift H1 x H2 on L1 x L2 for every unordered pair of the class
+    representatives with 2-4 elements and every pair of their wires with
+    |H1| |H2| <= cap; return (lifts, M-wires).
+
+    Each lift has |L1| |L2| ideals, as its ideal lattice is isomorphic to
+    L1 x L2, and is an ideal system exactly when H1 and H2 are M-wires."""
+    representatives = [lat for n in (2, 3, 4) for lat, _, _ in enumerate_lattice_classes(n)]
+    lifts = m_wires = 0
+    for first, second in combinations_with_replacement(representatives, 2):
+        product, n2 = product_lattice(first, second), second.n
+        for h1 in enumerate_wires(first):
+            for h2 in enumerate_wires(second):
+                if len(list(bits(h1.subset))) * len(list(bits(h2.subset))) > cap:
+                    continue
+                result = lift(product, mask_from(s * n2 + t for s in bits(h1.subset) for t in bits(h2.subset)))
+                is_m_wire = h1.is_m_wire and h2.is_m_wire
+                assert len(result.ideal_lattice.ideals) == first.n * n2
+                assert result.wire.is_m_wire == verify_ideal_system(result.system).passed == is_m_wire
+                lifts += 1
+                m_wires += is_m_wire
+    return lifts, m_wires
+
+
+def test_lifts_on_products_count_ideals_and_factorize_the_ideal_system():
+    assert lift_product_wires(12) == (27, 21)
+
+
 def test_wire_cap_enforced():
     with pytest.raises(ValueError, match="wire enumeration cap"):
         list(enumerate_wires(chain(7)))
@@ -307,7 +345,7 @@ def m_condition_by_box_scan(lat, subset):
             row = lat.mul[t]
             for a in range(lat.n):
                 if lat.le(s, row[a]):
-                    if not any(row[u] == s for u in bits(subset & lat.down(a))):
+                    if not any(row[u] == s for u in bits(subset & lat.downs[a])):
                         return False, (s, t, a)
     return True, None
 
@@ -329,5 +367,5 @@ def test_lift_table_is_the_join_cut_on_every_wire():
                 elems = list(bits(rep.subset))
                 table = lift(lat, rep.subset).system.table
                 for sm, closed in enumerate(table):
-                    cut = rep.subset & lat.down(lat.join_of(mask_from(elems[i] for i in bits(sm))))
+                    cut = rep.subset & lat.downs[lat.join_of(mask_from(elems[i] for i in bits(sm)))]
                     assert closed == mask_from(k for k, e in enumerate(elems) if cut >> e & 1)

@@ -10,8 +10,6 @@ from latlift import (
     division_closure_check,
     is_inert,
     is_norm,
-    nat_join,
-    nat_meet,
     nat_residual,
     norm_image,
     norm_witness,
@@ -24,7 +22,6 @@ from latlift.natquad import (
     _gcd_pair,
     _norm_table,
     _squarefree,
-    compose_norm_witnesses,
     is_prime,
     primes_upto,
 )
@@ -49,15 +46,7 @@ def residual_by_scan(a, b, ybound):
         t = b * y
         if (t % a == 0) if a else (t == 0):
             qualifying.append(y)
-    return nat_join(qualifying)
-
-
-def test_nat_join_meet_examples():
-    assert nat_join((4, 6)) == 2
-    assert nat_join(()) == 0
-    assert nat_meet(()) == 1
-    assert nat_meet((4, 6)) == 12
-    assert nat_join((7,)) == 7
+    return gcd(*qualifying)  # the join of the divisibility lattice
 
 
 def test_nat_residual_examples():
@@ -100,6 +89,13 @@ def test_quad_order_validation():
             QuadOrder(d)
 
 
+def test_quad_order_caps_d_before_the_squarefree_test():
+    QuadOrder(-(10**12 + 2))  # squarefree, and the largest |d| accepted
+    for d in (-(10**12 + 6), -(10**30 + 2)):  # both squarefree would pass every other test
+        with pytest.raises(ValueError, match=r"^\|d\| must be at most 1000000000002$"):
+            QuadOrder(d)
+
+
 def test_norm_values():
     q = QuadOrder(-17)
     assert q.norm(5, 1) == 42
@@ -123,6 +119,14 @@ def test_norm_image_small():
     assert norm_image(q, 50) == (1, 4, 9, 16, 17, 18, 21, 25, 26, 33, 36, 42, 49)
     with pytest.raises(ValueError):
         norm_image(q, 0)
+
+
+def compose_norm_witnesses(q, u, v):
+    """Witness for the product of two norms:
+    (a^2 + D b^2)(c^2 + D e^2) = (ac - D be)^2 + D (ae + bc)^2."""
+    a, b = u
+    c, e = v
+    return (abs(a * c - q.D * b * e), abs(a * e + b * c))
 
 
 @settings(max_examples=150)
