@@ -17,6 +17,7 @@ import os
 import sys
 import time
 from functools import cache
+from math import inf
 
 from . import __version__
 from .lattice import ENUM_CAP, enumerate_lattice_classes, lattice_to_dict, load_lattice, verify_lattice
@@ -105,8 +106,8 @@ def _cmd_lift(args, stats: dict) -> tuple[dict, bool, int]:
             return results, False, EXIT_FAIL
         entries = [_wire_entry(lat, report)]
     else:
-        reports = enumerate_wires(lat, m_only=args.m_wires_only)
-        entries = [_wire_entry(lat, rep) for rep in reports]
+        entries = [_wire_entry(lat, rep) for rep in enumerate_wires(lat)
+                   if rep.is_m_wire or not args.m_wires_only]
     results = {"path": args.path, "wires": entries, "wire_count": len(entries)}
     if args.m_wires_only and not entries:
         results["note"] = "no M-wires"
@@ -116,14 +117,11 @@ def _cmd_lift(args, stats: dict) -> tuple[dict, bool, int]:
 # ----- corpus ----------------------------------------------------------
 
 
-def _corpus_entry(lat, orbit: int) -> tuple[dict, bool]:
-    """The report entry of one class representative, and whether all three
-    sweeps are ok.
-
-    The entry of a lattice that is not ok also carries its document, so a
-    violation can be replayed with ``latlift lift``."""
-    reports = equivalence, liftability, embedding = sweep_lattice(lat)
-    entry = {
+def _corpus_entry(lat, orbit: int, reports) -> dict:
+    """The report entry of a class representative whose sweep failed, with
+    its document, so the violation can be replayed with ``latlift lift``."""
+    equivalence, liftability, embedding = reports
+    return {
         "elements": lat.n,
         "orbit": orbit,
         "wires": equivalence.wires_checked,
@@ -133,42 +131,44 @@ def _corpus_entry(lat, orbit: int) -> tuple[dict, bool]:
         "finitary_all": embedding.finitary_all,
         "all_compact": embedding.all_compact,
         "liftability_findings": list(liftability.findings),
+        "lattice": lattice_to_dict(lat),
     }
-    ok = all(report.ok for report in reports)
-    if not ok:
-        entry["lattice"] = lattice_to_dict(lat)
-    return entry, ok
 
 
 def _cmd_corpus(args, stats: dict) -> tuple[dict, bool, int]:
     """Sweep one lattice per isomorphism class; every verdict is invariant
-    under relabelling, so the labelled totals are the representatives'
-    counts times the copies of each class that the limit keeps."""
+    under relabelling, so each class counts for its kept copies.
+
+    Per size, the labelled stream is each class's orbit in turn, and the
+    limit keeps its first lattices: a class counts for its copies among
+    them, and the sweep stops at the class that reaches the limit."""
     if not 1 <= args.max_n <= ENUM_CAP:
         raise LoadError(f"--max-n must be between 1 and {ENUM_CAP}")
     if args.limit is not None and args.limit < 1:
         raise LoadError("--limit must be at least 1")
-    lattices = wires = m_wires = 0
     violations = []
-    classes = stats["classes"] = {}
+    classes, sizes = stats["classes"], stats["sizes"] = {}, {}
     for n in range(1, args.max_n + 1):
+        started, left = time.perf_counter(), args.limit or inf
+        row = sizes[n] = dict.fromkeys(("lattices", "wires", "m_wires", "violating"), 0)
         classes[n] = 0
-        for lat, orbit, kept in enumerate_lattice_classes(n, args.limit):
-            entry, ok = _corpus_entry(lat, orbit)
+        for lat, orbit in enumerate_lattice_classes(n):
+            reports = equivalence, _, _ = sweep_lattice(lat)
+            kept = min(orbit, left)
             classes[n] += 1
-            lattices += kept
-            wires += kept * entry["wires"]
-            m_wires += kept * entry["m_wires"]
-            if not ok:
-                violations.append(entry)
-    results = {
-        "max_n": args.max_n,
-        "limit": args.limit,
-        "lattices": lattices,
-        "wires": wires,
-        "m_wires": m_wires,
-        "violations": violations,
-    }
+            row["lattices"] += kept
+            row["wires"] += kept * equivalence.wires_checked
+            row["m_wires"] += kept * equivalence.m_wires
+            if not all(report.ok for report in reports):
+                row["violating"] += kept
+                violations.append(_corpus_entry(lat, orbit, reports))
+            left -= kept
+            if not left:
+                break
+        row["elapsed_s"] = round(time.perf_counter() - started, 6)
+    results = {"max_n": args.max_n, "limit": args.limit, "violations": violations}
+    for key in ("lattices", "wires", "m_wires"):
+        results[key] = sum(row[key] for row in sizes.values())
     if violations:
         return results, False, EXIT_ORACLE
     return results, True, EXIT_PASS

@@ -16,7 +16,7 @@ import json
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, combinations_with_replacement, permutations, product
-from math import factorial, inf
+from math import factorial
 from pathlib import Path
 from typing import Iterator
 
@@ -611,31 +611,22 @@ def _order_classes(n: int) -> Iterator[tuple[tuple[int, ...], list]]:
             yield up, [(old, new) for old, new in moves if _relabel_up(up, old, new) == up]
 
 
-def enumerate_lattice_classes(n: int, limit: int | None = None) -> Iterator[tuple[FiniteLattice, int, int]]:
-    """Yield (lattice, orbit, kept) for one multiplicative lattice per
-    isomorphism class on n elements.
+def enumerate_lattice_classes(n: int) -> Iterator[tuple[FiniteLattice, int]]:
+    """Yield (lattice, orbit) for one multiplicative lattice per isomorphism
+    class on n elements.
 
     The lattice is the class's least labelling, so canonical_form(lattice)
     is (lattice.up, lattice.mul); its orbit, (n-2)!/|Aut|, is the number of
     labelled copies :func:`enumerate_small_lattices` yields, where Aut is
-    the order automorphisms that also fix the product.  The labelled
-    stream is each class's orbit in turn: kept is the number of the class's
-    copies among its first limit lattices (all of them without a limit),
-    and the stream ends at the class that reaches the limit.
+    the order automorphisms that also fix the product.
     """
     if not 1 <= n <= ENUM_CAP:
         raise ValueError(f"enumeration is capped at {ENUM_CAP} elements")
-    labellings, left = factorial(max(n - 2, 0)), inf if limit is None else limit
+    labellings = factorial(max(n - 2, 0))
     for up, automorphisms in _order_classes(n):
         # the relabellings that fix the order map its tables onto its
         # tables; keep each table that is least in its orbit
         for lat in _tables_for_order(n, up):
             images = [_relabel_mul(lat.mul, old, new) for old, new in automorphisms]
-            if min(images) != lat.mul:
-                continue
-            orbit = labellings // images.count(lat.mul)
-            kept = min(orbit, left)
-            yield lat, orbit, kept
-            left -= kept
-            if not left:
-                return
+            if min(images) == lat.mul:
+                yield lat, labellings // images.count(lat.mul)

@@ -112,7 +112,7 @@ def verify_m_witness(lat: FiniteLattice, subset: int, witness: tuple[int, int, i
     return not any(lat.mul[t][u] == s for u in bits(box))
 
 
-def enumerate_wires(lat: FiniteLattice, m_only: bool = False) -> Iterator[WireReport]:
+def enumerate_wires(lat: FiniteLattice) -> Iterator[WireReport]:
     """All wires of the lattice (subsets containing bot and top), ascending
     by interior bitmask.  Multiplicative closure is tested before the more
     expensive generation scan."""
@@ -125,7 +125,7 @@ def enumerate_wires(lat: FiniteLattice, m_only: bool = False) -> Iterator[WireRe
         if not _mult_closed(lat, subset, list(bits(subset))):
             continue
         report = analyze_wire(lat, subset)
-        if report.is_wire and (report.is_m_wire or not m_only):
+        if report.is_wire:
             yield report
 
 

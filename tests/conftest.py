@@ -1,3 +1,4 @@
+from math import gcd
 from pathlib import Path
 
 import pytest
@@ -73,3 +74,15 @@ def product_lattice(first, second):
         tuple(mask_from(k * n2 + l for k in bits(first.up[i]) for l in bits(second.up[j])) for i, j in pairs),
         tuple(tuple(first.mul[i][k] * n2 + second.mul[j][l] for k, l in pairs) for i, j in pairs),
         first.bot * n2 + second.bot, first.top * n2 + second.top)
+
+
+def ideal_lattice_of_zn(n):
+    """The ideals of Z/nZ.  Element "d", for each divisor d of n in
+    ascending order, is the ideal (d): (d) <= (e) exactly when e | d, and
+    (d)(e) = (gcd(de, n)).  So (1) is top and (n) = 0 is bot."""
+    divisors = [d for d in range(1, n + 1) if n % d == 0]
+    return FiniteLattice(
+        tuple(map(str, divisors)),
+        tuple(mask_from(j for j, e in enumerate(divisors) if d % e == 0) for d in divisors),
+        tuple(tuple(divisors.index(gcd(d * e, n)) for e in divisors) for d in divisors),
+        len(divisors) - 1, 0)

@@ -101,16 +101,16 @@ def test_order_classes_match_the_all_images_reference():
 def test_classes_partition_the_labelled_lattices(n):
     classes = list(enumerate_lattice_classes(n))
     # each representative is its class's canonical labelling
-    forms = {(lat.up, lat.mul): orbit for lat, orbit, _ in classes}
+    forms = {(lat.up, lat.mul): orbit for lat, orbit in classes}
     assert len(forms) == len(classes)
-    assert all(canonical_form(lat) == (lat.up, lat.mul) and kept == orbit for lat, orbit, kept in classes)
+    assert all(canonical_form(lat) == (lat.up, lat.mul) for lat, _ in classes)
     assert Counter(canonical_form(lat) for lat in labelled(n)) == forms
 
 
 def test_orbit_weighted_census_matches_the_labelled_one():
     by_class = by_label = (0, 0, 0)
     for n in CLASSES:
-        for lat, orbit, _ in enumerate_lattice_classes(n):
+        for lat, orbit in enumerate_lattice_classes(n):
             reports = list(enumerate_wires(lat))
             by_class = tuple(a + orbit * b for a, b in
                              zip(by_class, (1, len(reports), sum(r.is_m_wire for r in reports))))
@@ -118,16 +118,6 @@ def test_orbit_weighted_census_matches_the_labelled_one():
             reports = list(enumerate_wires(lat))
             by_label = tuple(a + b for a, b in zip(by_label, (1, len(reports), sum(r.is_m_wire for r in reports))))
     assert by_class == by_label == (164, 176, 79)
-
-
-@pytest.mark.parametrize("n", [4, 5])
-def test_limit_keeps_the_first_labelled_copies(n):
-    orbits = [orbit for _, orbit, _ in enumerate_lattice_classes(n)]
-    total = sum(orbits)
-    for limit in range(1, total + 2):
-        kept = [k for _, _, k in enumerate_lattice_classes(n, limit)]
-        assert sum(kept) == min(limit, total)
-        assert kept[:-1] == orbits[:len(kept) - 1] and 1 <= kept[-1] <= orbits[len(kept) - 1]
 
 
 def test_canonical_form_is_capped_at_seven_elements():

@@ -5,6 +5,8 @@ import json
 import os
 import subprocess
 import sys
+from functools import cache
+from itertools import accumulate
 from pathlib import Path
 
 import pytest
@@ -184,7 +186,7 @@ def test_corpus_lifts_each_wire_once(capsys, monkeypatch):
     # the corpus lifts each wire of each class representative once, and
     # the labelled total counts every copy of the class
     representative_wires = sum(len(list(latlift.enumerate_wires(lat)))
-                               for n in range(1, 5) for lat, _, _ in latlift.enumerate_lattice_classes(n))
+                               for n in range(1, 5) for lat, _ in latlift.enumerate_lattice_classes(n))
     assert representative_wires == 11
     lifts, weak = [], []
     _count_calls(monkeypatch, lifting, "lift", lifts)
@@ -202,20 +204,44 @@ def test_corpus_limit_keeps_the_first_labelled_copies(capsys):
     # enumeration order, each 2 copies long but the last; --limit 5 keeps
     # both copies of the first two classes and one of the third, whose
     # lattices have one wire each and no M-wire in the first two classes
-    orbits = [orbit for _, orbit, _ in latlift.enumerate_lattice_classes(4)]
+    orbits = [orbit for _, orbit in latlift.enumerate_lattice_classes(4)]
     assert orbits == [2, 2, 2, 2, 2, 2, 1]
-    assert [kept for _, _, kept in latlift.enumerate_lattice_classes(4, limit=5)] == [2, 2, 1]
     code, limited = run_json(capsys, "corpus", "--max-n", "4", "--limit", "5")
     assert code == 0
     results = limited["results"]
     assert (results["lattices"], results["wires"], results["m_wires"]) == (1 + 1 + 2 + 5, 4 + 5, 4 + 1)
     assert limited["stats"]["classes"] == {"1": 1, "2": 1, "3": 2, "4": 3}
+    assert limited["stats"]["sizes"]["4"]["lattices"] == 2 + 2 + 1
     _, unlimited = run_json(capsys, "corpus", "--max-n", "4")
     for limit in (13, 14, 1000):
         _, report = run_json(capsys, "corpus", "--max-n", "4", "--limit", str(limit))
         assert report["options"] == unlimited["options"] | {"limit": limit}
         assert report["results"] == unlimited["results"] | {"limit": limit}
         assert report["stats"]["classes"] == unlimited["stats"]["classes"]
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_corpus_limit_counts_the_first_labelled_copies(capsys, monkeypatch, n):
+    # a class is swept while fewer copies than the limit come before it,
+    # and the size counts the first min(limit, total) labelled lattices;
+    # each class is swept once across the runs, as only the limit varies
+    monkeypatch.setattr(cli, "sweep_lattice", cache(cli.sweep_lattice))
+    before = [0, *accumulate(orbit for _, orbit in latlift.enumerate_lattice_classes(n))]
+    total = before.pop()
+    for limit in range(1, total + 2):
+        _, report = run_json(capsys, "corpus", "--max-n", str(n), "--limit", str(limit))
+        assert report["stats"]["sizes"][str(n)]["lattices"] == min(limit, total)
+        assert report["stats"]["classes"][str(n)] == sum(copies < limit for copies in before)
+
+
+def test_corpus_sizes_sum_to_the_results(capsys):
+    code, report = run_json(capsys, "corpus", "--max-n", "5")
+    assert code == 0
+    sizes = report["stats"]["sizes"]
+    assert [(n, row["lattices"], row["violating"]) for n, row in sizes.items()] == [
+        ("1", 1, 0), ("2", 1, 0), ("3", 2, 0), ("4", 13, 0), ("5", 147, 0)]
+    for key in ("lattices", "wires", "m_wires"):
+        assert sum(row[key] for row in sizes.values()) == report["results"][key]
 
 
 def _sweep_finitary_fails(monkeypatch):
@@ -254,6 +280,8 @@ def test_corpus_violation_replays_through_lift(capsys, monkeypatch, tmp_path):
     assert code == 3
     violations = report["results"]["violations"]
     assert violations and all(entry["equivalence_violations"] for entry in violations)
+    assert sum(row["violating"] for row in report["stats"]["sizes"].values()) == sum(
+        entry["orbit"] for entry in violations) > len(violations)
     for k, entry in enumerate(violations):
         doc = tmp_path / f"violation{k}.json"
         doc.write_text(json.dumps(entry["lattice"]))
@@ -286,6 +314,16 @@ def test_corpus_sweep_script_counts_failed_finitary_and_compactness_checks(capsy
     break_sweep(monkeypatch)
     assert script.sweep(3, None) == 1
     assert capsys.readouterr().out.endswith("4 lattices with violations\n")
+
+
+@pytest.mark.parametrize("argv", [["7"], ["4", "0"], ["4", "-1"]])
+def test_corpus_sweep_script_usage_error_is_one_line(argv):
+    script = Path(__file__).resolve().parent.parent / "scripts" / "corpus_sweep.py"
+    proc = subprocess.run([sys.executable, str(script), *argv], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])})
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
 
 
 def test_every_traced_name_resolves():

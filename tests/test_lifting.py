@@ -27,7 +27,7 @@ from latlift import (
 from latlift.bitset import bits, mask_from
 from latlift.lifting import _certify_isomorphism, verify_m_witness
 
-from conftest import non_lattices, product_lattice
+from conftest import ideal_lattice_of_zn, non_lattices, product_lattice
 
 L6_IDEALS = {
     frozenset("0"),
@@ -79,7 +79,7 @@ def test_wirereport_invariants_over_all_subsets(l6):
 def test_enumerate_wires_l6(l6):
     wires = [rep.subset for rep in enumerate_wires(l6)]
     assert wires == [wire_mask(l6, "0abc1"), l6.full]
-    assert list(enumerate_wires(l6, m_only=True)) == []
+    assert [rep for rep in enumerate_wires(l6) if rep.is_m_wire] == []
 
 
 def test_enumerate_wires_two(two):
@@ -276,7 +276,7 @@ def test_m_condition_factorizes_over_products():
     # H1 x H2 is a wire of L1 x L2, M(H1 x H2) holds iff M(H1) and M(H2)
     # hold, and a factor's (M) witness (s, t, a) fails in the product as
     # ((s, 1), (t, 1), (a, 1)), or ((1, s), (1, t), (1, a)) for the second
-    factors = [(lat, report) for n in (2, 3, 4) for lat, _, _ in enumerate_lattice_classes(n)
+    factors = [(lat, report) for n in (2, 3, 4) for lat, _ in enumerate_lattice_classes(n)
                for report in enumerate_wires(lat)]
     failing = 0
     for first, h1 in factors:
@@ -302,7 +302,7 @@ def lift_product_wires(cap):
 
     Each lift has |L1| |L2| ideals, as its ideal lattice is isomorphic to
     L1 x L2, and is an ideal system exactly when H1 and H2 are M-wires."""
-    representatives = [lat for n in (2, 3, 4) for lat, _, _ in enumerate_lattice_classes(n)]
+    representatives = [lat for n in (2, 3, 4) for lat, _ in enumerate_lattice_classes(n)]
     lifts = m_wires = 0
     for first, second in combinations_with_replacement(representatives, 2):
         product, n2 = product_lattice(first, second), second.n
@@ -321,6 +321,24 @@ def lift_product_wires(cap):
 
 def test_lifts_on_products_count_ideals_and_factorize_the_ideal_system():
     assert lift_product_wires(12) == (27, 21)
+
+
+@pytest.mark.parametrize("n", [12, 30, 36, 60, 72, 90, 210, 360, 420, 2310])
+def test_ideal_lattices_of_z_mod_n_lift_to_ideal_systems(n):
+    # Z/nZ is a principal ideal ring, so its ideal lattice is a Noether
+    # lattice whose elements are all principal (Dilworth 1962); the
+    # submonoid generated by its join-irreducibles and both bounds, and the
+    # whole carrier where it fits the powerset cap, are M-wires
+    lat = ideal_lattice_of_zn(n)
+    assert verify_lattice(lat).passed
+    assert all(classify_element(lat, x).principal for x in range(lat.n))
+    wire = (1 << lat.bot) | (1 << lat.top) | mask_from(
+        x for x in range(lat.n) if x != lat.bot and lat.join_of(lat.downs[x] & ~(1 << x)) != x)
+    while (grown := wire | mask_from(lat.mul[s][t] for s in bits(wire) for t in bits(wire))) != wire:
+        wire = grown
+    for subset in [wire] + [lat.full] * (lat.n <= 16):
+        result = lift(lat, subset)
+        assert result.wire.is_m_wire and verify_ideal_system(result.system).passed
 
 
 def test_wire_cap_enforced():
