@@ -21,15 +21,7 @@ from math import inf
 
 from . import __version__
 from .lattice import ENUM_CAP, enumerate_lattice_classes, lattice_to_dict, load_lattice, verify_lattice
-from .lifting import (
-    WireError,
-    analyze_wire,
-    enumerate_wires,
-    lift,
-    sweep_lattice,
-    verify_m_witness,
-)
-from .monoid import verify_ideal_system
+from .lifting import analyze_wire, enumerate_wires, lift, sweep_lattice
 from .natquad import QuadOrder, division_closure_check, norm_image, s_wire_check
 from .verdicts import LoadError, TheoremViolation
 
@@ -46,7 +38,7 @@ def _violations_json(verdict) -> list:
 # ----- check-lattice ---------------------------------------------------
 
 
-def _cmd_check_lattice(args, stats: dict) -> tuple[dict, bool, int]:
+def _cmd_check_lattice(args, stats: dict) -> tuple[dict, int]:
     lat = load_lattice(args.path)
     verdict = verify_lattice(lat)
     results = {
@@ -55,18 +47,15 @@ def _cmd_check_lattice(args, stats: dict) -> tuple[dict, bool, int]:
         "passed": verdict.passed,
         "violations": _violations_json(verdict),
     }
-    return results, verdict.passed, EXIT_PASS if verdict.passed else EXIT_FAIL
+    return results, EXIT_PASS if verdict.passed else EXIT_FAIL
 
 
 # ----- lift ------------------------------------------------------------
 
 
 def _wire_entry(lat, report) -> dict:
-    if report.m_witness is not None and not verify_m_witness(lat, report.subset, report.m_witness):
-        raise TheoremViolation("(M) witness failed re-verification")
     result = lift(lat, report.subset)
-    ideal_ok = verify_ideal_system(result.system).passed
-    if ideal_ok != report.is_m_wire:
+    if result.ideal_system != report.is_m_wire:
         raise TheoremViolation(
             f"ideal-system verdict disagrees with the M-wire verdict for "
             f"{{{','.join(lat.subset_names(report.subset))}}}")
@@ -78,16 +67,15 @@ def _wire_entry(lat, report) -> dict:
         "ideals": [list(m) for m in result.ideal_members()],
         "certified": True,  # lift raises rather than return an uncertified result
         "weak_ideal_system": result.system.weak_verdict.passed,
-        "ideal_system": ideal_ok,
+        "ideal_system": result.ideal_system,
     }
 
 
-def _cmd_lift(args, stats: dict) -> tuple[dict, bool, int]:
+def _cmd_lift(args, stats: dict) -> tuple[dict, int]:
     lat = load_lattice(args.path)
     verdict = verify_lattice(lat)
     if not verdict.passed:
-        return ({"path": args.path, "passed": False,
-                 "violations": _violations_json(verdict)}, False, EXIT_FAIL)
+        return {"path": args.path, "passed": False, "violations": _violations_json(verdict)}, EXIT_FAIL
     if args.wire is not None:
         subset = 0
         for name in args.wire.split(","):
@@ -103,7 +91,7 @@ def _cmd_lift(args, stats: dict) -> tuple[dict, bool, int]:
                 "mult_closed": report.mult_closed,
                 "generates": report.generates,
             }
-            return results, False, EXIT_FAIL
+            return results, EXIT_FAIL
         entries = [_wire_entry(lat, report)]
     else:
         entries = [_wire_entry(lat, rep) for rep in enumerate_wires(lat)
@@ -111,7 +99,7 @@ def _cmd_lift(args, stats: dict) -> tuple[dict, bool, int]:
     results = {"path": args.path, "wires": entries, "wire_count": len(entries)}
     if args.m_wires_only and not entries:
         results["note"] = "no M-wires"
-    return results, True, EXIT_PASS
+    return results, EXIT_PASS
 
 
 # ----- corpus ----------------------------------------------------------
@@ -135,7 +123,7 @@ def _corpus_entry(lat, orbit: int, reports) -> dict:
     }
 
 
-def _cmd_corpus(args, stats: dict) -> tuple[dict, bool, int]:
+def _cmd_corpus(args, stats: dict) -> tuple[dict, int]:
     """Sweep one lattice per isomorphism class; every verdict is invariant
     under relabelling, so each class counts for its kept copies.
 
@@ -169,15 +157,13 @@ def _cmd_corpus(args, stats: dict) -> tuple[dict, bool, int]:
     results = {"max_n": args.max_n, "limit": args.limit, "violations": violations}
     for key in ("lattices", "wires", "m_wires"):
         results[key] = sum(row[key] for row in sizes.values())
-    if violations:
-        return results, False, EXIT_ORACLE
-    return results, True, EXIT_PASS
+    return results, EXIT_ORACLE if violations else EXIT_PASS
 
 
 # ----- quad ------------------------------------------------------------
 
 
-def _cmd_quad(args, stats: dict) -> tuple[dict, bool, int]:
+def _cmd_quad(args, stats: dict) -> tuple[dict, int]:
     try:
         return _quad(QuadOrder(args.d), args)
     except MemoryError:
@@ -185,12 +171,12 @@ def _cmd_quad(args, stats: dict) -> tuple[dict, bool, int]:
         raise LoadError(f"bound {bound} is too large: its norm table does not fit in memory") from None
 
 
-def _quad(order: QuadOrder, args) -> tuple[dict, bool, int]:
+def _quad(order: QuadOrder, args) -> tuple[dict, int]:
     base = {"d": args.d, "check": args.check}
     if args.check == "norms":
         values = norm_image(order, args.bound)
         results = base | {"bound": args.bound, "count": len(values), "values": list(values)}
-        return results, True, EXIT_PASS
+        return results, EXIT_PASS
     if args.check == "s-wire":
         report = s_wire_check(order, args.prime_bound, args.search_bound)
         results = base | {
@@ -202,13 +188,13 @@ def _quad(order: QuadOrder, args) -> tuple[dict, bool, int]:
                        for v in report.verdicts],
             "unresolved": list(report.unresolved),
         }
-        return results, report.ok, EXIT_PASS if report.ok else EXIT_FAIL
+        return results, EXIT_PASS if report.ok else EXIT_FAIL
     # division-closure and verdict read one report: "closed", or the M-wire verdict
     report = division_closure_check(order, args.bound)
     key, value = ("closed", report.closed) if args.check == "division-closure" else ("verdict", report.verdict)
     results = base | {"bound": args.bound, key: value,
                       "counterexample": list(report.counterexample) if report.counterexample else None}
-    return results, report.closed, EXIT_PASS if report.closed else EXIT_FAIL
+    return results, EXIT_PASS if report.closed else EXIT_FAIL
 
 
 # ----- rendering -------------------------------------------------------
@@ -269,13 +255,20 @@ DISPATCH = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """Argument errors take one ``error:`` line, like every usage error."""
+
+    def error(self, message):
+        self.exit(EXIT_USAGE, f"error: {message}\n")
+
+
 @cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built on the first call and shared after it:
     ``parse_args`` reads the parser without changing it and gives each call
     a fresh namespace, so ``main`` can run any number of times in one
     process."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="latlift",
         description="verify finite multiplicative lattices, lift wires to weak ideal "
                     "systems, and run quadratic-norm experiments on the divisibility lattice")
@@ -317,10 +310,7 @@ def main(argv=None) -> int:
     started = time.perf_counter()
     stats: dict = {}
     try:
-        results, passed, code = DISPATCH[args.command](args, stats)
-    except WireError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FAIL
+        results, code = DISPATCH[args.command](args, stats)
     except ValueError as exc:  # a LoadError, a bad option, or an input past a cap
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -330,7 +320,7 @@ def main(argv=None) -> int:
     report = {
         "command": args.command,
         "options": {k: v for k, v in vars(args).items() if k not in ("command", "format")},
-        "passed": passed,
+        "passed": code == EXIT_PASS,
         "exit_code": code,
         "version": __version__,
         "results": results,

@@ -108,18 +108,10 @@ class FiniteLattice(_Carrier):
         return _down_sets(self.up)
 
     @cached_property
-    def _pair_bounds(self) -> tuple[tuple[tuple[int | None, ...], ...], tuple[tuple[int | None, ...], ...]]:
-        """Binary join and meet tables by bound search, with None where a
-        pair has no least upper respectively greatest lower bound; built
-        once for both :func:`verify_lattice` and the lattice tables."""
-        n, up, downs = self.n, self.up, self.downs
-        join2: list[list[int | None]] = [[None] * n for _ in range(n)]
-        meet2: list[list[int | None]] = [[None] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(i, n):
-                join2[i][j] = join2[j][i] = _extreme(up, up[i] & up[j])
-                meet2[i][j] = meet2[j][i] = _extreme(downs, downs[i] & downs[j])
-        return tuple(map(tuple, join2)), tuple(map(tuple, meet2))
+    def _pair_bounds(self) -> tuple:
+        """:func:`_bounds` of the order, built once for both
+        :func:`verify_lattice` and the lattice tables."""
+        return _bounds(self.up)
 
     @cached_property
     def _tables(self) -> tuple:
@@ -180,12 +172,29 @@ def _down_sets(up) -> tuple[int, ...]:
     return tuple(downs)
 
 
+def _bounds(up) -> tuple[tuple[tuple[int | None, ...], ...], tuple[tuple[int | None, ...], ...]]:
+    """Binary join and meet tables of an order given by its up-masks, by
+    bound search, with None where a pair has no least upper respectively
+    greatest lower bound."""
+    n, downs = len(up), _down_sets(up)
+    join2: list[list[int | None]] = [[None] * n for _ in range(n)]
+    meet2: list[list[int | None]] = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            join2[i][j] = join2[j][i] = _extreme(up, up[i] & up[j])
+            meet2[i][j] = meet2[j][i] = _extreme(downs, downs[i] & downs[j])
+    return tuple(map(tuple, join2)), tuple(map(tuple, meet2))
+
+
 def _extreme(cones, mask: int) -> int | None:
     """The member u of mask whose cone cones[u] holds all of mask, or None:
     the least member for the up-sets, the greatest for the lower sets."""
-    for u in bits(mask):
+    rest = mask  # walked by low bits, without a generator: every bound search runs this loop
+    while rest:
+        u = (rest & -rest).bit_length() - 1
         if mask & ~cones[u] == 0:
             return u
+        rest &= rest - 1
     return None
 
 
@@ -497,10 +506,8 @@ def _lattice_orders(n: int) -> Iterator[tuple[int, ...]]:
                 up[j] |= 1 << i
         if _closure_step(up):
             continue
-        down = _down_sets(up)
-        if all(_extreme(up, up[i] & up[j]) is not None
-               and _extreme(down, down[i] & down[j]) is not None
-               for i in range(n) for j in range(i + 1, n)):
+        join2, meet2 = _bounds(up)
+        if not any(None in row for row in join2 + meet2):
             yield tuple(up)
 
 
@@ -511,7 +518,7 @@ def _tables_for_order(n: int, up: tuple[int, ...]) -> Iterator[FiniteLattice]:
     comes first for every order."""
     names = _small_names(n)
     bot, top = 0, n - 1
-    join2 = [[_extreme(up, up[i] & up[j]) for j in range(n)] for i in range(n)]  # never None here
+    join2 = _bounds(up)[0]  # never None here
     inner = list(range(1, n - 1))
     mul: list[list[int | None]] = [[None] * n for _ in range(n)]
     for x in range(n):

@@ -21,7 +21,7 @@ from functools import cached_property
 from typing import Iterator
 
 from .bitset import bits, mask_from
-from .lattice import ElementFlags, FiniteLattice, classify_element, is_domain
+from .lattice import ElementFlags, FiniteLattice, classify_element, is_domain, verify_lattice
 from .monoid import (
     POWERSET_CAP,
     ClosureMap,
@@ -32,9 +32,6 @@ from .monoid import (
     verify_ideal_system,
 )
 from .verdicts import TheoremViolation
-
-# Wire enumeration walks the powerset of the carrier interior.
-WIRE_ENUM_CAP = 6
 
 
 class WireError(ValueError):
@@ -81,7 +78,8 @@ def analyze_wire(lat: FiniteLattice, subset: int) -> WireReport:
     """Check the four wire conditions and, for wires, condition (M).
 
     Generation means join(H intersect [0, x]) == x for every x, which is
-    equivalent to x being a join of members of H.
+    equivalent to x being a join of members of H.  The (M) witness is
+    certified by :func:`verify_m_witness`.
     """
     if subset & ~lat.full:
         raise ValueError("subset lies outside the carrier")
@@ -94,6 +92,8 @@ def analyze_wire(lat: FiniteLattice, subset: int) -> WireReport:
     is_m, witness = (False, None)
     if wire:
         is_m, witness = _m_condition(lat, elems)
+        if witness is not None and not verify_m_witness(lat, subset, witness):
+            raise TheoremViolation("(M) witness failed re-verification")
     return WireReport(subset, contains_one, contains_zero, closed,
                       generates, wire, is_m, witness)
 
@@ -115,9 +115,10 @@ def verify_m_witness(lat: FiniteLattice, subset: int, witness: tuple[int, int, i
 def enumerate_wires(lat: FiniteLattice) -> Iterator[WireReport]:
     """All wires of the lattice (subsets containing bot and top), ascending
     by interior bitmask.  Multiplicative closure is tested before the more
-    expensive generation scan."""
-    if lat.n > WIRE_ENUM_CAP:
-        raise ValueError(f"carrier size {lat.n} exceeds wire enumeration cap {WIRE_ENUM_CAP}")
+    expensive generation scan.  The cap is the lift's, as the full carrier
+    is a wire."""
+    if lat.n > POWERSET_CAP:
+        raise ValueError(f"carrier size {lat.n} exceeds powerset cap {POWERSET_CAP}")
     base = (1 << lat.bot) | (1 << lat.top)
     others = [i for i in range(lat.n) if not base >> i & 1]
     for pick in range(1 << len(others)):
@@ -134,11 +135,12 @@ class LiftResult:
     """A lifted weak ideal system together with its isomorphism certificate.
 
     ``iso_f[i]`` is the lattice element join(ideal i); ``iso_g[y]`` is the
-    ideal index of H intersect [0, y].  A returned value is certified;
+    ideal index of H intersect [0, y]; ``ideal_system`` is the system's
+    :func:`verify_ideal_system` verdict.  A returned value is certified;
     certification failures raise instead.
     """
 
-    wire: WireReport
+    ideal_system: bool
     system: ClosureMap
     ideal_lattice: IdealLattice
     iso_f: tuple[int, ...]
@@ -173,7 +175,8 @@ def lift(lat: FiniteLattice, subset: int) -> LiftResult:
     The returned system is verified as a weak ideal system, its ideal
     lattice is built and the isomorphism onto the original lattice is
     certified; any failure of these guaranteed steps raises
-    TheoremViolation.  A carrier that is not a lattice is rejected with
+    TheoremViolation.  A carrier that is not a lattice, or (found when a
+    certificate fails) not a multiplicative one, is rejected with
     ValueError, and non-wires with WireError.  The certificate's maps are
     read off the two tables the closure is built from: f(X) = joins[X] and
     g(y) = cut[y].
@@ -205,18 +208,23 @@ def lift(lat: FiniteLattice, subset: int) -> LiftResult:
         joins[sm] = join2[joins[sm ^ low]][elems[low.bit_length() - 1]]
     system = ClosureMap(monoid, tuple(cut[v] for v in joins))
 
-    weak = system.weak_verdict
-    if not weak.passed:
-        raise TheoremViolation(f"lifted closure map failed {weak.laws}")
-    il = build_ideal_lattice(system)
-    index = {v: i for i, v in enumerate(il.ideals)}
-    for y, ideal in enumerate(cut):
-        if ideal not in index:
-            raise TheoremViolation(f"H intersect [0,{lat.names[y]}] is not an r-ideal")
-    f = tuple(joins[v] for v in il.ideals)
-    g = tuple(index[ideal] for ideal in cut)
-    _certify_isomorphism(lat, il, f, g)
-    return LiftResult(report, system, il, f, g)
+    try:
+        weak = system.weak_verdict
+        if not weak.passed:
+            raise TheoremViolation(f"lifted closure map failed {weak.laws}")
+        il = build_ideal_lattice(system)
+        index = {v: i for i, v in enumerate(il.ideals)}
+        for y, ideal in enumerate(cut):
+            if ideal not in index:
+                raise TheoremViolation(f"H intersect [0,{lat.names[y]}] is not an r-ideal")
+        f = tuple(joins[v] for v in il.ideals)
+        g = tuple(index[ideal] for ideal in cut)
+        _certify_isomorphism(lat, il, f, g)
+    except TheoremViolation:
+        if laws := verify_lattice(lat).laws:
+            raise ValueError(f"carrier is not a multiplicative lattice: {laws[0]} fails") from None
+        raise
+    return LiftResult(verify_ideal_system(system).passed, system, il, f, g)
 
 
 # ----- equivalence and liftability sweeps ------------------------------
@@ -273,8 +281,7 @@ def check_m_wire_ideal_equivalence(work: LatticeWork) -> EquivalenceReport:
     violations = []
     for report in work.wires:
         wires += 1
-        result = work.lift(report.subset)
-        ideal_ok = verify_ideal_system(result.system).passed
+        ideal_ok = work.lift(report.subset).ideal_system
         if report.is_m_wire:
             m_wires += 1
         if ideal_ok != report.is_m_wire:
@@ -339,7 +346,7 @@ def check_liftability(work: LatticeWork) -> LiftabilityReport:
             findings.append("principal elements (bounds adjoined) do not form a wire")
         elif not report.is_m_wire:
             findings.append("the principal-element wire is not an M-wire")
-        elif not verify_ideal_system(work.lift(h).system).passed:
+        elif not work.lift(h).ideal_system:
             findings.append("the principal-element wire lifts to a weak but not an ideal system")
     return LiftabilityReport(
         m_wire_exists,

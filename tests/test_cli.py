@@ -129,8 +129,8 @@ def _chain_document(n):
 
 
 @pytest.mark.parametrize("n, option", [
-    (7, ["--all-wires"]),
-    (7, ["--m-wires-only"]),
+    (17, ["--all-wires"]),
+    (17, ["--m-wires-only"]),
     (18, ["--wire", ",".join(_chain_document(18)["elements"])]),
 ])
 def test_lift_past_a_cap_is_usage_error(capsys, tmp_path, n, option):
@@ -143,6 +143,41 @@ def test_lift_past_a_cap_is_usage_error(capsys, tmp_path, n, option):
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert "exceeds" in captured.err
+
+
+def test_lift_all_wires_on_a_seven_element_chain(capsys, tmp_path):
+    # wires are enumerated up to the lift's powerset cap; in a chain every
+    # element is join-irreducible, so the full carrier is its only wire
+    path = tmp_path / "chain7.json"
+    path.write_text(json.dumps(_chain_document(7)))
+    code, report = run_json(capsys, "lift", str(path), "--all-wires")
+    assert code == 0
+    (entry,) = report["results"]["wires"]
+    assert entry["is_m_wire"] and entry["ideal_system"] and entry["ideal_count"] == 7
+
+
+@pytest.mark.parametrize("argv", [
+    ["corpus", "--max-n", "abc"],
+    ["quad", "verdict", "--d", "-5", "--bound", "1e5"],
+    ["quad", "verdict"],
+    ["no-such-command"],
+    ["lift", fixture_path("l6.json")],
+])
+def test_argparse_error_is_one_line(capsys, argv):
+    with pytest.raises(SystemExit) as exit_:
+        main(argv)
+    assert exit_.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("flag", ["--help", "--version"])
+def test_help_and_version_exit_zero(capsys, flag):
+    with pytest.raises(SystemExit) as exit_:
+        main([flag])
+    assert exit_.value.code == 0
+    assert capsys.readouterr().out
 
 
 def test_corpus_small(capsys):
@@ -197,6 +232,23 @@ def test_corpus_lifts_each_wire_once(capsys, monkeypatch):
     assert len(lifts) == len(set(lifts)) == representative_wires
     tables = {(r.monoid, r.table) for (r,) in weak}
     assert len(weak) == len(tables) == representative_wires
+
+
+def test_corpus_checks_each_lift_for_an_ideal_system_once(capsys, monkeypatch):
+    lifts, ideal = [], []
+    _count_calls(monkeypatch, lifting, "lift", lifts)
+    _count_calls(monkeypatch, monoid, "verify_ideal_system", ideal)
+    code, _ = run_json(capsys, "corpus", "--max-n", "5")
+    assert code == 0
+    assert len(ideal) == len(lifts) == 40
+
+
+def test_corpus_certifies_m_witnesses(capsys, monkeypatch):
+    monkeypatch.setattr(lifting, "verify_m_witness", lambda lat, subset, witness: False)
+    assert main(["corpus", "--max-n", "4"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "oracle violation: (M) witness failed re-verification\n"
 
 
 def test_corpus_limit_keeps_the_first_labelled_copies(capsys):
@@ -275,7 +327,6 @@ def test_corpus_violation_replays_through_lift(capsys, monkeypatch, tmp_path):
     # M-wire is a violation, and lift must reproduce it from the document
     never_ideal = lambda r: monoid.Verdict(False)
     monkeypatch.setattr(lifting, "verify_ideal_system", never_ideal)
-    monkeypatch.setattr(cli, "verify_ideal_system", never_ideal)
     code, report = run_json(capsys, "corpus", "--max-n", "4")
     assert code == 3
     violations = report["results"]["violations"]
@@ -316,7 +367,7 @@ def test_corpus_sweep_script_counts_failed_finitary_and_compactness_checks(capsy
     assert capsys.readouterr().out.endswith("4 lattices with violations\n")
 
 
-@pytest.mark.parametrize("argv", [["7"], ["4", "0"], ["4", "-1"]])
+@pytest.mark.parametrize("argv", [["7"], ["4", "0"], ["4", "-1"], ["abc"]])
 def test_corpus_sweep_script_usage_error_is_one_line(argv):
     script = Path(__file__).resolve().parent.parent / "scripts" / "corpus_sweep.py"
     proc = subprocess.run([sys.executable, str(script), *argv], capture_output=True, text=True,

@@ -18,16 +18,18 @@ from latlift import (
     enumerate_small_lattices,
     enumerate_wires,
     lift,
+    load_lattice,
     sweep_lattice,
     verify_finitary,
     verify_ideal_system,
     verify_lattice,
     verify_weak_ideal_system,
 )
+from latlift import lifting
 from latlift.bitset import bits, mask_from
 from latlift.lifting import _certify_isomorphism, verify_m_witness
 
-from conftest import ideal_lattice_of_zn, non_lattices, product_lattice
+from conftest import FIXTURES, ideal_lattice_of_zn, non_lattices, product_lattice
 
 L6_IDEALS = {
     frozenset("0"),
@@ -310,10 +312,11 @@ def lift_product_wires(cap):
             for h2 in enumerate_wires(second):
                 if len(list(bits(h1.subset))) * len(list(bits(h2.subset))) > cap:
                     continue
-                result = lift(product, mask_from(s * n2 + t for s in bits(h1.subset) for t in bits(h2.subset)))
+                subset = mask_from(s * n2 + t for s in bits(h1.subset) for t in bits(h2.subset))
+                result = lift(product, subset)
                 is_m_wire = h1.is_m_wire and h2.is_m_wire
                 assert len(result.ideal_lattice.ideals) == first.n * n2
-                assert result.wire.is_m_wire == verify_ideal_system(result.system).passed == is_m_wire
+                assert analyze_wire(product, subset).is_m_wire == result.ideal_system == is_m_wire
                 lifts += 1
                 m_wires += is_m_wire
     return lifts, m_wires
@@ -337,13 +340,28 @@ def test_ideal_lattices_of_z_mod_n_lift_to_ideal_systems(n):
     while (grown := wire | mask_from(lat.mul[s][t] for s in bits(wire) for t in bits(wire))) != wire:
         wire = grown
     for subset in [wire] + [lat.full] * (lat.n <= 16):
-        result = lift(lat, subset)
-        assert result.wire.is_m_wire and verify_ideal_system(result.system).passed
+        assert analyze_wire(lat, subset).is_m_wire and lift(lat, subset).ideal_system
 
 
 def test_wire_cap_enforced():
-    with pytest.raises(ValueError, match="wire enumeration cap"):
-        list(enumerate_wires(chain(7)))
+    with pytest.raises(ValueError, match="powerset cap"):
+        list(enumerate_wires(chain(17)))
+
+
+def test_analyze_wire_certifies_its_m_witness(l6, two, monkeypatch):
+    monkeypatch.setattr(lifting, "verify_m_witness", lambda lat, subset, witness: False)
+    assert analyze_wire(two, two.full).is_m_wire  # an M-wire has no witness to recheck
+    with pytest.raises(TheoremViolation, match="witness failed re-verification"):
+        analyze_wire(l6, wire_mask(l6, "0abc1"))
+
+
+def test_lift_of_a_non_multiplicative_product_is_bad_input():
+    # l6_broken is a lattice whose product is neither associative nor
+    # distributive; a failed certificate there is bad input, not a bug
+    lat = load_lattice(FIXTURES / "l6_broken.json")
+    for run in (lambda: lift(lat, lat.full), lambda: sweep_lattice(lat)):
+        with pytest.raises(ValueError, match="^carrier is not a multiplicative lattice: associativity fails$"):
+            run()
 
 
 def test_lift_beyond_the_pair_sanity_cap():
