@@ -19,11 +19,9 @@ from .lattice import (
     verify_lattice,
 )
 from .lifting import (
-    EquivalenceReport,
-    FinitaryEmbeddingReport,
     LatticeWork,
-    LiftabilityReport,
     LiftResult,
+    SweepReport,
     WireError,
     WireReport,
     analyze_wire,

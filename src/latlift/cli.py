@@ -105,24 +105,6 @@ def _cmd_lift(args, stats: dict) -> tuple[dict, int]:
 # ----- corpus ----------------------------------------------------------
 
 
-def _corpus_entry(lat, orbit: int, reports) -> dict:
-    """The report entry of a class representative whose sweep failed, with
-    its document, so the violation can be replayed with ``latlift lift``."""
-    equivalence, liftability, embedding = reports
-    return {
-        "elements": lat.n,
-        "orbit": orbit,
-        "wires": equivalence.wires_checked,
-        "m_wires": equivalence.m_wires,
-        "equivalence_violations": [[list(names), is_m, ideal_ok]
-                                   for names, is_m, ideal_ok in equivalence.violations],
-        "finitary_all": embedding.finitary_all,
-        "all_compact": embedding.all_compact,
-        "liftability_findings": list(liftability.findings),
-        "lattice": lattice_to_dict(lat),
-    }
-
-
 def _cmd_corpus(args, stats: dict) -> tuple[dict, int]:
     """Sweep one lattice per isomorphism class; every verdict is invariant
     under relabelling, so each class counts for its kept copies.
@@ -141,15 +123,17 @@ def _cmd_corpus(args, stats: dict) -> tuple[dict, int]:
         row = sizes[n] = dict.fromkeys(("lattices", "wires", "m_wires", "violating"), 0)
         classes[n] = 0
         for lat, orbit in enumerate_lattice_classes(n):
-            reports = equivalence, _, _ = sweep_lattice(lat)
+            sweep = sweep_lattice(lat)
             kept = min(orbit, left)
             classes[n] += 1
             row["lattices"] += kept
-            row["wires"] += kept * equivalence.wires_checked
-            row["m_wires"] += kept * equivalence.m_wires
-            if not all(report.ok for report in reports):
+            row["wires"] += kept * sweep.wires
+            row["m_wires"] += kept * sweep.m_wires
+            if not sweep.ok:
                 row["violating"] += kept
-                violations.append(_corpus_entry(lat, orbit, reports))
+                # with its document, so the violation replays through ``latlift lift``
+                violations.append({"elements": lat.n, "orbit": orbit, **vars(sweep),
+                                   "lattice": lattice_to_dict(lat)})
             left -= kept
             if not left:
                 break

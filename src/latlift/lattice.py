@@ -111,7 +111,7 @@ class FiniteLattice(_Carrier):
     def _pair_bounds(self) -> tuple:
         """:func:`_bounds` of the order, built once for both
         :func:`verify_lattice` and the lattice tables."""
-        return _bounds(self.up)
+        return _bounds(self.up, self.downs)
 
     @cached_property
     def _tables(self) -> tuple:
@@ -172,11 +172,11 @@ def _down_sets(up) -> tuple[int, ...]:
     return tuple(downs)
 
 
-def _bounds(up) -> tuple[tuple[tuple[int | None, ...], ...], tuple[tuple[int | None, ...], ...]]:
-    """Binary join and meet tables of an order given by its up-masks, by
-    bound search, with None where a pair has no least upper respectively
-    greatest lower bound."""
-    n, downs = len(up), _down_sets(up)
+def _bounds(up, downs) -> tuple[tuple[tuple[int | None, ...], ...], tuple[tuple[int | None, ...], ...]]:
+    """Binary join and meet tables of an order given by its up-masks and
+    lower sets, by bound search, with None where a pair has no least upper
+    respectively greatest lower bound."""
+    n = len(up)
     join2: list[list[int | None]] = [[None] * n for _ in range(n)]
     meet2: list[list[int | None]] = [[None] * n for _ in range(n)]
     for i in range(n):
@@ -506,7 +506,7 @@ def _lattice_orders(n: int) -> Iterator[tuple[int, ...]]:
                 up[j] |= 1 << i
         if _closure_step(up):
             continue
-        join2, meet2 = _bounds(up)
+        join2, meet2 = _bounds(up, _down_sets(up))
         if not any(None in row for row in join2 + meet2):
             yield tuple(up)
 
@@ -518,7 +518,7 @@ def _tables_for_order(n: int, up: tuple[int, ...]) -> Iterator[FiniteLattice]:
     comes first for every order."""
     names = _small_names(n)
     bot, top = 0, n - 1
-    join2 = _bounds(up)[0]  # never None here
+    join2 = _bounds(up, _down_sets(up))[0]  # never None here
     inner = list(range(1, n - 1))
     mul: list[list[int | None]] = [[None] * n for _ in range(n)]
     for x in range(n):

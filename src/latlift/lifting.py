@@ -258,61 +258,42 @@ class LatticeWork:
 
 
 @dataclass(frozen=True)
-class EquivalenceReport:
-    """Per-lattice outcome of the M-wire / ideal-system equivalence sweep."""
+class SweepReport:
+    """The three oracles of :func:`sweep_lattice` on one lattice, in the
+    corpus entry's key order: the wire counts, the M-wire / ideal-system
+    mismatches, the finite readings of the compact-generation construction,
+    and the liftability findings."""
 
-    wires_checked: int
+    wires: int
     m_wires: int
-    violations: tuple[tuple[tuple[str, ...], bool, bool], ...]
+    equivalence_violations: tuple[tuple[tuple[str, ...], bool, bool], ...]
+    finitary_all: bool
+    all_compact: bool
+    liftability_findings: tuple[str, ...]
 
     @property
     def ok(self) -> bool:
-        return not self.violations
+        return (not self.equivalence_violations and self.finitary_all
+                and self.all_compact and not self.liftability_findings)
 
 
-def check_m_wire_ideal_equivalence(work: LatticeWork) -> EquivalenceReport:
+def check_m_wire_ideal_equivalence(work: LatticeWork) -> tuple[tuple[tuple[str, ...], bool, bool], ...]:
     """For every wire H: the lift is an ideal system iff H satisfies (M).
 
-    Mismatches are returned as violations, never dropped; they signal a bug
-    or a genuine discrepancy and callers should surface them loudly.
+    Each mismatch comes back as (wire names, is M-wire, is ideal system),
+    never dropped; it signals a bug or a genuine discrepancy and callers
+    should surface it loudly.
     """
     lat = work.lattice
-    wires = m_wires = 0
     violations = []
     for report in work.wires:
-        wires += 1
         ideal_ok = work.lift(report.subset).ideal_system
-        if report.is_m_wire:
-            m_wires += 1
         if ideal_ok != report.is_m_wire:
             violations.append((lat.subset_names(report.subset), report.is_m_wire, ideal_ok))
-    return EquivalenceReport(wires, m_wires, tuple(violations))
+    return tuple(violations)
 
 
-@dataclass(frozen=True)
-class LiftabilityReport:
-    """Executable liftability facts for one lattice.
-
-    Both the meet principal and the weak meet principal element sets are
-    reported; the generation test used by the implication runs on the
-    meet principal set.
-    """
-
-    m_wire_exists: bool
-    meet_principal: tuple[str, ...]
-    weak_meet_principal: tuple[str, ...]
-    principal: tuple[str, ...]
-    mp_generates: bool
-    domain: bool
-    p_generates: bool
-    findings: tuple[str, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.findings
-
-
-def check_liftability(work: LatticeWork) -> LiftabilityReport:
+def check_liftability(work: LatticeWork) -> tuple[str, ...]:
     """Three liftability facts, checked directly.
 
     (a) the full carrier is a wire, so every lattice lifts to a weak ideal
@@ -328,16 +309,11 @@ def check_liftability(work: LatticeWork) -> LiftabilityReport:
     work.lift(lat.full)  # (a): raises unless certified
     flags = work.flags
     mp_mask = mask_from(x for x in range(lat.n) if flags[x].meet_principal)
-    wmp_mask = mask_from(x for x in range(lat.n) if flags[x].weak_meet_principal)
     p_mask = mask_from(x for x in range(lat.n) if flags[x].principal)
-    mp_generates = _generates(lat, mp_mask)
-    m_wire_exists = any(report.is_m_wire for report in work.wires)
     findings: list[str] = []
-    if m_wire_exists and not mp_generates:
+    if any(report.is_m_wire for report in work.wires) and not _generates(lat, mp_mask):
         findings.append("an M-wire exists but the meet principal elements do not generate")
-    domain = is_domain(lat)
-    p_generates = _generates(lat, p_mask)
-    if domain and p_generates:
+    if is_domain(lat) and _generates(lat, p_mask):
         h = p_mask | (1 << lat.bot) | (1 << lat.top)
         report = analyze_wire(lat, h)
         if not report.mult_closed:
@@ -348,30 +324,15 @@ def check_liftability(work: LatticeWork) -> LiftabilityReport:
             findings.append("the principal-element wire is not an M-wire")
         elif not work.lift(h).ideal_system:
             findings.append("the principal-element wire lifts to a weak but not an ideal system")
-    return LiftabilityReport(
-        m_wire_exists,
-        lat.subset_names(mp_mask), lat.subset_names(wmp_mask), lat.subset_names(p_mask),
-        mp_generates, domain, p_generates, tuple(findings))
+    return tuple(findings)
 
 
 # ----- finitary embedding ----------------------------------------------
 
 
-@dataclass(frozen=True)
-class FinitaryEmbeddingReport:
-    """The finite readings of the compact-generation construction on one
-    lattice: every wire lifts to a finitary system, every element is compact."""
-
-    finitary_all: bool
-    all_compact: bool
-
-    @property
-    def ok(self) -> bool:
-        return self.finitary_all and self.all_compact
-
-
-def check_finitary_embedding(work: LatticeWork) -> FinitaryEmbeddingReport:
-    """The finite readings of the compact-generation construction.
+def check_finitary_embedding(work: LatticeWork) -> tuple[bool, bool]:
+    """The finite readings of the compact-generation construction, as the
+    pair (every wire lifts to a finitary system, every element is compact).
 
     A lattice generated by compact elements embeds by x -> [0, x] into the
     ideal lattice of the finitary closure of its full-carrier lift.  On a
@@ -384,14 +345,15 @@ def check_finitary_embedding(work: LatticeWork) -> FinitaryEmbeddingReport:
     finitary_all = all(verify_finitary(work.lift(report.subset).system).passed
                        for report in work.wires)
     all_compact = all(flags.compact for flags in work.flags)
-    return FinitaryEmbeddingReport(finitary_all, all_compact)
+    return finitary_all, all_compact
 
 
-def sweep_lattice(lat: FiniteLattice) -> tuple[
-        EquivalenceReport, LiftabilityReport, FinitaryEmbeddingReport]:
+def sweep_lattice(lat: FiniteLattice) -> SweepReport:
     """Equivalence, liftability and finitary embedding of one lattice, run
     on one :class:`LatticeWork`, so each wire is lifted once for all three."""
     work = LatticeWork(lat)
-    return (check_m_wire_ideal_equivalence(work),
-            check_liftability(work),
-            check_finitary_embedding(work))
+    violations = check_m_wire_ideal_equivalence(work)
+    findings = check_liftability(work)
+    finitary_all, all_compact = check_finitary_embedding(work)
+    m_wires = sum(report.is_m_wire for report in work.wires)
+    return SweepReport(len(work.wires), m_wires, violations, finitary_all, all_compact, findings)

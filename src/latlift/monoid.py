@@ -113,7 +113,8 @@ class ClosureMap:
             raise ValueError(f"carrier size {m} exceeds powerset cap {POWERSET_CAP}")
         if len(self.table) != 1 << m:
             raise LoadError("closure table must cover the whole powerset")
-        if any(entry & ~self.monoid.full for entry in self.table):
+        full = self.monoid.full
+        if any(entry & ~full for entry in self.table):
             raise LoadError("closure table references an unknown element")
 
     def ideals(self) -> tuple[int, ...]:

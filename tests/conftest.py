@@ -1,9 +1,19 @@
 from math import gcd
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
-from latlift import ClosureMap, FiniteLattice, load_lattice, load_monoid
+from latlift import (
+    ClosureMap,
+    FiniteLattice,
+    analyze_wire,
+    classify_element,
+    enumerate_wires,
+    is_domain,
+    load_lattice,
+    load_monoid,
+)
 from latlift.bitset import bits, mask_from
 from latlift.monoid import _multiples
 
@@ -86,3 +96,24 @@ def ideal_lattice_of_zn(n):
         tuple(mask_from(j for j, e in enumerate(divisors) if d % e == 0) for d in divisors),
         tuple(tuple(divisors.index(gcd(d * e, n)) for e in divisors) for d in divisors),
         len(divisors) - 1, 0)
+
+
+def liftability_facts(lat):
+    """The facts the liftability implications read, from public functions:
+    the meet principal, weak meet principal and principal element names,
+    whether an M-wire exists, whether the lattice is a domain, and whether
+    the meet principal respectively principal elements generate.  bot and
+    top are always meet principal and principal, so adjoining them leaves
+    the generation verdict of analyze_wire unchanged."""
+    flags = [classify_element(lat, x) for x in range(lat.n)]
+    mp, wmp, p = (mask_from(x for x in range(lat.n) if getattr(flags[x], flag))
+                  for flag in ("meet_principal", "weak_meet_principal", "principal"))
+    bounds = (1 << lat.bot) | (1 << lat.top)
+    return SimpleNamespace(
+        meet_principal=lat.subset_names(mp),
+        weak_meet_principal=lat.subset_names(wmp),
+        principal=lat.subset_names(p),
+        m_wire_exists=any(report.is_m_wire for report in enumerate_wires(lat)),
+        domain=is_domain(lat),
+        mp_generates=analyze_wire(lat, mp | bounds).generates,
+        p_generates=analyze_wire(lat, p | bounds).generates)

@@ -58,10 +58,13 @@ def verdicts(lat):
         result = lift(lat, report.subset)
         wires[frozenset(lat.subset_names(report.subset))] = (
             report.is_m_wire, verify_ideal_system(result.system).passed)
+    sweep = sweep_lattice(lat)
     return {
         "wires": wires,
         "flags": {classify_element(lat, x) for x in range(lat.n)},
-        "sweeps": tuple(report.ok for report in sweep_lattice(lat)),
+        # the violating wires' names are listed in label order, so only their count
+        "sweep": (sweep.wires, sweep.m_wires, len(sweep.equivalence_violations),
+                  sweep.finitary_all, sweep.all_compact, sweep.liftability_findings),
         "canonical_form": canonical_form(lat),
     }
 

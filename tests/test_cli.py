@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import importlib.util
 import io
@@ -12,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import latlift
-from latlift import cli, lifting, monoid, natquad
+from latlift import cli, lattice, lifting, monoid, natquad
 from latlift.cli import main
 
 from conftest import fixture_path
@@ -296,6 +297,25 @@ def test_corpus_sizes_sum_to_the_results(capsys):
         assert sum(row[key] for row in sizes.values()) == report["results"][key]
 
 
+def test_corpus_derives_the_lower_sets_once_per_bound_search(capsys, monkeypatch):
+    # a FiniteLattice hands its cached lower sets to the bound search, so
+    # the only other lower-set derivations are the enumerator's, one per
+    # order it searches
+    calls = {"_down_sets": 0, "_bounds": 0}
+
+    def counting(name, original):
+        def counted(*args):
+            calls[name] += 1
+            return original(*args)
+        return counted
+
+    for name in calls:
+        monkeypatch.setattr(lattice, name, counting(name, getattr(lattice, name)))
+    assert main(["corpus", "--max-n", "5"]) == 0
+    capsys.readouterr()
+    assert calls == {"_down_sets": 111, "_bounds": 111}
+
+
 def _sweep_finitary_fails(monkeypatch):
     """Make every lift read as not finitary."""
     monkeypatch.setattr(lifting, "verify_finitary", lambda r: monoid.Verdict(False))
@@ -317,9 +337,21 @@ def test_corpus_counts_failed_finitary_and_compactness_checks(capsys, monkeypatc
     violations = report["results"]["violations"]
     assert len(violations) == report["results"]["lattices"] == 4
     assert all(entry[key] is False and entry["equivalence_violations"] == [] for entry in violations)
-    assert all(set(entry) == {"elements", "orbit", "wires", "m_wires", "equivalence_violations",
-                              "finitary_all", "all_compact", "liftability_findings", "lattice"}
-               for entry in violations)
+    # the entry is the sweep's report between the class and its document,
+    # in the report's field order (which the JSON output sorts away)
+    keys = ["elements", "orbit", *(field.name for field in dataclasses.fields(lifting.SweepReport)), "lattice"]
+    assert all(set(entry) == set(keys) for entry in violations)
+    results, _ = cli.DISPATCH["corpus"](cli.build_parser().parse_args(["corpus", "--max-n", "3"]), {})
+    assert [list(entry) for entry in results["violations"]] == [keys] * 4
+
+
+def test_corpus_text_prints_one_violation_line_per_failing_class(capsys, monkeypatch):
+    _sweep_finitary_fails(monkeypatch)
+    code, out = run(capsys, "corpus", "--max-n", "3")
+    assert code == 3
+    lines = [line for line in out.splitlines() if line.startswith("VIOLATION: ")]
+    assert len(lines) == 4
+    assert all(ast.literal_eval(line.removeprefix("VIOLATION: "))["finitary_all"] is False for line in lines)
 
 
 def test_corpus_violation_replays_through_lift(capsys, monkeypatch, tmp_path):

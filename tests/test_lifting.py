@@ -29,7 +29,7 @@ from latlift import lifting
 from latlift.bitset import bits, mask_from
 from latlift.lifting import _certify_isomorphism, verify_m_witness
 
-from conftest import FIXTURES, ideal_lattice_of_zn, non_lattices, product_lattice
+from conftest import FIXTURES, ideal_lattice_of_zn, liftability_facts, non_lattices, product_lattice
 
 L6_IDEALS = {
     frozenset("0"),
@@ -175,36 +175,46 @@ def test_certificate_rejects_maps_with_two_entries_swapped(l6, chain3):
 
 
 def test_equivalence_l6(l6):
-    rep = check_m_wire_ideal_equivalence(LatticeWork(l6))
-    assert rep.ok
-    assert rep.wires_checked == 2
+    assert check_m_wire_ideal_equivalence(LatticeWork(l6)) == ()
+    rep = sweep_lattice(l6)
+    assert rep.equivalence_violations == ()
+    assert rep.wires == 2
     assert rep.m_wires == 0
 
 
 def test_equivalence_two(two):
-    rep = check_m_wire_ideal_equivalence(LatticeWork(two))
-    assert rep.ok and rep.wires_checked == 1 and rep.m_wires == 1
+    assert check_m_wire_ideal_equivalence(LatticeWork(two)) == ()
+    rep = sweep_lattice(two)
+    assert rep.ok and rep.wires == 1 and rep.m_wires == 1
 
 
 def test_equivalence_small_corpus():
     for n in (1, 2, 3):
         for lat in enumerate_small_lattices(n):
-            assert check_m_wire_ideal_equivalence(LatticeWork(lat)).ok
+            assert check_m_wire_ideal_equivalence(LatticeWork(lat)) == ()
 
 
 def test_sweep_matches_separate_checks(l6, chain3_nil):
     lattices = [l6, chain3_nil] + [lat for n in range(1, 5) for lat in enumerate_small_lattices(n)]
     for lat in lattices:
-        equivalence, liftability, embedding = sweep_lattice(lat)
-        assert equivalence == check_m_wire_ideal_equivalence(LatticeWork(lat))
-        assert liftability == check_liftability(LatticeWork(lat))
-        assert embedding == check_finitary_embedding(LatticeWork(lat))
-        assert equivalence.ok and liftability.ok and embedding.ok
+        rep = sweep_lattice(lat)
+        wires = list(enumerate_wires(lat))
+        assert (rep.wires, rep.m_wires) == (len(wires), sum(report.is_m_wire for report in wires))
+        assert rep.equivalence_violations == check_m_wire_ideal_equivalence(LatticeWork(lat))
+        assert rep.liftability_findings == check_liftability(LatticeWork(lat))
+        assert (rep.finitary_all, rep.all_compact) == check_finitary_embedding(LatticeWork(lat))
+        assert rep.ok
+        # the test helper adjoins the bounds before asking analyze_wire;
+        # check_liftability asks about the plain element sets
+        facts = liftability_facts(lat)
+        for names, generates in ((facts.meet_principal, facts.mp_generates),
+                                 (facts.principal, facts.p_generates)):
+            assert generates == lifting._generates(lat, mask_from(map(lat.index, names)))
 
 
 def test_liftability_l6(l6):
-    rep = check_liftability(LatticeWork(l6))
-    assert rep.ok
+    assert check_liftability(LatticeWork(l6)) == ()
+    rep = liftability_facts(l6)
     assert not rep.m_wire_exists
     assert rep.weak_meet_principal == ("0", "a", "1")
     assert set(rep.meet_principal) <= set(rep.weak_meet_principal)
@@ -212,8 +222,8 @@ def test_liftability_l6(l6):
 
 
 def test_liftability_chain3(chain3):
-    rep = check_liftability(LatticeWork(chain3))
-    assert rep.ok
+    assert check_liftability(LatticeWork(chain3)) == ()
+    rep = liftability_facts(chain3)
     # the full carrier is an M-wire, and the meet principal elements are
     # exactly the carrier, so the generation implication is non-vacuous
     assert rep.m_wire_exists
@@ -235,8 +245,9 @@ def test_chain3_join_principal_witness(chain3):
 
 
 def test_liftability_two_nonvacuous(two):
-    rep = check_liftability(LatticeWork(two))
-    assert rep.ok and rep.m_wire_exists
+    assert check_liftability(LatticeWork(two)) == ()
+    rep = liftability_facts(two)
+    assert rep.m_wire_exists
     assert rep.domain and rep.p_generates
     assert rep.principal == ("0", "1")
 
@@ -244,8 +255,9 @@ def test_liftability_two_nonvacuous(two):
 def test_nilpotent_singleton_is_principal_but_no_domain(chain3_nil):
     flags = classify_element(chain3_nil, chain3_nil.index("x"))
     assert flags.principal
-    rep = check_liftability(LatticeWork(chain3_nil))
-    assert rep.ok and rep.p_generates and not rep.domain
+    assert check_liftability(LatticeWork(chain3_nil)) == ()
+    rep = liftability_facts(chain3_nil)
+    assert rep.p_generates and not rep.domain
 
 
 @pytest.mark.parametrize("check", [verify_finitary, verify_ideal_system, build_ideal_lattice])
@@ -257,8 +269,7 @@ def test_non_weak_maps_are_rejected_with_value_error(m3, check):
 
 def test_finitary_embedding(l6, two, chain3, chain3_nil):
     for lat in (l6, two, chain3, chain3_nil):
-        rep = check_finitary_embedding(LatticeWork(lat))
-        assert rep.ok and rep.finitary_all and rep.all_compact
+        assert check_finitary_embedding(LatticeWork(lat)) == (True, True)
 
 
 def test_m_witness_recheck_rejects_fake(l6):
