@@ -62,7 +62,7 @@ class _Carrier:
             raise LoadError("element names are not distinct")
         if len(self.mul) != n or any(len(r) != n for r in self.mul):
             raise LoadError("multiplication table dimensions do not match the carrier")
-        if any(not 0 <= v < n for row in self.mul for v in row):
+        if min(map(min, self.mul)) < 0 or max(map(max, self.mul)) >= n:
             raise LoadError("multiplication table references an unknown index")
         if not (0 <= one < n and 0 <= zero < n):
             raise LoadError("one/zero index out of range")
@@ -106,6 +106,11 @@ class FiniteLattice(_Carrier):
     def downs(self) -> tuple[int, ...]:
         """``downs[j]`` is the bitmask of the lower set {i : i <= j}."""
         return _down_sets(self.up)
+
+    @cached_property
+    def join_irreducibles(self) -> int:
+        """The mask of the x that are not the join of the elements strictly below them."""
+        return mask_from(x for x, down in enumerate(self.downs) if self.join_of(down & ~(1 << x)) != x)
 
     @cached_property
     def _pair_bounds(self) -> tuple:
@@ -167,8 +172,9 @@ def _down_sets(up) -> tuple[int, ...]:
     """The lower sets of an order given by its up-masks, as bitmasks."""
     downs = [0] * len(up)
     for i, row in enumerate(up):
-        for j in bits(row):
-            downs[j] |= 1 << i
+        while row:
+            downs[(row & -row).bit_length() - 1] |= 1 << i
+            row &= row - 1
     return tuple(downs)
 
 
@@ -229,13 +235,26 @@ def classify_element(lat: FiniteLattice, x: int) -> ElementFlags:
     """
     n, mul = lat.n, lat.mul
     join2, meet2 = lat._tables[:2]
-    res_x = [lat.residual(a, x) for a in range(n)]
+    res_x = _residuals(lat, x)
     mul_x, every = mul[x], range(n)
     wmp = all(meet2[a][x] == mul_x[res_x[a]] for a in every)
     wjp = all(join2[a][res_x[lat.bot]] == res_x[mul[a][x]] for a in every)
     mp = all(meet2[a][mul_x[b]] == mul_x[meet2[res_x[a]][b]] for a in every for b in every)
     jp = all(join2[a][res_x[b]] == res_x[join2[mul[a][x]][b]] for a in every for b in every)
     return ElementFlags(lat.names[x], mp, wmp, jp, wjp, mp and jp, wmp and wjp)
+
+
+def _residuals(lat: FiniteLattice, x: int) -> list[int]:
+    """(a : x) for every a, read from the lower sets and the row of x."""
+    join2, _, least, _ = lat._tables
+    column, mul_x = [], lat.mul[x]
+    for below in lat.downs:
+        acc = least
+        for y, xy in enumerate(mul_x):
+            if below >> xy & 1:
+                acc = join2[acc][y]
+        column.append(acc)
+    return column
 
 
 def is_domain(lat: FiniteLattice) -> bool:
@@ -545,14 +564,11 @@ def _tables_for_order(n: int, up: tuple[int, ...]) -> Iterator[FiniteLattice]:
         # three groupings must agree wherever they are already determined
         for x, y, z in assoc_k:
             xy, yz, xz = mul[x][y], mul[y][z], mul[x][z]
-            vals = []
-            if xy is not None and mul[xy][z] is not None:
-                vals.append(mul[xy][z])
-            if yz is not None and mul[x][yz] is not None:
-                vals.append(mul[x][yz])
-            if xz is not None and mul[xz][y] is not None:
-                vals.append(mul[xz][y])
-            if any(v != vals[0] for v in vals[1:]):
+            p = None if xy is None else mul[xy][z]
+            q = None if yz is None else mul[x][yz]
+            r = None if xz is None else mul[xz][y]
+            if (p is not None and (q is not None and p != q or r is not None and p != r)
+                    or q is not None and r is not None and q != r):
                 return False
         for x, y, z in distr_k:
             lhs, a, b = mul[x][join2[y][z]], mul[x][y], mul[x][z]
@@ -587,7 +603,14 @@ def _relabellings(bot: int, top: int, n: int) -> list[tuple[tuple[int, ...], lis
 
 
 def _relabel_up(up, old, new) -> tuple[int, ...]:
-    return tuple(mask_from(new[j] for j in bits(up[i])) for i in old)
+    image = []
+    for i in old:
+        row, mask = up[i], 0
+        while row:
+            mask |= 1 << new[(row & -row).bit_length() - 1]
+            row &= row - 1
+        image.append(mask)
+    return tuple(image)
 
 
 def _relabel_mul(mul, old, new) -> tuple[tuple[int, ...], ...]:
@@ -610,12 +633,19 @@ def canonical_form(lat: FiniteLattice) -> tuple:
 def _order_classes(n: int) -> Iterator[tuple[tuple[int, ...], list]]:
     """(up, automorphisms) of one lattice order per isomorphism class: the
     order of :func:`_lattice_orders` that is least among its relabellings,
-    with the relabellings that fix it.  An order is dropped at its first
-    smaller image, and only the survivors list their automorphisms."""
+    with the relabellings that fix it.  Each move is applied once: an order
+    is dropped at its first smaller image, and the fixing moves are kept."""
     moves = _relabellings(0, n - 1, n)
     for up in _lattice_orders(n):
-        if all(_relabel_up(up, old, new) >= up for old, new in moves):
-            yield up, [(old, new) for old, new in moves if _relabel_up(up, old, new) == up]
+        automorphisms = []
+        for move in moves:
+            image = _relabel_up(up, *move)
+            if image < up:
+                break
+            if image == up:
+                automorphisms.append(move)
+        else:
+            yield up, automorphisms
 
 
 def enumerate_lattice_classes(n: int) -> Iterator[tuple[FiniteLattice, int]]:

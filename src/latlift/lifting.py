@@ -62,12 +62,16 @@ def _mult_closed(lat: FiniteLattice, subset: int, elems: list[int]) -> bool:
 
 
 def _m_condition(lat: FiniteLattice, elems: list[int]) -> tuple[bool, tuple[int, int, int] | None]:
-    up, downs = lat.up, lat.downs
+    up, downs, mul = lat.up, lat.downs, lat.mul
+    # preimages[t][s] is the mask of the u in H with t*u = s, built once per t
+    preimages = {t: [0] * lat.n for t in elems}
+    for t in elems:
+        for u in elems:
+            preimages[t][mul[t][u]] |= 1 << u
     for s in elems:
         for t in elems:
-            row = lat.mul[t]
+            row, hits = mul[t], preimages[t][s]
             # some u in H below a has t*u = s exactly when hits meets [0, a]
-            hits = mask_from(u for u in elems if row[u] == s)
             for a in range(lat.n):
                 if up[s] >> row[a] & 1 and not hits & downs[a]:
                     return False, (s, t, a)
@@ -99,8 +103,11 @@ def analyze_wire(lat: FiniteLattice, subset: int) -> WireReport:
 
 
 def _generates(lat: FiniteLattice, mask: int) -> bool:
-    """Every element x is the join of the members of mask below it."""
-    return all(lat.join_of(mask & down) == x for x, down in enumerate(lat.downs))
+    """Every element x is the join of the members of mask below it, exactly
+    when mask holds every join-irreducible element: by induction each x is
+    the join of those below it, and a join-irreducible x is not the join of
+    a set below it without x, whose join lies below that of [0, x)."""
+    return not lat.join_irreducibles & ~mask
 
 
 def verify_m_witness(lat: FiniteLattice, subset: int, witness: tuple[int, int, int]) -> bool:
@@ -114,18 +121,15 @@ def verify_m_witness(lat: FiniteLattice, subset: int, witness: tuple[int, int, i
 
 def enumerate_wires(lat: FiniteLattice) -> Iterator[WireReport]:
     """All wires of the lattice (subsets containing bot and top), ascending
-    by interior bitmask.  Multiplicative closure is tested before the more
-    expensive generation scan.  The cap is the lift's, as the full carrier
-    is a wire."""
+    by interior bitmask.  A wire generates, so it holds every
+    join-irreducible element, and only the subsets that hold them are
+    analysed.  The cap is the lift's, as the full carrier is a wire."""
     if lat.n > POWERSET_CAP:
         raise ValueError(f"carrier size {lat.n} exceeds powerset cap {POWERSET_CAP}")
-    base = (1 << lat.bot) | (1 << lat.top)
+    base = (1 << lat.bot) | (1 << lat.top) | lat.join_irreducibles
     others = [i for i in range(lat.n) if not base >> i & 1]
     for pick in range(1 << len(others)):
-        subset = base | mask_from(others[i] for i in bits(pick))
-        if not _mult_closed(lat, subset, list(bits(subset))):
-            continue
-        report = analyze_wire(lat, subset)
+        report = analyze_wire(lat, base | mask_from(others[i] for i in bits(pick)))
         if report.is_wire:
             yield report
 
@@ -154,18 +158,19 @@ def _certify_isomorphism(lat: FiniteLattice, il: IdealLattice,
                          f: tuple[int, ...], g: tuple[int, ...]) -> None:
     """Certify f (ideal index -> lattice element) and g (lattice element ->
     ideal index) as mutually inverse multiplicative order isomorphisms."""
-    k = len(il.ideals)
+    k, mul, up = len(il.ideals), lat.mul, lat.up
     for i in range(k):
         if g[f[i]] != i:
             raise TheoremViolation("g o f is not the identity on ideals")
     for y in range(lat.n):
         if f[g[y]] != y:
             raise TheoremViolation("f o g is not the identity on the lattice")
-    for i in range(k):
+    for i, (row, above) in enumerate(zip(il.lattice.mul, il.lattice.up)):
+        products, cone = mul[f[i]], up[f[i]]
         for j in range(k):
-            if f[il.lattice.mul[i][j]] != lat.mul[f[i]][f[j]]:
+            if f[row[j]] != products[f[j]]:
                 raise TheoremViolation("f is not multiplicative")
-            if il.lattice.le(i, j) != lat.le(f[i], f[j]):
+            if (above >> j & 1) != (cone >> f[j] & 1):
                 raise TheoremViolation("f does not preserve and reflect the order")
 
 
@@ -182,31 +187,37 @@ def lift(lat: FiniteLattice, subset: int) -> LiftResult:
     g(y) = cut[y].
     """
     join2, _, least, _ = lat._tables  # raises ValueError on a non-lattice
-    report = analyze_wire(lat, subset)
-    if not report.is_wire:
-        missing = [name for name, ok in (
-            ("missing top", report.contains_one),
-            ("missing bot", report.contains_zero),
-            ("not multiplicatively closed", report.mult_closed),
-            ("does not generate the lattice", report.generates)) if not ok]
+    if subset & ~lat.full:
+        raise ValueError("subset lies outside the carrier")
+    elems = list(bits(subset))
+    missing = [name for name, ok in (
+        ("missing top", subset >> lat.top & 1),
+        ("missing bot", subset >> lat.bot & 1),
+        ("not multiplicatively closed", _mult_closed(lat, subset, elems)),
+        ("does not generate the lattice", _generates(lat, subset))) if not ok]
+    if missing:
         raise WireError(
             f"subset {{{','.join(lat.subset_names(subset))}}} is not a wire: " + "; ".join(missing))
-    elems = list(bits(subset))
-    h = len(elems)
-    if h > POWERSET_CAP:
-        raise ValueError(f"wire size {h} exceeds powerset cap {POWERSET_CAP}")
+    if len(elems) > POWERSET_CAP:
+        raise ValueError(f"wire size {len(elems)} exceeds powerset cap {POWERSET_CAP}")
     pos = {e: i for i, e in enumerate(elems)}
     rows = tuple(tuple(pos[lat.mul[s][t]] for t in elems) for s in elems)
     monoid = FiniteMonoid(tuple(lat.names[e] for e in elems), rows, pos[lat.top], pos[lat.bot])
 
     # cut[v] is H intersect [0, v] in monoid coordinates
-    cut = [mask_from(pos[e] for e in bits(down & subset)) for down in lat.downs]
+    cut = []
+    for down in lat.downs:
+        rest, ideal = down & subset, 0
+        while rest:
+            ideal |= 1 << pos[(rest & -rest).bit_length() - 1]
+            rest &= rest - 1
+        cut.append(ideal)
     # joins[X] = join(X) by the low-bit recurrence over the binary join table
-    joins = [least] * (1 << h)
-    for sm in range(1, 1 << h):
+    joins = [least] * (1 << len(elems))
+    for sm in range(1, len(joins)):
         low = sm & -sm
         joins[sm] = join2[joins[sm ^ low]][elems[low.bit_length() - 1]]
-    system = ClosureMap(monoid, tuple(cut[v] for v in joins))
+    system = ClosureMap(monoid, tuple(map(cut.__getitem__, joins)))
 
     try:
         weak = system.weak_verdict

@@ -20,8 +20,7 @@ facts actually hold, raising TheoremViolation otherwise.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, reduce
-from operator import or_
+from functools import cached_property
 from pathlib import Path
 
 from .bitset import bits
@@ -113,8 +112,7 @@ class ClosureMap:
             raise ValueError(f"carrier size {m} exceeds powerset cap {POWERSET_CAP}")
         if len(self.table) != 1 << m:
             raise LoadError("closure table must cover the whole powerset")
-        full = self.monoid.full
-        if any(entry & ~full for entry in self.table):
+        if min(self.table) < 0 or max(self.table) > self.monoid.full:
             raise LoadError("closure table references an unknown element")
 
     def ideals(self) -> tuple[int, ...]:
@@ -139,8 +137,13 @@ def _require_weak(r: ClosureMap) -> None:
 
 
 def _multiples(mon: FiniteMonoid) -> tuple[int, ...]:
-    # X*H = union over c in H of c*X, for every X at once
-    return tuple(reduce(or_, column) for column in zip(*mon.element_maps))
+    # X*H = the union of the rows x*H over x in X, by the low-bit recurrence
+    rows = [cmap[-1] for cmap in mon.element_maps]
+    multiples = [0] * (1 << mon.n)
+    for x in range(1, len(multiples)):
+        low = x & -x
+        multiples[x] = multiples[x ^ low] | rows[low.bit_length() - 1]
+    return tuple(multiples)
 
 
 def verify_weak_ideal_system(r: ClosureMap) -> Verdict:
@@ -253,11 +256,15 @@ def build_ideal_lattice(r: ClosureMap) -> IdealLattice:
         for j in range(k):
             if ideals[i] & ~ideals[j] == 0:
                 up[i] |= 1 << j
-    mul_rows = []
-    for i in range(k):
-        row = []
-        for j in range(k):
-            row.append(pos[table[subset_product(mon, ideals[i], ideals[j])]])
+    # the product vi*vj is the union of the element maps c*vj over c in vi
+    maps, mul_rows = mon.element_maps, []
+    for vi in ideals:
+        columns, row = [maps[c] for c in bits(vi)], []
+        for vj in ideals:
+            product = 0
+            for cmap in columns:
+                product |= cmap[vj]
+            row.append(pos[table[product]])
         mul_rows.append(tuple(row))
     names = tuple("{" + ",".join(mon.subset_names(v)) + "}" for v in ideals)
     lat = FiniteLattice(names, tuple(up), tuple(mul_rows), pos[table[0]], pos[full])
@@ -273,16 +280,17 @@ def build_ideal_lattice(r: ClosureMap) -> IdealLattice:
                 raise TheoremViolation("join of ideals differs from closing the union")
     _check_product_interchange(r)
     # principal closures form a generating submonoid (all elements of a
-    # finite ideal family are compact, so the finitary clause is automatic)
-    for a in range(mon.n):
-        for b in range(mon.n):
-            lhs = table[subset_product(mon, table[1 << a], table[1 << b])]
-            if lhs != table[1 << mon.mul[a][b]]:
+    # finite ideal family are compact, so the finitary clause is automatic);
+    # r(r(a)r(b)) is the ideal product of the principal closures r(a), r(b)
+    principal = [pos[table[1 << a]] for a in range(mon.n)]
+    for a, pa in enumerate(principal):
+        for b, pb in enumerate(principal):
+            if mul_rows[pa][pb] != principal[mon.mul[a][b]]:
                 raise TheoremViolation("principal closures are not closed under products")
     for v in ideals:
         union = 0
         for a in bits(v):
-            union |= table[1 << a]
+            union |= ideals[principal[a]]
         if table[union] != v:
             raise TheoremViolation("principal closures fail to generate the ideal lattice")
     return IdealLattice(mon, ideals, lat)

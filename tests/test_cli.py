@@ -213,7 +213,7 @@ def _count_calls(monkeypatch, module, name, keys):
         keys.append(args)
         return original(*args)
 
-    for namespace in (latlift, cli, lifting, monoid):
+    for namespace in (latlift, cli, lattice, lifting, monoid):
         if vars(namespace).get(name) is original:
             monkeypatch.setattr(namespace, name, wrapper)
 
@@ -314,6 +314,25 @@ def test_corpus_derives_the_lower_sets_once_per_bound_search(capsys, monkeypatch
     assert main(["corpus", "--max-n", "5"]) == 0
     capsys.readouterr()
     assert calls == {"_down_sets": 111, "_bounds": 111}
+
+
+def test_corpus_makes_one_m_scan_per_wire(capsys, monkeypatch, l6):
+    # lift checks only the four wire conditions, so (M) is scanned once per
+    # wire of a class representative (40 at n <= 5) and once per
+    # principal-element wire that the liftability check analyses (2), and
+    # its witness is re-checked once per wire that fails it; the order
+    # classes apply each relabelling once, up to the first smaller image
+    scans, witnesses, relabellings = [], [], []
+    _count_calls(monkeypatch, lifting, "_m_condition", scans)
+    _count_calls(monkeypatch, lifting, "verify_m_witness", witnesses)
+    _count_calls(monkeypatch, lattice, "_relabel_up", relabellings)
+    assert main(["corpus", "--max-n", "5"]) == 0
+    capsys.readouterr()
+    assert (len(scans), len(witnesses)) == (42, 18)
+    assert len(relabellings) <= 110
+    scans.clear()
+    lifting.lift(l6, l6.full)
+    assert scans == []
 
 
 def _sweep_finitary_fails(monkeypatch):

@@ -117,6 +117,74 @@ def test_lift_rejects_non_wire(l6):
         lift(l6, wire_mask(l6, "0a1"))
 
 
+WIRE_CONDITIONS = ("missing top", "missing bot", "not multiplicatively closed",
+                   "does not generate the lattice")
+
+
+def failed_wire_conditions(lat, subset):
+    """The wire conditions analyze_wire finds failed, in the WireError's order."""
+    report = analyze_wire(lat, subset)
+    held = (report.contains_one, report.contains_zero, report.mult_closed, report.generates)
+    return [name for name, ok in zip(WIRE_CONDITIONS, held) if not ok]
+
+
+def small(names, up, mul):
+    return FiniteLattice(tuple(names), up, mul, 0, len(names) - 1)
+
+
+# 0 < a, b < 1 with idempotent a and b: {0, a, b} lacks only the top
+BOOLEAN4 = small("0ab1", (15, 10, 12, 8), ((0, 0, 0, 0), (0, 1, 0, 1), (0, 0, 2, 2), (0, 1, 2, 3)))
+# 0 < a, d < b < c < 1 with c*c = b and every other inner product 0:
+# {0, a, c, d, 1} generates (b = a v d) but c*c falls outside it
+SQUARE_ESCAPES = small("0abcd1", (63, 46, 44, 40, 60, 32),
+                       ((0,) * 6, (0, 0, 0, 0, 0, 1), (0, 0, 0, 0, 0, 2),
+                        (0, 0, 0, 2, 0, 3), (0, 0, 0, 0, 0, 4), (0, 1, 2, 3, 4, 5)))
+
+
+def test_wire_error_names_each_failed_condition(l6, two, chain3_nil):
+    cases = [
+        (BOOLEAN4, "0ab", "subset {0,a,b} is not a wire: missing top"),
+        (two, "1", "subset {1} is not a wire: missing bot"),
+        (SQUARE_ESCAPES, "0acd1", "subset {0,a,c,d,1} is not a wire: not multiplicatively closed"),
+        (l6, "0a1", "subset {0,a,1} is not a wire: does not generate the lattice"),
+        (chain3_nil, "x", "subset {x} is not a wire: missing top; missing bot; "
+                          "not multiplicatively closed; does not generate the lattice"),
+    ]
+    for lat, subset, message in cases:
+        assert verify_lattice(lat).passed
+        with pytest.raises(WireError) as caught:
+            lift(lat, wire_mask(lat, subset))
+        assert str(caught.value) == message
+
+
+def test_wire_error_lists_exactly_the_failed_conditions(l6, two, chain3, chain3_nil):
+    # every subset of every lattice with at most 4 elements and of the
+    # fixtures: lift succeeds on the wires and names every failed
+    # condition of the others, and nothing else
+    lattices = [l6, two, chain3, chain3_nil, BOOLEAN4, SQUARE_ESCAPES]
+    lattices += [lat for n in range(1, 5) for lat in enumerate_small_lattices(n)]
+    for lat in lattices:
+        for subset in range(1 << lat.n):
+            failed = failed_wire_conditions(lat, subset)
+            if not failed:
+                lift(lat, subset)
+                continue
+            with pytest.raises(WireError) as caught:
+                lift(lat, subset)
+            names = ",".join(lat.subset_names(subset))
+            assert str(caught.value) == f"subset {{{names}}} is not a wire: " + "; ".join(failed)
+
+
+def test_lift_checks_the_subset_then_the_wire_then_the_cap(l6):
+    with pytest.raises(ValueError, match="^subset lies outside the carrier$"):
+        lift(l6, 1 << l6.n)
+    big = chain(18)
+    with pytest.raises(WireError, match="missing bot$"):
+        lift(big, big.full & ~(1 << big.bot))  # 17 members, past the cap
+    with pytest.raises(ValueError, match="^wire size 18 exceeds powerset cap 16$"):
+        lift(big, big.full)
+
+
 def test_lift_rejects_a_non_lattice():
     for carrier in non_lattices():
         with pytest.raises(ValueError, match="^carrier is not a lattice$"):
