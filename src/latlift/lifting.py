@@ -57,8 +57,15 @@ class WireReport:
     m_witness: tuple[int, int, int] | None
 
 
-def _mult_closed(lat: FiniteLattice, subset: int, elems: list[int]) -> bool:
-    return all(subset >> lat.mul[s][t] & 1 for s in elems for t in elems)
+def _wire_conditions(lat: FiniteLattice, subset: int) -> tuple[tuple[str, bool], ...]:
+    """The four wire conditions of subset, each with its name when it fails."""
+    if subset & ~lat.full:
+        raise ValueError("subset lies outside the carrier")
+    elems = list(bits(subset))
+    return (("missing top", bool(subset >> lat.top & 1)),
+            ("missing bot", bool(subset >> lat.bot & 1)),
+            ("not multiplicatively closed", all(subset >> lat.mul[s][t] & 1 for s in elems for t in elems)),
+            ("does not generate the lattice", _generates(lat, subset)))
 
 
 def _m_condition(lat: FiniteLattice, elems: list[int]) -> tuple[bool, tuple[int, int, int] | None]:
@@ -85,21 +92,13 @@ def analyze_wire(lat: FiniteLattice, subset: int) -> WireReport:
     equivalent to x being a join of members of H.  The (M) witness is
     certified by :func:`verify_m_witness`.
     """
-    if subset & ~lat.full:
-        raise ValueError("subset lies outside the carrier")
-    elems = list(bits(subset))
-    contains_one = bool(subset >> lat.top & 1)
-    contains_zero = bool(subset >> lat.bot & 1)
-    closed = _mult_closed(lat, subset, elems)
-    generates = _generates(lat, subset)
-    wire = contains_one and contains_zero and closed and generates
+    held = [ok for _, ok in _wire_conditions(lat, subset)]
     is_m, witness = (False, None)
-    if wire:
-        is_m, witness = _m_condition(lat, elems)
+    if all(held):
+        is_m, witness = _m_condition(lat, list(bits(subset)))
         if witness is not None and not verify_m_witness(lat, subset, witness):
             raise TheoremViolation("(M) witness failed re-verification")
-    return WireReport(subset, contains_one, contains_zero, closed,
-                      generates, wire, is_m, witness)
+    return WireReport(subset, *held, all(held), is_m, witness)
 
 
 def _generates(lat: FiniteLattice, mask: int) -> bool:
@@ -113,7 +112,7 @@ def _generates(lat: FiniteLattice, mask: int) -> bool:
 def verify_m_witness(lat: FiniteLattice, subset: int, witness: tuple[int, int, int]) -> bool:
     """Recheck an (M)-failure triple independently of the scan that found it."""
     s, t, a = witness
-    if not lat.le(s, lat.mul[t][a]):
+    if not (subset >> s & 1 and subset >> t & 1 and lat.le(s, lat.mul[t][a])):
         return False
     box = subset & lat.downs[a]
     return not any(lat.mul[t][u] == s for u in bits(box))
@@ -187,17 +186,10 @@ def lift(lat: FiniteLattice, subset: int) -> LiftResult:
     g(y) = cut[y].
     """
     join2, _, least, _ = lat._tables  # raises ValueError on a non-lattice
-    if subset & ~lat.full:
-        raise ValueError("subset lies outside the carrier")
-    elems = list(bits(subset))
-    missing = [name for name, ok in (
-        ("missing top", subset >> lat.top & 1),
-        ("missing bot", subset >> lat.bot & 1),
-        ("not multiplicatively closed", _mult_closed(lat, subset, elems)),
-        ("does not generate the lattice", _generates(lat, subset))) if not ok]
-    if missing:
+    if missing := [name for name, ok in _wire_conditions(lat, subset) if not ok]:
         raise WireError(
             f"subset {{{','.join(lat.subset_names(subset))}}} is not a wire: " + "; ".join(missing))
+    elems = list(bits(subset))
     if len(elems) > POWERSET_CAP:
         raise ValueError(f"wire size {len(elems)} exceeds powerset cap {POWERSET_CAP}")
     pos = {e: i for i, e in enumerate(elems)}
@@ -205,18 +197,13 @@ def lift(lat: FiniteLattice, subset: int) -> LiftResult:
     monoid = FiniteMonoid(tuple(lat.names[e] for e in elems), rows, pos[lat.top], pos[lat.bot])
 
     # cut[v] is H intersect [0, v] in monoid coordinates
-    cut = []
-    for down in lat.downs:
-        rest, ideal = down & subset, 0
-        while rest:
-            ideal |= 1 << pos[(rest & -rest).bit_length() - 1]
-            rest &= rest - 1
-        cut.append(ideal)
-    # joins[X] = join(X) by the low-bit recurrence over the binary join table
-    joins = [least] * (1 << len(elems))
-    for sm in range(1, len(joins)):
-        low = sm & -sm
-        joins[sm] = join2[joins[sm ^ low]][elems[low.bit_length() - 1]]
+    cut = [mask_from(pos[e] for e in bits(down & subset)) for down in lat.downs]
+    # joins[X] = join(X), built by doubling over the binary join table:
+    # the subsets holding member i are those without it plus {i}
+    joins = [least]
+    for e in elems:
+        column = join2[e]
+        joins += [column[j] for j in joins]
     system = ClosureMap(monoid, tuple(map(cut.__getitem__, joins)))
 
     try:
@@ -325,12 +312,11 @@ def check_liftability(work: LatticeWork) -> tuple[str, ...]:
     if any(report.is_m_wire for report in work.wires) and not _generates(lat, mp_mask):
         findings.append("an M-wire exists but the meet principal elements do not generate")
     if is_domain(lat) and _generates(lat, p_mask):
+        # h holds the bounds and every join-irreducible (p_mask generates): a wire iff closed
         h = p_mask | (1 << lat.bot) | (1 << lat.top)
-        report = analyze_wire(lat, h)
-        if not report.mult_closed:
+        report = next((report for report in work.wires if report.subset == h), None)
+        if report is None:
             findings.append("principal elements are not closed under multiplication")
-        elif not report.is_wire:
-            findings.append("principal elements (bounds adjoined) do not form a wire")
         elif not report.is_m_wire:
             findings.append("the principal-element wire is not an M-wire")
         elif not work.lift(h).ideal_system:

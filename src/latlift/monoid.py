@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 
-from .bitset import bits
+from .bitset import bits, mask_from
 from .lattice import (
     FiniteLattice, _Carrier, _read_carrier, _read_json, _read_products, _scan_monoid_laws,
     verify_lattice,
@@ -54,18 +54,17 @@ class FiniteMonoid(_Carrier):
         """``element_maps[c][X]`` is the product set c*X, for every element c
         and every subset X of the carrier (both as bitmasks).
 
-        Built on first use from the low-bit recurrence
-        c*X = c*(X minus its lowest member) + {c*lowest}.
+        Built on first use by doubling: the subsets holding element i are
+        those without it plus {i}, so c*(X + {i}) = c*X + {c*i}.
         """
         if self.n > POWERSET_CAP:
             raise ValueError(f"carrier size {self.n} exceeds powerset cap {POWERSET_CAP}")
-        size = 1 << self.n
         maps = []
         for row in self.mul:
-            cmap = [0] * size
-            for x in range(1, size):
-                low = x & -x
-                cmap[x] = cmap[x ^ low] | (1 << row[low.bit_length() - 1])
+            cmap = [0]
+            for product in row:
+                bit = 1 << product
+                cmap += [v | bit for v in cmap]
             maps.append(tuple(cmap))
         return tuple(maps)
 
@@ -92,10 +91,8 @@ def subset_product(mon: FiniteMonoid, xm: int, ym: int) -> int:
     union of the element maps x*Y over x in X; a carrier above
     POWERSET_CAP has no element maps and raises ValueError."""
     out, maps = 0, mon.element_maps
-    while xm:
-        low = xm & -xm
-        out |= maps[low.bit_length() - 1][ym]
-        xm ^= low
+    for x in bits(xm):
+        out |= maps[x][ym]
     return out
 
 
@@ -129,6 +126,33 @@ class ClosureMap:
         """
         return verify_weak_ideal_system(self)
 
+    @cached_property
+    def product_scan(self) -> tuple[tuple[int, int] | None, ...]:
+        """:func:`_scan_products` of this map, run on first use."""
+        return _scan_products(self)
+
+
+def _scan_products(r: ClosureMap) -> tuple[tuple[int, int] | None, ...]:
+    """For a = c*r(X) and b = r(c*X): the first (c, X), by c and then X
+    ascending, at which (s4) a within b, its equality a = b and (P)
+    r(a) = b each fail, or None for a law that never fails.  The weak and
+    ideal-system verdicts and the pair oracle all read this one pass."""
+    table = r.table
+    s4 = equality = p = None
+    for c, cmap in enumerate(r.monoid.element_maps):
+        for x, rx in enumerate(table):
+            a, b = cmap[rx], table[cmap[x]]
+            if a != b:
+                if equality is None:
+                    equality = (c, x)
+                if s4 is None and a & ~b:
+                    s4 = (c, x)
+            if table[a] != b and p is None:
+                p = (c, x)
+        if s4 and p:  # equality fails wherever (s4) does
+            break
+    return s4, equality, p
+
 
 def _require_weak(r: ClosureMap) -> None:
     verdict = r.weak_verdict
@@ -137,12 +161,11 @@ def _require_weak(r: ClosureMap) -> None:
 
 
 def _multiples(mon: FiniteMonoid) -> tuple[int, ...]:
-    # X*H = the union of the rows x*H over x in X, by the low-bit recurrence
-    rows = [cmap[-1] for cmap in mon.element_maps]
-    multiples = [0] * (1 << mon.n)
-    for x in range(1, len(multiples)):
-        low = x & -x
-        multiples[x] = multiples[x ^ low] | rows[low.bit_length() - 1]
+    # X*H = the union of the rows x*H over x in X, built by doubling
+    multiples = [0]
+    for cmap in mon.element_maps:
+        row = cmap[-1]
+        multiples += [v | row for v in multiples]
     return tuple(multiples)
 
 
@@ -153,6 +176,7 @@ def verify_weak_ideal_system(r: ClosureMap) -> Verdict:
     is equivalent on a finite powerset and keeps the scan linear in the
     table.  X within r(X) follows from (s1) since the identity is in H; it
     is still asserted separately so a broken table names the cheapest law.
+    (s4) is read from the map's :attr:`ClosureMap.product_scan`.
     """
     mon, table = r.monoid, r.table
     m, size = mon.n, len(r.table)
@@ -172,30 +196,24 @@ def verify_weak_ideal_system(r: ClosureMap) -> Verdict:
             if not x & bit and tx & ~table[x | bit]:
                 record("s2", (sn(x), sn(x | bit)), "r is not monotone")
                 break
-    for c, cmap in enumerate(mon.element_maps):
-        for x in range(size):
-            if cmap[table[x]] & ~table[cmap[x]]:
-                record("s4", (mon.names[c], sn(x)), "c*r(X) is not contained in r(c*X)")
-                break
-        if "s4" in record:
-            break
+    if failed := r.product_scan[0]:
+        c, x = failed
+        record("s4", (mon.names[c], sn(x)), "c*r(X) is not contained in r(c*X)")
     return record.verdict()
 
 
 def verify_ideal_system(r: ClosureMap) -> Verdict:
-    """Equality form of (s4): c*r(X) = r(c*X) for all c and X.
+    """Equality form of (s4): c*r(X) = r(c*X) for all c and X, read from
+    the map's :attr:`ClosureMap.product_scan`.
 
     Rejects maps that are not weak ideal systems; run the weak check first.
     """
     _require_weak(r)
-    mon, table = r.monoid, r.table
-    size = len(table)
-    for c, cmap in enumerate(mon.element_maps):
-        for x in range(size):
-            if cmap[table[x]] != table[cmap[x]]:
-                return Verdict(False, (Violation(
-                    "s4-equality", (mon.names[c], mon.subset_names(x)),
-                    "c*r(X) != r(c*X)"),))
+    if failed := r.product_scan[1]:
+        c, x = failed
+        return Verdict(False, (Violation(
+            "s4-equality", (r.monoid.names[c], r.monoid.subset_names(x)),
+            "c*r(X) != r(c*X)"),))
     return Verdict(True)
 
 
@@ -251,11 +269,7 @@ def build_ideal_lattice(r: ClosureMap) -> IdealLattice:
                     "intersection of r-ideals escaped the image: "
                     f"{mon.subset_names(ideals[i])} and {mon.subset_names(ideals[j])}")
 
-    up = [0] * k
-    for i in range(k):
-        for j in range(k):
-            if ideals[i] & ~ideals[j] == 0:
-                up[i] |= 1 << j
+    up = [mask_from(j for j, vj in enumerate(ideals) if vi & ~vj == 0) for vi in ideals]
     # the product vi*vj is the union of the element maps c*vj over c in vi
     maps, mul_rows = mon.element_maps, []
     for vi in ideals:
@@ -312,14 +326,13 @@ def _check_product_interchange(r: ClosureMap) -> None:
     r(XY) = r(r(X)Y), and by commutativity r(r(X)Y) = r(r(Y)r(X)) =
     r(r(X)r(Y)).  Nothing here assumes a weak ideal system; on one, (P)
     follows from extensivity and (s4) and (U) from (s2) and (s3), so the
-    scans also cross-check the weak verdict.
+    scans also cross-check the weak verdict.  (P) is read from the map's
+    :attr:`ClosureMap.product_scan`, the pass that decides (s4).
     """
     mon, table = r.monoid, r.table
-    for c, cmap in enumerate(mon.element_maps):
-        closed = [table[xc] for xc in cmap]  # closed[X] = r(Xc)
-        for x, rx in enumerate(table):
-            if closed[rx] != closed[x]:
-                raise TheoremViolation(f"(P) r(Xc) != r(r(X)c) at X={mon.subset_names(x)} c={mon.names[c]}")
+    if failed := r.product_scan[2]:
+        c, x = failed
+        raise TheoremViolation(f"(P) r(Xc) != r(r(X)c) at X={mon.subset_names(x)} c={mon.names[c]}")
     for b in range(mon.n):
         bit = 1 << b
         for x, rx in enumerate(table):

@@ -86,6 +86,20 @@ def product_lattice(first, second):
         first.bot * n2 + second.bot, first.top * n2 + second.top)
 
 
+def down_set_lattice(below):
+    """The down-sets of a poset, ordered by inclusion, with meet
+    (intersection) as the product.  below[i] is the mask of the points at
+    or below point i.  The down-sets are indexed ascending by mask, so the
+    empty one is bot and the whole poset top; each is named "{i,j,...}"."""
+    downs = [d for d in range(1 << len(below)) if all(below[i] & ~d == 0 for i in bits(d))]
+    index = {d: k for k, d in enumerate(downs)}
+    return FiniteLattice(
+        tuple("{" + ",".join(map(str, bits(d))) + "}" for d in downs),
+        tuple(mask_from(k for k, e in enumerate(downs) if d & ~e == 0) for d in downs),
+        tuple(tuple(index[d & e] for e in downs) for d in downs),
+        0, len(downs) - 1)
+
+
 def ideal_lattice_of_zn(n):
     """The ideals of Z/nZ.  Element "d", for each divisor d of n in
     ascending order, is the ideal (d): (d) <= (e) exactly when e | d, and

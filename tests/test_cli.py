@@ -244,6 +244,16 @@ def test_corpus_checks_each_lift_for_an_ideal_system_once(capsys, monkeypatch):
     assert len(ideal) == len(lifts) == 40
 
 
+@pytest.mark.parametrize("max_n, lifts", [(5, 40), (6, 198)])
+def test_corpus_scans_each_closure_map_once(capsys, monkeypatch, max_n, lifts):
+    # (s4), its equality and (P) read one product scan per lifted map
+    scans = []
+    _count_calls(monkeypatch, monoid, "_scan_products", scans)
+    assert main(["corpus", "--max-n", str(max_n)]) == 0
+    capsys.readouterr()
+    assert len(scans) == len({id(r) for (r,) in scans}) == lifts
+
+
 def test_corpus_certifies_m_witnesses(capsys, monkeypatch):
     monkeypatch.setattr(lifting, "verify_m_witness", lambda lat, subset, witness: False)
     assert main(["corpus", "--max-n", "4"]) == 3
@@ -317,10 +327,10 @@ def test_corpus_derives_the_lower_sets_once_per_bound_search(capsys, monkeypatch
 
 
 def test_corpus_makes_one_m_scan_per_wire(capsys, monkeypatch, l6):
-    # lift checks only the four wire conditions, so (M) is scanned once per
-    # wire of a class representative (40 at n <= 5) and once per
-    # principal-element wire that the liftability check analyses (2), and
-    # its witness is re-checked once per wire that fails it; the order
+    # lift checks only the four wire conditions and the liftability check
+    # reads the principal-element wire's report from the sweep's wires, so
+    # (M) is scanned once per wire of a class representative (40 at n <= 5),
+    # and its witness is re-checked once per wire that fails it; the order
     # classes apply each relabelling once, up to the first smaller image
     scans, witnesses, relabellings = [], [], []
     _count_calls(monkeypatch, lifting, "_m_condition", scans)
@@ -328,7 +338,7 @@ def test_corpus_makes_one_m_scan_per_wire(capsys, monkeypatch, l6):
     _count_calls(monkeypatch, lattice, "_relabel_up", relabellings)
     assert main(["corpus", "--max-n", "5"]) == 0
     capsys.readouterr()
-    assert (len(scans), len(witnesses)) == (42, 18)
+    assert (len(scans), len(witnesses)) == (40, 18)
     assert len(relabellings) <= 110
     scans.clear()
     lifting.lift(l6, l6.full)

@@ -4,17 +4,37 @@ Each kernel reads precomputed rows or columns instead of evaluating its
 definition element by element.  Every property here runs over every
 labelled lattice with at most five elements, and over each wire's lift
 (176 lifts); the lower sets and relabellings run over every lattice order
-up to n = 6.  ``_order_classes`` has its reference in test_census.py.
+up to n = 6, the product scan also over the pair oracle's random tables,
+and the powerset tables also over a 16-element lift, at the powerset cap.
+``_order_classes`` has its reference in test_census.py.
 """
 
 from functools import cache, reduce
 from operator import or_
 
-from latlift import enumerate_small_lattices, enumerate_wires, lift, subset_product
+import pytest
+from hypothesis import given, settings
+
+from latlift import (
+    TheoremViolation,
+    Verdict,
+    Violation,
+    analyze_wire,
+    enumerate_small_lattices,
+    enumerate_wires,
+    lift,
+    subset_product,
+    verify_ideal_system,
+    verify_weak_ideal_system,
+)
 from latlift.bitset import bits, mask_from
 from latlift.lattice import _down_sets, _lattice_orders, _relabel_up, _relabellings, _residuals
 from latlift.lifting import _generates, _m_condition
-from latlift.monoid import _multiples
+from latlift.monoid import _check_product_interchange, _multiples
+
+from conftest import product_lattice
+from test_lifting import BOOLEAN4
+from test_pair_oracle import tables
 
 
 @cache
@@ -34,7 +54,7 @@ def test_the_corpora_are_complete():
 
 def test_multiples_match_the_column_unions():
     # X*H = the union over c in H of c*X
-    for _, _, result in lifts():
+    for _, _, result in lifts() + lifts_at_the_cap():
         mon = result.system.monoid
         assert _multiples(mon) == tuple(reduce(or_, column) for column in zip(*mon.element_maps))
 
@@ -89,3 +109,97 @@ def test_lower_sets_and_relabellings_match_the_bit_definitions():
             assert _down_sets(up) == tuple(mask_from(i for i in range(n) if up[i] >> j & 1) for j in range(n))
             for old, new in moves:
                 assert _relabel_up(up, old, new) == tuple(mask_from(new[j] for j in bits(up[i])) for i in old)
+
+
+def s4_by_loop(r):
+    """The (s4) loop of verify_weak_ideal_system before the product scan:
+    its violation, or None."""
+    mon, table = r.monoid, r.table
+    for c, cmap in enumerate(mon.element_maps):
+        for x in range(len(table)):
+            if cmap[table[x]] & ~table[cmap[x]]:
+                return Violation("s4", (mon.names[c], mon.subset_names(x)), "c*r(X) is not contained in r(c*X)")
+    return None
+
+
+def equality_by_loop(r):
+    """The loop of verify_ideal_system before the product scan."""
+    mon, table = r.monoid, r.table
+    for c, cmap in enumerate(mon.element_maps):
+        for x in range(len(table)):
+            if cmap[table[x]] != table[cmap[x]]:
+                return Verdict(False, (Violation(
+                    "s4-equality", (mon.names[c], mon.subset_names(x)), "c*r(X) != r(c*X)"),))
+    return Verdict(True)
+
+
+def product_interchange_by_loops(r):
+    """_check_product_interchange before the product scan: the message of
+    the (P) or (U) failure it raises, or None."""
+    mon, table = r.monoid, r.table
+    for c, cmap in enumerate(mon.element_maps):
+        closed = [table[xc] for xc in cmap]  # closed[X] = r(Xc)
+        for x, rx in enumerate(table):
+            if closed[rx] != closed[x]:
+                return f"(P) r(Xc) != r(r(X)c) at X={mon.subset_names(x)} c={mon.names[c]}"
+    for b in range(mon.n):
+        bit = 1 << b
+        for x, rx in enumerate(table):
+            if table[rx | bit] != table[x | bit]:
+                return f"(U) r(X|{{b}}) != r(r(X)|{{b}}) at X={mon.subset_names(x)} b={mon.names[b]}"
+    return None
+
+
+def assert_product_scan_matches_the_loops(r):
+    # the weak verdict records (s4) last, after the per-X laws
+    weak = verify_weak_ideal_system(r)
+    s4 = s4_by_loop(r)
+    assert weak.violations == tuple(v for v in weak.violations if v.law != "s4") + ((s4,) if s4 else ())
+    if weak.passed:
+        assert verify_ideal_system(r) == equality_by_loop(r)
+    else:
+        with pytest.raises(ValueError, match="^not a weak ideal system: "):
+            verify_ideal_system(r)
+    try:
+        _check_product_interchange(r)
+    except TheoremViolation as caught:
+        assert str(caught) == product_interchange_by_loops(r)
+    else:
+        assert product_interchange_by_loops(r) is None
+
+
+def test_product_scan_matches_the_three_loops_on_every_lift():
+    for _, _, result in lifts():
+        assert_product_scan_matches_the_loops(result.system)
+
+
+@settings(max_examples=400, deadline=None)
+@given(tables())
+def test_product_scan_matches_the_three_loops_on_random_tables(r):
+    assert_product_scan_matches_the_loops(r)
+
+
+@cache
+def lifts_at_the_cap():
+    """The lift of the whole carrier of BOOLEAN4 x BOOLEAN4, which has 16 elements."""
+    square = product_lattice(BOOLEAN4, BOOLEAN4)
+    return ((square, analyze_wire(square, square.full), lift(square, square.full)),)
+
+
+def test_element_maps_match_the_product_sets():
+    for _, _, result in lifts() + lifts_at_the_cap():
+        mon = result.system.monoid
+        members = [list(bits(x)) for x in range(1 << mon.n)]
+        for row, cmap in zip(mon.mul, mon.element_maps):
+            assert cmap == tuple(mask_from(row[x] for x in xs) for xs in members)
+
+
+def test_lift_tables_match_the_joins():
+    # r(X) = cut[joins[X]] with cut[y] = H intersect [0, y], and y is the
+    # join of cut[y] on a wire, so the table equals the cuts of join_of
+    # exactly when the lift's joins table equals join_of
+    for lat, report, result in lifts() + lifts_at_the_cap():
+        elems = list(bits(report.subset))
+        cut = [mask_from(k for k, e in enumerate(elems) if down >> e & 1) for down in lat.downs]
+        assert result.system.table == tuple(
+            cut[lat.join_of(mask_from(elems[k] for k in bits(x)))] for x in range(1 << len(elems)))

@@ -1,6 +1,8 @@
 from itertools import combinations_with_replacement
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from latlift import (
     ClosureMap,
@@ -29,7 +31,7 @@ from latlift import lifting
 from latlift.bitset import bits, mask_from
 from latlift.lifting import _certify_isomorphism, verify_m_witness
 
-from conftest import FIXTURES, ideal_lattice_of_zn, liftability_facts, non_lattices, product_lattice
+from conftest import FIXTURES, down_set_lattice, ideal_lattice_of_zn, liftability_facts, non_lattices, product_lattice
 
 L6_IDEALS = {
     frozenset("0"),
@@ -346,6 +348,16 @@ def test_m_witness_recheck_rejects_fake(l6):
     assert not verify_m_witness(l6, h, (l6.top, l6.top, l6.top))
 
 
+def test_m_witness_recheck_rejects_members_outside_the_wire(l6):
+    # (M) quantifies over s, t in H only: d lies outside {0, a, b, c, 1},
+    # and no u in H has d*u = a, yet (a, d, 1) is no failure of (M)
+    h = wire_mask(l6, "0abc1")
+    assert not verify_m_witness(l6, h, tuple(map(l6.index, "ad1")))
+    n = l6.n
+    accepted = [(s, t, a) for s in range(n) for t in range(n) for a in range(n) if verify_m_witness(l6, h, (s, t, a))]
+    assert accepted and all(h >> s & 1 and h >> t & 1 for s, t, _ in accepted)
+
+
 def chain(n):
     """The n-element chain 0 < 1 < ... < n-1 with meet as multiplication."""
     return FiniteLattice(tuple(map(str, range(n))),
@@ -420,6 +432,32 @@ def test_ideal_lattices_of_z_mod_n_lift_to_ideal_systems(n):
         wire = grown
     for subset in [wire] + [lat.full] * (lat.n <= 16):
         assert analyze_wire(lat, subset).is_m_wire and lift(lat, subset).ideal_system
+
+
+@st.composite
+def posets(draw):
+    """The below-masks of a poset on 1-5 points: each i < j is drawn, in
+    order of j, and closed under transitivity as it is added."""
+    below = [1 << j for j in range(draw(st.integers(1, 5)))]
+    for j in range(len(below)):
+        for i in range(j):
+            if draw(st.booleans()):
+                below[j] |= below[i]
+    return below
+
+
+@settings(max_examples=40, deadline=None)
+@given(posets())
+def test_down_set_lattices_lift_every_wire_to_an_ideal_system(below):
+    # meet distributes over join, so the down-sets of a poset form a
+    # multiplicative lattice under meet; every wire H is an M-wire, as
+    # s <= t*a = t meet a gives u = s, in H and below a, with t*u = s; so
+    # by the theorem every lift is an ideal system
+    lat = down_set_lattice(below)
+    assume(lat.n <= 12)
+    assert verify_lattice(lat).passed
+    for report in enumerate_wires(lat):
+        assert report.is_m_wire and lift(lat, report.subset).ideal_system
 
 
 def test_wire_cap_enforced():
