@@ -8,7 +8,6 @@ from .lattice import (
     CARRIER_CAP,
     ElementFlags,
     FiniteLattice,
-    canonical_form,
     classify_element,
     enumerate_lattice_classes,
     enumerate_small_lattices,

@@ -617,19 +617,6 @@ def _relabel_mul(mul, old, new) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(new[mul[i][j]] for j in old) for i in old)
 
 
-def canonical_form(lat: FiniteLattice) -> tuple:
-    """(up, mul) of the least relabelling of lat that puts bot at 0 and top
-    at n-1, least as a pair of tuples: equal exactly for isomorphic
-    lattices, whatever the positions of their bot and top.
-
-    Permutation search over the inner elements, so capped at 7 elements.
-    """
-    if lat.n > 7:
-        raise ValueError("canonical form is capped at 7 elements")
-    return min((_relabel_up(lat.up, old, new), _relabel_mul(lat.mul, old, new))
-               for old, new in _relabellings(lat.bot, lat.top, lat.n))
-
-
 def _order_classes(n: int) -> Iterator[tuple[tuple[int, ...], list]]:
     """(up, automorphisms) of one lattice order per isomorphism class: the
     order of :func:`_lattice_orders` that is least among its relabellings,
@@ -652,10 +639,11 @@ def enumerate_lattice_classes(n: int) -> Iterator[tuple[FiniteLattice, int]]:
     """Yield (lattice, orbit) for one multiplicative lattice per isomorphism
     class on n elements.
 
-    The lattice is the class's least labelling, so canonical_form(lattice)
-    is (lattice.up, lattice.mul); its orbit, (n-2)!/|Aut|, is the number of
-    labelled copies :func:`enumerate_small_lattices` yields, where Aut is
-    the order automorphisms that also fix the product.
+    The lattice is the class's least labelling: its (up, mul) is least
+    among the relabellings that put bot first and top last.  Its orbit,
+    (n-2)!/|Aut|, is the number of labelled copies
+    :func:`enumerate_small_lattices` yields, where Aut is the order
+    automorphisms that also fix the product.
     """
     if not 1 <= n <= ENUM_CAP:
         raise ValueError(f"enumeration is capped at {ENUM_CAP} elements")

@@ -127,31 +127,58 @@ class ClosureMap:
         return verify_weak_ideal_system(self)
 
     @cached_property
-    def product_scan(self) -> tuple[tuple[int, int] | None, ...]:
-        """:func:`_scan_products` of this map, run on first use."""
-        return _scan_products(self)
+    def laws(self) -> dict[str, Violation]:
+        """:func:`_scan_laws` of this map, run on first use (read only)."""
+        return _scan_laws(self)
 
 
-def _scan_products(r: ClosureMap) -> tuple[tuple[int, int] | None, ...]:
-    """For a = c*r(X) and b = r(c*X): the first (c, X), by c and then X
-    ascending, at which (s4) a within b, its equality a = b and (P)
-    r(a) = b each fail, or None for a law that never fails.  The weak and
-    ideal-system verdicts and the pair oracle all read this one pass."""
-    table = r.table
-    s4 = equality = p = None
-    for c, cmap in enumerate(r.monoid.element_maps):
-        for x, rx in enumerate(table):
-            a, b = cmap[rx], table[cmap[x]]
+def _scan_laws(r: ClosureMap) -> dict[str, Violation]:
+    """Law -> its first violation, for every closure-map law that fails, in
+    one walk over X and, for each X, every element e, reading r(X | {e})
+    and the product e*X at each step.
+
+    The per-X laws (extensivity, s1, s3; then s2, where r(X) within
+    r(X | {e})) keep their first failure in the walk's order, X and then
+    e.  For a = e*r(X) and b = r(e*X), (s4) a within b, its equality
+    a = b and (P) r(a) = b, and (U) r(r(X) | {e}) = r(X | {e}), keep their
+    least failing (e, X), e first: the walk meets each e's least X first,
+    so a witness is replaced only when a smaller e fails.  The per-X laws
+    come first, in first-failure order, then s4, s4-equality, P and U.
+    """
+    mon, table = r.monoid, r.table
+    m, multiples, found = mon.n, _multiples(mon), {}
+    rows = [(e, 1 << e, cmap) for e, cmap in enumerate(mon.element_maps)]
+    s4 = equality = p = u = m  # each pair law's least failing e, or m
+    s4x = equality_x = px = ux = 0
+    for x, tx in enumerate(table):
+        if x & ~tx:
+            found.setdefault("extensivity", ((x,), "X is not contained in r(X)"))
+        if multiples[x] & ~tx:
+            found.setdefault("s1", ((x,), "X*H is not contained in r(X)"))
+        if table[tx] != tx:
+            found.setdefault("s3", ((x,), "r is not idempotent"))
+        for e, bit, cmap in rows:
+            rxe = table[x | bit]
+            if tx & ~rxe:  # never when e is in X
+                found.setdefault("s2", ((x, x | bit), "r is not monotone"))
+            if table[tx | bit] != rxe and e < u:
+                u, ux = e, x
+            a, b = cmap[tx], table[cmap[x]]
             if a != b:
-                if equality is None:
-                    equality = (c, x)
-                if s4 is None and a & ~b:
-                    s4 = (c, x)
-            if table[a] != b and p is None:
-                p = (c, x)
-        if s4 and p:  # equality fails wherever (s4) does
-            break
-    return s4, equality, p
+                if e < equality:
+                    equality, equality_x = e, x
+                if a & ~b and e < s4:
+                    s4, s4x = e, x
+            if table[a] != b and e < p:
+                p, px = e, x
+    sn = mon.subset_names
+    laws = {law: Violation(law, tuple(map(sn, xs)), detail) for law, (xs, detail) in found.items()}
+    for law, e, x, detail in (("s4", s4, s4x, "c*r(X) is not contained in r(c*X)"),
+                              ("s4-equality", equality, equality_x, "c*r(X) != r(c*X)"),
+                              ("P", p, px, "r(Xc) != r(r(X)c)"), ("U", u, ux, "r(X|{b}) != r(r(X)|{b})")):
+        if e < m:
+            laws[law] = Violation(law, (mon.names[e], sn(x)), detail)
+    return laws
 
 
 def _require_weak(r: ClosureMap) -> None:
@@ -170,50 +197,27 @@ def _multiples(mon: FiniteMonoid) -> tuple[int, ...]:
 
 
 def verify_weak_ideal_system(r: ClosureMap) -> Verdict:
-    """Check (s1)-(s4) over the whole powerset, one witness per axiom.
+    """Check (s1)-(s4) over the whole powerset, one witness per axiom,
+    read from the map's :attr:`ClosureMap.laws`.
 
     Monotonicity (s2) is decided through single-element extensions, which
     is equivalent on a finite powerset and keeps the scan linear in the
     table.  X within r(X) follows from (s1) since the identity is in H; it
     is still asserted separately so a broken table names the cheapest law.
-    (s4) is read from the map's :attr:`ClosureMap.product_scan`.
     """
-    mon, table = r.monoid, r.table
-    m, size = mon.n, len(r.table)
-    record = _Recorder()
-    multiples = _multiples(mon)
-    sn = mon.subset_names
-    for x in range(size):
-        tx = table[x]
-        if x & ~tx:
-            record("extensivity", (sn(x),), "X is not contained in r(X)")
-        if multiples[x] & ~tx:
-            record("s1", (sn(x),), "X*H is not contained in r(X)")
-        if table[tx] != tx:
-            record("s3", (sn(x),), "r is not idempotent")
-        for i in range(m):
-            bit = 1 << i
-            if not x & bit and tx & ~table[x | bit]:
-                record("s2", (sn(x), sn(x | bit)), "r is not monotone")
-                break
-    if failed := r.product_scan[0]:
-        c, x = failed
-        record("s4", (mon.names[c], sn(x)), "c*r(X) is not contained in r(c*X)")
-    return record.verdict()
+    violations = tuple(v for law, v in r.laws.items() if law not in ("s4-equality", "P", "U"))
+    return Verdict(not violations, violations)
 
 
 def verify_ideal_system(r: ClosureMap) -> Verdict:
     """Equality form of (s4): c*r(X) = r(c*X) for all c and X, read from
-    the map's :attr:`ClosureMap.product_scan`.
+    the map's :attr:`ClosureMap.laws`.
 
     Rejects maps that are not weak ideal systems; run the weak check first.
     """
     _require_weak(r)
-    if failed := r.product_scan[1]:
-        c, x = failed
-        return Verdict(False, (Violation(
-            "s4-equality", (r.monoid.names[c], r.monoid.subset_names(x)),
-            "c*r(X) != r(c*X)"),))
+    if failed := r.laws.get("s4-equality"):
+        return Verdict(False, (failed,))
     return Verdict(True)
 
 
@@ -223,9 +227,9 @@ def verify_finitary(r: ClosureMap) -> Verdict:
     Every subset of a finite carrier is finite, so that union holds r(X) and
     exceeds it exactly when r(Z) is not within r(X) for some Z within X;
     walking down maximal proper subsets, exactly when r(X minus {i}) is not
-    within r(X) for some member i.  That is the single-element (s2) scan of
-    :func:`verify_weak_ideal_system`, so a weak ideal system passes without
-    a second scan, and any other map is rejected with ValueError.
+    within r(X) for some member i.  That is the single-element (s2) step of
+    :func:`_scan_laws`, so a weak ideal system passes without a second
+    scan, and any other map is rejected with ValueError.
     """
     _require_weak(r)
     return Verdict(True)
@@ -326,15 +330,10 @@ def _check_product_interchange(r: ClosureMap) -> None:
     r(XY) = r(r(X)Y), and by commutativity r(r(X)Y) = r(r(Y)r(X)) =
     r(r(X)r(Y)).  Nothing here assumes a weak ideal system; on one, (P)
     follows from extensivity and (s4) and (U) from (s2) and (s3), so the
-    scans also cross-check the weak verdict.  (P) is read from the map's
-    :attr:`ClosureMap.product_scan`, the pass that decides (s4).
+    scans also cross-check the weak verdict.  Both are read from the map's
+    :attr:`ClosureMap.laws`, the walk that decides (s1)-(s4).
     """
-    mon, table = r.monoid, r.table
-    if failed := r.product_scan[2]:
-        c, x = failed
-        raise TheoremViolation(f"(P) r(Xc) != r(r(X)c) at X={mon.subset_names(x)} c={mon.names[c]}")
-    for b in range(mon.n):
-        bit = 1 << b
-        for x, rx in enumerate(table):
-            if table[rx | bit] != table[x | bit]:
-                raise TheoremViolation(f"(U) r(X|{{b}}) != r(r(X)|{{b}}) at X={mon.subset_names(x)} b={mon.names[b]}")
+    for law, element in (("P", "c"), ("U", "b")):
+        if failed := r.laws.get(law):
+            name, subset = failed.witness
+            raise TheoremViolation(f"({law}) {failed.detail} at X={subset} {element}={name}")

@@ -15,6 +15,7 @@ from latlift import (
     load_monoid,
 )
 from latlift.bitset import bits, mask_from
+from latlift.lattice import _relabel_mul, _relabel_up, _relabellings
 from latlift.monoid import _multiples
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -72,6 +73,19 @@ def non_lattices():
     wedge = FiniteLattice(("a", "b", "1"), (0b101, 0b110, 0b100),
                           ((0, 0, 0), (0, 1, 1), (0, 1, 2)), 0, 2)
     return loop, vee, wedge
+
+
+def canonical_form(lat):
+    """(up, mul) of the least relabelling of lat that puts bot at 0 and top
+    at n-1, least as a pair of tuples: equal exactly for isomorphic
+    lattices, whatever the positions of their bot and top.
+
+    Permutation search over the inner elements, so capped at 7 elements.
+    """
+    if lat.n > 7:
+        raise ValueError("canonical form is capped at 7 elements")
+    return min((_relabel_up(lat.up, old, new), _relabel_mul(lat.mul, old, new))
+               for old, new in _relabellings(lat.bot, lat.top, lat.n))
 
 
 def product_lattice(first, second):

@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 
 from latlift import (
     FiniteLattice,
-    canonical_form,
     classify_element,
     enumerate_lattice_classes,
     enumerate_small_lattices,
@@ -27,6 +26,9 @@ from latlift import (
 )
 from latlift.bitset import bits, mask_from
 from latlift.lattice import _lattice_orders, _order_classes, _relabel_up, _relabellings
+
+from conftest import canonical_form, down_set_lattice
+from test_lifting import posets
 
 CLASSES = {1: 1, 2: 1, 3: 2, 4: 7, 5: 26}
 ORDER_CLASSES = {1: 1, 2: 1, 3: 1, 4: 2, 5: 5, 6: 15}  # OEIS A006966
@@ -72,9 +74,12 @@ def verdicts(lat):
 @settings(max_examples=100, deadline=None)
 @given(st.data())
 def test_verdicts_are_invariant_under_relabelling(data):
-    n = data.draw(st.integers(1, 5), label="n")
-    lat = data.draw(st.sampled_from(labelled(n)), label="lattice")
-    perm = data.draw(st.permutations(range(n)), label="perm")
+    # a census lattice, or the down-set lattice of a poset (at most 7
+    # elements, the cap of canonical_form)
+    lat = data.draw(st.one_of(
+        st.integers(1, 5).flatmap(lambda n: st.sampled_from(labelled(n))),
+        posets().map(down_set_lattice).filter(lambda lat: lat.n <= 7)), label="lattice")
+    perm = data.draw(st.permutations(range(lat.n)), label="perm")
     moved = relabelled(lat, perm)
     assert verify_lattice(moved).passed and (moved.bot, moved.top) == (perm[lat.bot], perm[lat.top])
     assert verdicts(moved) == verdicts(lat)

@@ -246,9 +246,9 @@ def test_corpus_checks_each_lift_for_an_ideal_system_once(capsys, monkeypatch):
 
 @pytest.mark.parametrize("max_n, lifts", [(5, 40), (6, 198)])
 def test_corpus_scans_each_closure_map_once(capsys, monkeypatch, max_n, lifts):
-    # (s4), its equality and (P) read one product scan per lifted map
+    # every closure-map law is read from one law scan per lifted map
     scans = []
-    _count_calls(monkeypatch, monoid, "_scan_products", scans)
+    _count_calls(monkeypatch, monoid, "_scan_laws", scans)
     assert main(["corpus", "--max-n", str(max_n)]) == 0
     capsys.readouterr()
     assert len(scans) == len({id(r) for (r,) in scans}) == lifts

@@ -4,8 +4,9 @@ Each kernel reads precomputed rows or columns instead of evaluating its
 definition element by element.  Every property here runs over every
 labelled lattice with at most five elements, and over each wire's lift
 (176 lifts); the lower sets and relabellings run over every lattice order
-up to n = 6, the product scan also over the pair oracle's random tables,
-and the powerset tables also over a 16-element lift, at the powerset cap.
+up to n = 6, the law scan also over the pair oracle's random tables, and
+the law scan and the powerset tables also over a 16-element lift, at the
+powerset cap.
 ``_order_classes`` has its reference in test_census.py.
 """
 
@@ -31,6 +32,7 @@ from latlift.bitset import bits, mask_from
 from latlift.lattice import _down_sets, _lattice_orders, _relabel_up, _relabellings, _residuals
 from latlift.lifting import _generates, _m_condition
 from latlift.monoid import _check_product_interchange, _multiples
+from latlift.verdicts import _Recorder
 
 from conftest import product_lattice
 from test_lifting import BOOLEAN4
@@ -111,19 +113,36 @@ def test_lower_sets_and_relabellings_match_the_bit_definitions():
                 assert _relabel_up(up, old, new) == tuple(mask_from(new[j] for j in bits(up[i])) for i in old)
 
 
-def s4_by_loop(r):
-    """The (s4) loop of verify_weak_ideal_system before the product scan:
-    its violation, or None."""
+def weak_verdict_by_loops(r):
+    """verify_weak_ideal_system before the law scan: its per-X loop, then
+    the (s4) loop over c and then X."""
     mon, table = r.monoid, r.table
+    record = _Recorder()
+    multiples = _multiples(mon)
+    sn = mon.subset_names
+    for x in range(len(table)):
+        tx = table[x]
+        if x & ~tx:
+            record("extensivity", (sn(x),), "X is not contained in r(X)")
+        if multiples[x] & ~tx:
+            record("s1", (sn(x),), "X*H is not contained in r(X)")
+        if table[tx] != tx:
+            record("s3", (sn(x),), "r is not idempotent")
+        for i in range(mon.n):
+            bit = 1 << i
+            if not x & bit and tx & ~table[x | bit]:
+                record("s2", (sn(x), sn(x | bit)), "r is not monotone")
+                break
     for c, cmap in enumerate(mon.element_maps):
         for x in range(len(table)):
             if cmap[table[x]] & ~table[cmap[x]]:
-                return Violation("s4", (mon.names[c], mon.subset_names(x)), "c*r(X) is not contained in r(c*X)")
-    return None
+                record("s4", (mon.names[c], sn(x)), "c*r(X) is not contained in r(c*X)")
+                return record.verdict()
+    return record.verdict()
 
 
 def equality_by_loop(r):
-    """The loop of verify_ideal_system before the product scan."""
+    """The loop of verify_ideal_system before the law scan."""
     mon, table = r.monoid, r.table
     for c, cmap in enumerate(mon.element_maps):
         for x in range(len(table)):
@@ -134,8 +153,8 @@ def equality_by_loop(r):
 
 
 def product_interchange_by_loops(r):
-    """_check_product_interchange before the product scan: the message of
-    the (P) or (U) failure it raises, or None."""
+    """_check_product_interchange before the law scan: the message of the
+    (P) or (U) failure it raises, or None."""
     mon, table = r.monoid, r.table
     for c, cmap in enumerate(mon.element_maps):
         closed = [table[xc] for xc in cmap]  # closed[X] = r(Xc)
@@ -150,12 +169,10 @@ def product_interchange_by_loops(r):
     return None
 
 
-def assert_product_scan_matches_the_loops(r):
-    # the weak verdict records (s4) last, after the per-X laws
-    weak = verify_weak_ideal_system(r)
-    s4 = s4_by_loop(r)
-    assert weak.violations == tuple(v for v in weak.violations if v.law != "s4") + ((s4,) if s4 else ())
-    if weak.passed:
+def assert_law_scan_matches_the_loops(r):
+    # whole verdicts: laws, witnesses, details and their order
+    assert verify_weak_ideal_system(r) == weak_verdict_by_loops(r)
+    if r.weak_verdict.passed:
         assert verify_ideal_system(r) == equality_by_loop(r)
     else:
         with pytest.raises(ValueError, match="^not a weak ideal system: "):
@@ -168,15 +185,16 @@ def assert_product_scan_matches_the_loops(r):
         assert product_interchange_by_loops(r) is None
 
 
-def test_product_scan_matches_the_three_loops_on_every_lift():
-    for _, _, result in lifts():
-        assert_product_scan_matches_the_loops(result.system)
+def test_law_scan_matches_the_loops_on_every_lift():
+    # the 176 corpus lifts and the 16-element lift at the powerset cap
+    for _, _, result in lifts() + lifts_at_the_cap():
+        assert_law_scan_matches_the_loops(result.system)
 
 
 @settings(max_examples=400, deadline=None)
 @given(tables())
-def test_product_scan_matches_the_three_loops_on_random_tables(r):
-    assert_product_scan_matches_the_loops(r)
+def test_law_scan_matches_the_loops_on_random_tables(r):
+    assert_law_scan_matches_the_loops(r)
 
 
 @cache

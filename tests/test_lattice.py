@@ -9,7 +9,6 @@ from latlift import (
     ElementFlags,
     FiniteLattice,
     LoadError,
-    canonical_form,
     classify_element,
     enumerate_lattice_classes,
     enumerate_small_lattices,
@@ -23,7 +22,7 @@ from latlift import (
 from latlift.bitset import bits, mask_from
 from latlift.lattice import _closure_step, _extreme, _lattice_orders, _tables_for_order
 
-from conftest import FIXTURES, non_lattices
+from conftest import FIXTURES, canonical_form, non_lattices
 
 
 # Independent oracles: recompute bounds from the raw order relation only.

@@ -446,18 +446,28 @@ def posets(draw):
     return below
 
 
+def lift_down_set_wires(below):
+    """Lift every wire of the down-set lattice of the poset with below-masks
+    below; return (elements, wires).
+
+    Meet distributes over join, so the down-sets form a multiplicative
+    lattice under meet; every wire H is an M-wire, as s <= t*a = t meet a
+    gives u = s, in H and below a, with t*u = s; so by the theorem every
+    lift is an ideal system."""
+    lat = down_set_lattice(below)
+    assert verify_lattice(lat).passed
+    wires = 0
+    for report in enumerate_wires(lat):
+        assert report.is_m_wire and lift(lat, report.subset).ideal_system
+        wires += 1
+    return lat.n, wires
+
+
 @settings(max_examples=40, deadline=None)
 @given(posets())
 def test_down_set_lattices_lift_every_wire_to_an_ideal_system(below):
-    # meet distributes over join, so the down-sets of a poset form a
-    # multiplicative lattice under meet; every wire H is an M-wire, as
-    # s <= t*a = t meet a gives u = s, in H and below a, with t*u = s; so
-    # by the theorem every lift is an ideal system
-    lat = down_set_lattice(below)
-    assume(lat.n <= 12)
-    assert verify_lattice(lat).passed
-    for report in enumerate_wires(lat):
-        assert report.is_m_wire and lift(lat, report.subset).ideal_system
+    assume(down_set_lattice(below).n <= 12)
+    lift_down_set_wires(below)
 
 
 def test_wire_cap_enforced():
