@@ -14,22 +14,24 @@ The norm image, the division-closure scan and the gcd search of the s-wire
 check each build the membership table of (d, bound): a ``bytes`` object
 whose byte v is 1 exactly when v is a nonzero norm.  Its rows mark only the
 pairs (a, b) not both even and copy table[4k] from table[k]: a norm is 0
-(mod 4) only for a and b both even.  The division-closure scan walks the
+(mod 4) only for a and b both even.  The division-closure scan tests the
 norm-free divisors up to 4 sqrt(bound) and, for the larger divisors, the
 norm-free quotients up to sqrt(bound) / 4 with no inert prime factor: one
 big-int AND each.  It skips the divisors p^2 for p = 2, p | d and p inert:
 p^2 k a norm forces p to divide both a and b, so k is a norm.  The first
 divisor it does not skip is the least that can fail, so a hit for it in a
-table of 16 |d| values answers for every bound; only when that table has
-none is the table of (d, bound) built.  The s-wire check classifies the
-primes of its sieve without testing them for primality again, and grows
-its table from 2^16 values only while an answer may lie beyond it.  The
-re-verification of each witness never reads the table.
+table of 16 |d| values answers for every bound.  Past that, prime divisors
+never fail (Euler's descent lemma), and the table of (d, bound) is built
+only when a divisor or quotient is left to test.  The s-wire check
+classifies the primes of its sieve without testing them for primality
+again, and grows its table from 2^16 values only while an answer may lie
+beyond it.  The re-verification of each witness never reads the table.
 """
 
 from __future__ import annotations
 
 from copy import copy
+from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import chain, compress, tee
 from math import gcd, isqrt
@@ -177,17 +179,23 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def _prime_flags(n: int) -> bytes:
+    """Byte i (0 <= i <= n) is 1 exactly when i is prime, from a sieve of
+    n + 1 bytes; a sieve too large for memory raises MemoryError at once."""
+    composite = bytearray(max(n + 1, 2))
+    composite[:2] = b"\1\1"
+    for i in range(2, isqrt(n) + 1):
+        if not composite[i]:
+            composite[i * i::i] = b"\1" * len(range(i * i, n + 1, i))
+    return composite.translate(_SWAP)
+
+
 def primes_upto(n: int) -> list[int]:
-    """The primes up to n, from a sieve of n + 1 bytes; a sieve too large for
-    memory raises ValueError."""
+    """The primes up to n; a sieve too large for memory raises ValueError."""
     if n < 2:
         return []
     try:
-        composite = bytearray(n + 1)
-        for i in range(2, isqrt(n) + 1):
-            if not composite[i]:
-                composite[i * i::i] = b"\1" * len(range(i * i, n + 1, i))
-        return [i for i in range(2, n + 1) if not composite[i]]
+        return list(compress(range(n + 1), _prime_flags(n)))
     except MemoryError:
         raise ValueError(f"prime bound {n} is too large: its sieve does not fit in memory") from None
 
@@ -242,30 +250,66 @@ class DivisionClosureReport:
         return M_WIRE_CONSISTENT if self.closed else NOT_M_WIRE
 
 
-def _first_scan(d: int, table: bytes, split: int, prefix: bool) -> tuple[tuple[int, int] | None, bytearray]:
-    """The first scan of division_closure_check over the norm-free norms
-    2 <= n <= split of table: the least hit (n, k), or None, and ``free``.
-
-    Divisors the lemma covers only have their multiples cleared.  "k is not
-    a norm" is converted up to (len(table) - 1) // n1 at n1, the first
-    divisor not skipped.  With ``prefix`` the walk ends at n1, hit or not.
-    """
-    free = bytearray(b"\1") * (split + 1)  # no norm >= 2 scanned so far divides v
-    missing = None
+def _divisors(d: int, table: bytes, split: int, free: bytearray) -> Iterator[int]:
+    """The norm-free norms 2 <= n <= split of table, ascending, but the p^2
+    that division_closure_check skips; the multiples of every norm-free norm
+    are cleared from ``free`` (split + 1 bytes, all set) as the walk passes it."""
     for n in compress(range(2, split + 1), table[2:split + 1]):
-        if not free[n]:
-            continue
-        root = isqrt(n)
-        if root * root != n or root > 2 and _legendre(d, root) == 1:
-            if missing is None:
-                missing = int.from_bytes(table[2:(len(table) - 1) // n + 1].translate(_SWAP), "little")
-            hits = int.from_bytes(table[2 * n::n], "little") & missing
-            if hits:
-                return (n, 2 + ((hits & -hits).bit_length() - 1) // 8), free
-            if prefix:
-                break
-        free[n::n] = bytes(split // n)
-    return None, free
+        if free[n]:
+            root = isqrt(n)
+            if root * root != n or root > 2 and _legendre(d, root) == 1:
+                yield n
+            free[n::n] = bytes(split // n)
+
+
+def _first_hit(table: bytes, divisors: list[int]) -> tuple[int, int] | None:
+    """The first of the ascending divisors n with a k >= 2 such that k n is a
+    norm of table and k is not, with its least k, or None: one AND each with
+    "k is not a norm" up to (len(table) - 1) // divisors[0], one big int."""
+    if not divisors:
+        return None
+    missing = int.from_bytes(table[2:(len(table) - 1) // divisors[0] + 1].translate(_SWAP), "little")
+    for n in divisors:
+        hits = int.from_bytes(table[2 * n::n], "little") & missing
+        if hits:
+            return n, 2 + ((hits & -hits).bit_length() - 1) // 8
+    return None
+
+
+def _least_pair(q: QuadOrder, bound: int) -> tuple[int, int] | None:
+    """(n, k) of the least counterexample of division_closure_check, or None."""
+    d = q.d
+    reach = min(bound, _PREFIX_FACTOR * q.D)
+    first = _norm_table(d, reach)
+    if reach < bound:
+        n1 = next(_divisors(d, first, reach // 2, bytearray(b"\1") * (reach // 2 + 1)), None)
+        if n1 is not None and (hit := _first_hit(first, [n1])):
+            return hit
+    half = bound // 2
+    split = min(4 * isqrt(bound), half)
+    top = bound // (split + 1)
+    prime = _prime_flags(split)
+    free = bytearray(b"\1") * (split + 1)
+    head = first if split <= reach else _norm_table(d, split)
+    divisors = [n for n in _divisors(d, head, split, free) if not prime[n]]
+    for p in compress(range(top + 1), prime[:top + 1]):
+        if _inert(q, p):
+            free[p:top + 1:p] = bytes(top // p)
+    quotients = list(compress(range(2, top + 1), free[2:top + 1]))
+    if not divisors and not quotients:
+        return None
+    table = first if reach == bound else _norm_table(d, bound)
+    if hit := _first_hit(table, divisors):
+        return hit
+    best = None
+    low = split + 1
+    upper = int.from_bytes(table[low:half + 1], "little")
+    for k in quotients:
+        high = bound // k if best is None else min(bound // k, best[0] - 1)
+        hits = upper & int.from_bytes(table[k * low:k * high + 1:k], "little")
+        if hits:
+            best = (low + ((hits & -hits).bit_length() - 1) // 8, k)
+    return best
 
 
 def division_closure_check(q: QuadOrder, bound: int) -> DivisionClosureReport:
@@ -330,17 +374,38 @@ def division_closure_check(q: QuadOrder, bound: int) -> DivisionClosureReport:
     norm-free n = r^2 with r = 2 or (d | r) != 1.  A split r is not covered:
     D = 17, r = 3 gives (9, 18, 2).  n1, the least divisor the scan does not
     skip, is 2 for D = 1 and 2, D for D = 5 and 6, and at least 9 above, as
-    4 is skipped; "k is not a norm" stops at bound // n1.
+    4 is skipped.
+
+    Euler's descent lemma (Cox, Primes of the form x^2 + ny^2, section 1):
+    no prime p = a^2 + D b^2 divides a failing pair.  If p | m = x^2 + D y^2,
+    then a^2 y^2 - b^2 x^2 = y^2 p - b^2 m = 0 (mod p), so p divides
+    ay - bx, say (else replace b by -b).  As p m = (ax + D by)^2 +
+    D (ay - bx)^2, p^2 divides (ax + D by)^2, so p | ax + D by and m / p is
+    the norm of ((ax + D by) / p, (ay - bx) / p).  So the full-table scan
+    tests no prime divisor, though it clears its multiples from free.  The
+    primality is needed: for D = 17 the norm-free 21 fails, as (21, 42, 2).
 
     Prefix: a first table of reach = min(bound, _PREFIX_FACTOR |d|) values
     usually decides.  The least counterexample has a norm-free divisor, and
     the norm-free norms below n1 all are skipped squares, which never fail:
     if n1 <= reach // 2 has a least hit k with k n1 <= reach, (n1, k n1, k)
-    is the least counterexample at every bound >= reach.  Otherwise the
-    full table is built and scanned as above.  At bound max(200000, 50 D)
-    each of the 773 D < 2000 with a counterexample has its multiple below
-    9.7 D (D = 298: (169, 2873, 17)), so only the 34 closed D pay for a
-    full table.
+    is the least counterexample at every bound >= reach.
+
+    Candidates first: the values up to split fix every divisor and quotient
+    the two scans test, namely the norm-free norms n <= split that are
+    neither prime nor a skipped p^2, and the norm-free non-norms
+    k <= bound // (split + 1) with no inert prime factor.  They are listed
+    from the first split + 1 values (the prefix table's, or a table of that
+    size when split > reach); when both lists are empty the image is closed
+    and the table of (d, bound) is never built, else it is built and they
+    are tested as above, "k is not a norm" up to bound // the first divisor.
+    For D = 1 and 2 every prime is 2, inert or a norm, so a norm-free norm
+    is a prime or an inert p^2 and a non-norm has an inert prime factor:
+    both lists are empty at every bound, in O(sqrt(bound)) time and memory.
+    At bound max(200000, 50 D) each of the 773 D < 2000 with a
+    counterexample has its multiple below 9.7 D (D = 298: (169, 2873, 17)),
+    so only the 34 closed D get past the prefix and 32 of them (not D = 1
+    or 2) pay for a full table.
 
     The "not a norm" prefix and the table over n = split+1..bound//2 are
     each converted to a big int once.  & of two non-negative ints walks the
@@ -349,27 +414,7 @@ def division_closure_check(q: QuadOrder, bound: int) -> DivisionClosureReport:
     """
     if bound < q.D:
         raise ValueError("bound must be at least |d|")
-    best: tuple[int, int] | None = None
-    reach = min(bound, _PREFIX_FACTOR * q.D)
-    if reach < bound:
-        best, _ = _first_scan(q.d, _norm_table(q.d, reach), reach // 2, prefix=True)
-    if best is None:
-        table = _norm_table(q.d, bound)
-        half = bound // 2
-        split = min(4 * isqrt(bound), half)
-        best, free = _first_scan(q.d, table, split, prefix=False)
-        if best is None:
-            low = split + 1
-            top = bound // low
-            upper = int.from_bytes(table[low:half + 1], "little")
-            for p in primes_upto(top):
-                if _inert(q, p):
-                    free[p:top + 1:p] = bytes(top // p)
-            for k in compress(range(2, top + 1), free[2:top + 1]):
-                high = bound // k if best is None else min(bound // k, best[0] - 1)
-                hits = upper & int.from_bytes(table[k * low:k * high + 1:k], "little")
-                if hits:
-                    best = (low + ((hits & -hits).bit_length() - 1) // 8, k)
+    best = _least_pair(q, bound)
     if best is None:
         return DivisionClosureReport(True, None)
     n, quotient = best

@@ -543,6 +543,15 @@ def test_quad_verdict_with_a_counterexample_builds_only_the_prefix_table(capsys)
     assert report["results"]["counterexample"] == [9, 18, 2]
 
 
+def test_quad_verdict_without_candidates_builds_no_full_table(capsys):
+    # for d = -1 no divisor or quotient is left to test, so a bound of 10^10
+    # reads only the first 4 sqrt(bound) + 1 values
+    code, report = run_json(capsys, "quad", "verdict", "--d", "-1", "--bound", "10000000000")
+    assert code == 0
+    assert report["results"]["verdict"] == "CONSISTENT-WITH-M-WIRE-UP-TO-BOUND"
+    assert report["results"]["counterexample"] is None
+
+
 @pytest.mark.parametrize("argv", [
     ["quad", "verdict", "--d", "-17", "--bound", "2000"],
     ["check-lattice", fixture_path("l6_broken.json")],

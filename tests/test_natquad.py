@@ -310,6 +310,13 @@ def test_norm_table_matches_double_loop(D, bound):
 @example(17, 64)  # 4 * isqrt(bound) == bound // 2 == 32: both give the split
 @example(1, 2)  # split == bound // 2 == 1: neither scan has a divisor
 @example(2, 3)
+# D = 1 and 2 have no candidate divisor or quotient at any bound; the edge
+# bounds where split == bound // 2
+@example(1, 1)
+@example(1, 3)
+@example(2, 2)
+@example(1, 64)  # the last bound with split == bound // 2 (== 4 * isqrt(bound))
+@example(2, 64)
 # The least divisor of a counterexample is never a multiple of 4 (a norm
 # divisible by 4 has a and b even, so (n/4, m/4, k) would come first), so
 # only a split of bound // 2, never 4 * isqrt(bound), can be that divisor.
@@ -371,6 +378,48 @@ def test_square_of_a_ramified_inert_or_2_prime_never_divides_a_failing_pair():
     q = QuadOrder(-17)
     assert not is_inert(q, 3) and 17 % 3 != 0
     assert is_norm(q, 9) and is_norm(q, 18) and not is_norm(q, 2)
+
+
+def test_prime_norm_never_divides_a_failing_pair():
+    # Euler's descent lemma of division_closure_check: a prime norm p
+    # dividing a norm v leaves v / p a norm
+    checked = 0
+    for D in ADMISSIBLE:
+        if D >= 300:
+            break
+        norms = norm_values_by_double_loop(D, 20_000)
+        for p in primes_upto(200):
+            if p in norms:
+                for v in range(p, 20_001, p):
+                    if v in norms:
+                        assert v // p in norms, (D, p, v)
+                        checked += 1
+    assert checked == 24_711
+    # the primality is needed: for D = 17 the norm-free composite 21 fails
+    q = QuadOrder(-17)
+    assert [a for a in range(2, 21) if 21 % a == 0 and is_norm(q, a)] == []
+    assert not is_prime(21) and is_norm(q, 21) and is_norm(q, 42) and not is_norm(q, 2)
+
+
+def test_division_closure_without_candidates_builds_no_large_table(monkeypatch):
+    sizes = []
+    build = natquad._norm_table
+    monkeypatch.setattr(natquad, "_norm_table", lambda d, bound: sizes.append(bound) or build(d, bound))
+    # every prime is 2, inert or a norm for D = 1 and 2: no table beyond the
+    # split + 1 values the candidates are listed from
+    for D in (1, 2):
+        for bound in (200_000, 10**10):
+            sizes.clear()
+            assert division_closure_check(QuadOrder(-D), bound).verdict == M_WIRE_CONSISTENT
+            assert max(sizes) <= min(4 * isqrt(bound), bound // 2), (D, bound, sizes)
+    # every other closed D still builds its (d, bound) table
+    closed = [D for D in ADMISSIBLE if 2 < D < 300 and D in IDONEAL]
+    assert len(closed) == 26
+    for D in closed:
+        bound = max(200_000, 50 * D)
+        sizes.clear()
+        assert division_closure_check(QuadOrder(-D), bound).closed
+        assert bound in sizes, D
 
 
 @settings(max_examples=150, deadline=None)
