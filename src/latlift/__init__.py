@@ -55,6 +55,7 @@ from .natquad import (
     nat_residual,
     norm_image,
     norm_witness,
+    reduced_forms,
     s_wire_check,
 )
 from .verdicts import LoadError, TheoremViolation, Verdict, Violation

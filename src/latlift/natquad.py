@@ -14,18 +14,23 @@ The norm image, the division-closure scan and the gcd search of the s-wire
 check each build the membership table of (d, bound): a ``bytes`` object
 whose byte v is 1 exactly when v is a nonzero norm.  Its rows mark only the
 pairs (a, b) not both even and copy table[4k] from table[k]: a norm is 0
-(mod 4) only for a and b both even.  The division-closure scan tests the
-norm-free divisors up to 4 sqrt(bound) and, for the larger divisors, the
-norm-free quotients up to sqrt(bound) / 4 with no inert prime factor: one
-big-int AND each.  It skips the divisors p^2 for p = 2, p | d and p inert:
-p^2 k a norm forces p to divide both a and b, so k is a norm.  The first
-divisor it does not skip is the least that can fail, so a hit for it in a
-table of 16 |d| values answers for every bound.  Past that, prime divisors
-never fail (Euler's descent lemma), and the table of (d, bound) is built
-only when a divisor or quotient is left to test.  The s-wire check
-classifies the primes of its sieve without testing them for primality
-again, and grows its table from 2^16 values only while an answer may lie
-beyond it.  The re-verification of each witness never reads the table.
+(mod 4) only for a and b both even.  The division-closure check first tests
+n1, the least norm-free divisor that can fail, in a table of 16 |d| values;
+a hit there answers for every bound.  Past that, the reduced forms of
+discriminant -4|d| decide a closed image exactly: when every one is ambiguous
+the class group has exponent at most 2 and the image is closed at every
+bound, which the bounded scan confirms in the same 16 |d| values.  Only
+when a form is not ambiguous does the bounded scan run at the full bound.
+It tests the norm-free divisors up to 4 sqrt(bound) and, for the larger
+divisors, the norm-free quotients up to sqrt(bound) / 4 with no inert prime
+factor: one big-int AND each.  It skips the divisors p^2 for p = 2, p | d
+and p inert (p^2 k a norm forces p to divide both a and b, so k is a norm)
+and the prime divisors (Euler's descent lemma), and builds the table of
+(d, bound) only when a divisor or quotient is left to test.  The s-wire
+check classifies the primes of its sieve without testing them for
+primality again, and grows its table from 2^16 values only while an answer
+may lie beyond it.  The re-verification of each witness never reads the
+table.
 """
 
 from __future__ import annotations
@@ -227,6 +232,34 @@ def _inert(q: QuadOrder, p: int) -> bool:
     return p != 2 and q.D % p != 0 and _legendre(q.d, p) == -1
 
 
+# ----- reduced forms ---------------------------------------------------
+
+
+def reduced_forms(D: int) -> Iterator[tuple[int, int, int]]:
+    """The reduced forms (a, b, c) of discriminant b^2 - 4ac = -4D, in
+    ascending a, then b: |b| <= a <= c, with b >= 0 when |b| = a or a = c.
+
+    b is even, b = 2h, so c = (h^2 + D) / a; |b| <= a <= c gives
+    4D = 4ac - b^2 >= 3a^2, which ends the walk over a.  For the D that
+    QuadOrder accepts (squarefree, 1 or 2 mod 4) every form of discriminant
+    -4D is primitive, and each class of forms holds exactly one reduced form.
+    """
+    a = 1
+    while 3 * a * a <= 4 * D:
+        for h in range(-((a - 1) // 2), a // 2 + 1):
+            c, r = divmod(h * h + D, a)
+            if r == 0 and (c > a or c == a and h >= 0):
+                yield a, 2 * h, c
+        a += 1
+
+
+def _all_ambiguous(D: int) -> bool:
+    """Whether every reduced form of discriminant -4D is ambiguous (b = 0,
+    b = a or a = c), that is, whether the class group has exponent at most
+    2; the walk stops at the first form that is not."""
+    return all(b == 0 or b == a or a == c for a, b, c in reduced_forms(D))
+
+
 # ----- division closure and the wire checks ----------------------------
 
 
@@ -276,21 +309,25 @@ def _first_hit(table: bytes, divisors: list[int]) -> tuple[int, int] | None:
     return None
 
 
-def _least_pair(q: QuadOrder, bound: int) -> tuple[int, int] | None:
-    """(n, k) of the least counterexample of division_closure_check, or None."""
+def _prefix_pair(d: int, first: bytes) -> tuple[int, int] | None:
+    """(n1, k) when n1, the least divisor the scan does not skip, has a
+    least hit k within the prefix table ``first``, else None."""
+    half = (len(first) - 1) // 2
+    n1 = next(_divisors(d, first, half, bytearray(b"\1") * (half + 1)), None)
+    return None if n1 is None else _first_hit(first, [n1])
+
+
+def _bounded_pair(q: QuadOrder, bound: int, first: bytes = b"") -> tuple[int, int] | None:
+    """(n, k) of the least counterexample up to bound by the candidate scans,
+    or None.  ``first``, a norm table of q, stands in for the tables of
+    split + 1 and of bound + 1 values where it has that many."""
     d = q.d
-    reach = min(bound, _PREFIX_FACTOR * q.D)
-    first = _norm_table(d, reach)
-    if reach < bound:
-        n1 = next(_divisors(d, first, reach // 2, bytearray(b"\1") * (reach // 2 + 1)), None)
-        if n1 is not None and (hit := _first_hit(first, [n1])):
-            return hit
     half = bound // 2
     split = min(4 * isqrt(bound), half)
     top = bound // (split + 1)
     prime = _prime_flags(split)
     free = bytearray(b"\1") * (split + 1)
-    head = first if split <= reach else _norm_table(d, split)
+    head = first if split < len(first) else _norm_table(d, split)
     divisors = [n for n in _divisors(d, head, split, free) if not prime[n]]
     for p in compress(range(top + 1), prime[:top + 1]):
         if _inert(q, p):
@@ -298,7 +335,7 @@ def _least_pair(q: QuadOrder, bound: int) -> tuple[int, int] | None:
     quotients = list(compress(range(2, top + 1), free[2:top + 1]))
     if not divisors and not quotients:
         return None
-    table = first if reach == bound else _norm_table(d, bound)
+    table = first if len(first) == bound + 1 else _norm_table(d, bound)
     if hit := _first_hit(table, divisors):
         return hit
     best = None
@@ -312,9 +349,28 @@ def _least_pair(q: QuadOrder, bound: int) -> tuple[int, int] | None:
     return best
 
 
+def _least_pair(q: QuadOrder, bound: int) -> tuple[int, int] | None:
+    """(n, k) of the least counterexample of division_closure_check, or None."""
+    reach = min(bound, _PREFIX_FACTOR * q.D)
+    first = _norm_table(q.d, reach)
+    if reach < bound and (hit := _prefix_pair(q.d, first)):
+        return hit
+    if _all_ambiguous(q.D):
+        if _bounded_pair(q, reach, first) is not None:
+            raise TheoremViolation(
+                f"the bounded scan up to {reach} refutes the exact closed verdict for d = {q.d}")
+        return None
+    return _bounded_pair(q, bound, first)
+
+
 def division_closure_check(q: QuadOrder, bound: int) -> DivisionClosureReport:
     """Scan the norm image up to bound for nested values whose quotient is
     not a norm.
+
+    Three stages decide, in this order: a prefix table of 16 |d| values
+    answers most D (Prefix, below); failing that, the reduced forms decide
+    a closed image exactly (Exact closed verdict); for the rest the bounded
+    scan runs to the full bound.  The bounded scan comes first here.
 
     The divisors split at split = min(4 isqrt(bound), bound // 2).  A value
     v is norm-free when no norm a with 2 <= a < v divides it.  For each
@@ -391,6 +447,31 @@ def division_closure_check(q: QuadOrder, bound: int) -> DivisionClosureReport:
     if n1 <= reach // 2 has a least hit k with k n1 <= reach, (n1, k n1, k)
     is the least counterexample at every bound >= reach.
 
+    Exact closed verdict: when the prefix does not answer, the image is
+    closed at every bound if every reduced form of discriminant -4D
+    (D = |d|) is ambiguous: b = 0, b = a or a = c (reduced_forms).  The
+    bounded scan at reach, on the prefix table, must then find no pair, or
+    the check raises TheoremViolation; when a form is not ambiguous the
+    bounded scan runs at bound, as if there were no exact stage.  Proof:
+    every class holds one reduced form, and the inverse of the class of
+    (a, b, c) is that of (a, -b, c).  For an ambiguous form the two are
+    equivalent; otherwise (a, -b, c) is reduced and different.  So every
+    form is ambiguous exactly when the class group has exponent at most 2,
+    which holds exactly for Euler's idoneal numbers (Cox, Primes of the
+    form x^2 + ny^2, sections 2-3).  For squarefree
+    D = 1, 2 (mod 4), Z[sqrt(d)] is the maximal order of discriminant -4D.
+    Let n | m be norms and k = m / n.  Every inert prime divides both norms
+    to an even power, so it divides k to an even power, and k is the norm
+    of some ideal.  All ideals of norm k lie in one class c(k): ramified and
+    inert primes each have a unique ideal above them, and for a split
+    p = P P', [P'] = [P]^-1 = [P] when the exponent is at most 2.  This
+    covers quotients that share a factor with 4D.  c is multiplicative in
+    k, and trivial for the norms m and n: (alpha) with N(alpha) = m is a
+    principal ideal of norm m.  So c(k) = c(m) c(n)^-1 is trivial: some
+    principal (gamma) has N(gamma) = k, and k is a norm.  Only this
+    direction is used; a D with a form that is not ambiguous gets the
+    bounded scan.
+
     Candidates first: the values up to split fix every divisor and quotient
     the two scans test, namely the norm-free norms n <= split that are
     neither prime nor a skipped p^2, and the norm-free non-norms
@@ -401,11 +482,13 @@ def division_closure_check(q: QuadOrder, bound: int) -> DivisionClosureReport:
     are tested as above, "k is not a norm" up to bound // the first divisor.
     For D = 1 and 2 every prime is 2, inert or a norm, so a norm-free norm
     is a prime or an inert p^2 and a non-norm has an inert prime factor:
-    both lists are empty at every bound, in O(sqrt(bound)) time and memory.
-    At bound max(200000, 50 D) each of the 773 D < 2000 with a
-    counterexample has its multiple below 9.7 D (D = 298: (169, 2873, 17)),
-    so only the 34 closed D get past the prefix and 32 of them (not D = 1
-    or 2) pay for a full table.
+    both lists are empty at every bound.  At bound max(200000, 50 D) each
+    of the 773 D < 2000 with a counterexample has its multiple below 9.7 D
+    (D = 298: (169, 2873, 17)), so the prefix answers it, and the 34
+    closed D are idoneal, decided from their reduced forms and cross-checked
+    in the prefix table: no D < 2000 builds a table beyond 16 D.  Deciding
+    the forms of all 807 D takes about 0.01 s, and at most about 4 ms for
+    one admissible D < 2 10^5 (Python 3.11.7, 2 cores).
 
     The "not a norm" prefix and the table over n = split+1..bound//2 are
     each converted to a big int once.  & of two non-negative ints walks the
@@ -493,6 +576,14 @@ def s_wire_check(q: QuadOrder, prime_bound: int, search_bound: int) -> SGenRepor
     earlier tables sum to less than search_bound and an unresolved prime
     costs under two full-size builds.  For D = 5 and 17 and the primes up
     to 2000, P / p is at most 11,922 and 41,979: no table grows.
+
+    "unresolved" only ever means that search_bound was too small.  A prime
+    p that is neither inert nor a norm splits or ramifies, so p = N(P) for
+    a prime ideal P, which is not principal, else p would be a norm.  The
+    class of P^-1 holds prime ideals Q1 and Q2 of prime norms q1 != q2,
+    both other than p (Weber's theorem: every primitive form represents
+    infinitely many primes).  P Q1 and P Q2 are then principal, so p q1 and
+    p q2 are norm values, and their gcd is p.
     """
     if prime_bound < 2 or search_bound < 1:
         raise ValueError("bounds must be positive")

@@ -544,9 +544,19 @@ def test_quad_verdict_with_a_counterexample_builds_only_the_prefix_table(capsys)
 
 
 def test_quad_verdict_without_candidates_builds_no_full_table(capsys):
-    # for d = -1 no divisor or quotient is left to test, so a bound of 10^10
-    # reads only the first 4 sqrt(bound) + 1 values
+    # d = -1 is closed from its reduced forms, so a bound of 10^10 reads
+    # only the prefix table
     code, report = run_json(capsys, "quad", "verdict", "--d", "-1", "--bound", "10000000000")
+    assert code == 0
+    assert report["results"]["verdict"] == "CONSISTENT-WITH-M-WIRE-UP-TO-BOUND"
+    assert report["results"]["counterexample"] is None
+
+
+@pytest.mark.parametrize("d", ["-5", "-1365"])
+def test_quad_verdict_of_a_closed_image_builds_only_the_prefix_table(capsys, d):
+    # an idoneal |d| is closed from its reduced forms and cross-checked in
+    # the first 16 |d| values, so a bound far beyond memory needs no table
+    code, report = run_json(capsys, "quad", "verdict", "--d", d, "--bound", HUGE_BOUND)
     assert code == 0
     assert report["results"]["verdict"] == "CONSISTENT-WITH-M-WIRE-UP-TO-BOUND"
     assert report["results"]["counterexample"] is None

@@ -7,18 +7,23 @@ from hypothesis import strategies as st
 
 from latlift import (
     QuadOrder,
+    TheoremViolation,
     division_closure_check,
     is_inert,
     is_norm,
     nat_residual,
     norm_image,
     norm_witness,
+    reduced_forms,
     s_wire_check,
 )
 from latlift import natquad
+from latlift.cli import main
 from latlift.natquad import (
     M_WIRE_CONSISTENT,
     NOT_M_WIRE,
+    _all_ambiguous,
+    _bounded_pair,
     _gcd_pair,
     _norm_table,
     _squarefree,
@@ -28,6 +33,7 @@ from latlift.natquad import (
 
 # the D = -d below 500 that QuadOrder accepts
 ADMISSIBLE = [D for D in range(1, 500) if D % 4 in (1, 2) and _squarefree(D)]
+ADMISSIBLE_BELOW_2000 = [D for D in range(1, 2000) if D % 4 in (1, 2) and _squarefree(D)]
 
 # Euler's 65 idoneal numbers (Cox, Primes of the form x^2 + ny^2, section 3)
 IDONEAL = frozenset((
@@ -35,6 +41,9 @@ IDONEAL = frozenset((
     42, 45, 48, 57, 58, 60, 70, 72, 78, 85, 88, 93, 102, 105, 112, 120, 130, 133, 165, 168,
     177, 190, 210, 232, 240, 253, 273, 280, 312, 330, 345, 357, 385, 408, 462, 520, 760,
     840, 1320, 1365, 1848))
+
+# the admissible idoneal D below 2000: the D < 2000 whose norm image is closed
+CLOSED = [D for D in ADMISSIBLE_BELOW_2000 if D in IDONEAL]
 
 
 # Definitional oracle: the residual is the gcd of all y with a | b*y,
@@ -402,24 +411,65 @@ def test_prime_norm_never_divides_a_failing_pair():
 
 
 def test_division_closure_without_candidates_builds_no_large_table(monkeypatch):
+    # a closed D is decided from its reduced forms and cross-checked in the
+    # prefix table of 16 D values: no larger table at any bound
     sizes = []
     build = natquad._norm_table
     monkeypatch.setattr(natquad, "_norm_table", lambda d, bound: sizes.append(bound) or build(d, bound))
-    # every prime is 2, inert or a norm for D = 1 and 2: no table beyond the
-    # split + 1 values the candidates are listed from
-    for D in (1, 2):
-        for bound in (200_000, 10**10):
+    assert len(CLOSED) == 34
+    for D in CLOSED:
+        for bound in (max(200_000, 50 * D), 10**10):
             sizes.clear()
             assert division_closure_check(QuadOrder(-D), bound).verdict == M_WIRE_CONSISTENT
-            assert max(sizes) <= min(4 * isqrt(bound), bound // 2), (D, bound, sizes)
-    # every other closed D still builds its (d, bound) table
-    closed = [D for D in ADMISSIBLE if 2 < D < 300 and D in IDONEAL]
-    assert len(closed) == 26
-    for D in closed:
-        bound = max(200_000, 50 * D)
-        sizes.clear()
-        assert division_closure_check(QuadOrder(-D), bound).closed
-        assert bound in sizes, D
+            assert max(sizes) <= natquad._PREFIX_FACTOR * D, (D, bound, sizes)
+
+
+# ----- reduced forms and the exact closed verdict ----------------------
+
+
+def reduced_forms_by_loops(D):
+    # the textbook conditions over a box: |b| <= a <= c gives 3 a^2 <= 4 D,
+    # and a c = D + b^2 / 4 <= D + a^2 / 4 bounds c
+    forms = []
+    for a in range(1, isqrt(4 * D // 3) + 1):
+        for b in range(-a, a + 1):
+            for c in range(a, D // a + a + 1):
+                if (b * b - 4 * a * c == -4 * D and abs(b) <= a <= c
+                        and (b >= 0 or abs(b) != a and a != c)):
+                    forms.append((a, b, c))
+    return forms
+
+
+def test_reduced_forms_match_the_textbook_conditions():
+    for D in ADMISSIBLE:
+        assert list(reduced_forms(D)) == reduced_forms_by_loops(D), D
+    assert list(reduced_forms(5)) == [(1, 0, 5), (2, 2, 3)]
+    assert list(reduced_forms(17)) == [(1, 0, 17), (2, 2, 9), (3, -2, 6), (3, 2, 6)]
+
+
+def test_all_ambiguous_exactly_at_the_idoneal_numbers():
+    assert [D for D in ADMISSIBLE_BELOW_2000 if _all_ambiguous(D)] == CLOSED
+    assert len(CLOSED) == 34
+    # the bounded scan, called without the exact step, agrees at full size
+    for D in CLOSED:
+        assert _bounded_pair(QuadOrder(-D), max(200_000, 50 * D)) is None, D
+
+
+def test_exact_closed_verdict_is_cross_checked(monkeypatch, capsys):
+    # a mutant exact step that calls D = 17 closed; up to 16 * 17 there is no
+    # prefix stage, and the cross-check finds (9, 18, 2)
+    monkeypatch.setattr(natquad, "_all_ambiguous", lambda D: True)
+    with pytest.raises(TheoremViolation):
+        division_closure_check(QuadOrder(-17), 200)
+    # above it the prefix answers D = 17 before the exact step, so the
+    # mutant misses the prefix as well
+    monkeypatch.setattr(natquad, "_prefix_pair", lambda d, first: None)
+    with pytest.raises(TheoremViolation):
+        division_closure_check(QuadOrder(-17), 10_000)
+    assert main(["quad", "verdict", "--d", "-17", "--bound", "10000"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("oracle violation: ") and captured.err.count("\n") == 1
 
 
 @settings(max_examples=150, deadline=None)
