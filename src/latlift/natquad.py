@@ -14,23 +14,20 @@ The norm image, the division-closure scan and the gcd search of the s-wire
 check each build the membership table of (d, bound): a ``bytes`` object
 whose byte v is 1 exactly when v is a nonzero norm.  Its rows mark only the
 pairs (a, b) not both even and copy table[4k] from table[k]: a norm is 0
-(mod 4) only for a and b both even.  The division-closure check first tests
-n1, the least norm-free divisor that can fail, in a table of 16 |d| values;
-a hit there answers for every bound.  Past that, the reduced forms of
-discriminant -4|d| decide a closed image exactly: when every one is ambiguous
-the class group has exponent at most 2 and the image is closed at every
-bound, which the bounded scan confirms in the same 16 |d| values.  Only
-when a form is not ambiguous does the bounded scan run at the full bound.
-It tests the norm-free divisors up to 4 sqrt(bound) and, for the larger
-divisors, the norm-free quotients up to sqrt(bound) / 4 with no inert prime
-factor: one big-int AND each.  It skips the divisors p^2 for p = 2, p | d
-and p inert (p^2 k a norm forces p to divide both a and b, so k is a norm)
-and the prime divisors (Euler's descent lemma), and builds the table of
-(d, bound) only when a divisor or quotient is left to test.  The s-wire
-check classifies the primes of its sieve without testing them for
-primality again, and grows its table from 2^16 values only while an answer
-may lie beyond it.  The re-verification of each witness never reads the
-table.
+(mod 4) only for a and b both even.  The division-closure check runs three
+stages.  A prefix table of 16 |d| values tests n1, the least norm-free
+divisor that can fail; a hit there answers for every bound.  Failing that,
+the reduced forms of discriminant -4|d| decide a closed image exactly: when
+every one is ambiguous the class group has exponent at most 2 and the image
+is closed at every bound, which the bounded scan confirms on the prefix
+table.  Otherwise the bounded scan runs on the table of (d, bound).  It
+tests the norm-free divisors up to 4 sqrt(bound) and, for the larger
+divisors, the norm-free quotients up to sqrt(bound) / 4: one big-int AND
+each.  It skips the divisors p^2 for p = 2, p | d and p inert (p^2 k a norm
+forces p to divide both a and b, so k is a norm).  The s-wire check
+classifies the primes of its sieve without testing them for primality
+again, and grows its table from 2^16 values only while an answer may lie
+beyond it.  The re-verification of each witness never reads the table.
 """
 
 from __future__ import annotations
@@ -184,23 +181,18 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def _prime_flags(n: int) -> bytes:
-    """Byte i (0 <= i <= n) is 1 exactly when i is prime, from a sieve of
-    n + 1 bytes; a sieve too large for memory raises MemoryError at once."""
-    composite = bytearray(max(n + 1, 2))
-    composite[:2] = b"\1\1"
-    for i in range(2, isqrt(n) + 1):
-        if not composite[i]:
-            composite[i * i::i] = b"\1" * len(range(i * i, n + 1, i))
-    return composite.translate(_SWAP)
-
-
 def primes_upto(n: int) -> list[int]:
-    """The primes up to n; a sieve too large for memory raises ValueError."""
+    """The primes up to n, from a sieve of n + 1 bytes; a sieve too large for
+    memory raises ValueError."""
     if n < 2:
         return []
     try:
-        return list(compress(range(n + 1), _prime_flags(n)))
+        composite = bytearray(n + 1)
+        composite[:2] = b"\1\1"
+        for i in range(2, isqrt(n) + 1):
+            if not composite[i]:
+                composite[i * i::i] = b"\1" * len(range(i * i, n + 1, i))
+        return list(compress(range(n + 1), composite.translate(_SWAP)))
     except MemoryError:
         raise ValueError(f"prime bound {n} is too large: its sieve does not fit in memory") from None
 
@@ -317,31 +309,20 @@ def _prefix_pair(d: int, first: bytes) -> tuple[int, int] | None:
     return None if n1 is None else _first_hit(first, [n1])
 
 
-def _bounded_pair(q: QuadOrder, bound: int, first: bytes = b"") -> tuple[int, int] | None:
-    """(n, k) of the least counterexample up to bound by the candidate scans,
-    or None.  ``first``, a norm table of q, stands in for the tables of
-    split + 1 and of bound + 1 values where it has that many."""
-    d = q.d
+def _bounded_pair(d: int, table: bytes) -> tuple[int, int] | None:
+    """(n, k) of the least counterexample in the norm table of d by the two
+    scans of division_closure_check, or None; the bound is len(table) - 1."""
+    bound = len(table) - 1
     half = bound // 2
     split = min(4 * isqrt(bound), half)
-    top = bound // (split + 1)
-    prime = _prime_flags(split)
     free = bytearray(b"\1") * (split + 1)
-    head = first if split < len(first) else _norm_table(d, split)
-    divisors = [n for n in _divisors(d, head, split, free) if not prime[n]]
-    for p in compress(range(top + 1), prime[:top + 1]):
-        if _inert(q, p):
-            free[p:top + 1:p] = bytes(top // p)
-    quotients = list(compress(range(2, top + 1), free[2:top + 1]))
-    if not divisors and not quotients:
-        return None
-    table = first if len(first) == bound + 1 else _norm_table(d, bound)
-    if hit := _first_hit(table, divisors):
+    if hit := _first_hit(table, list(_divisors(d, table, split, free))):
         return hit
     best = None
     low = split + 1
+    top = bound // low
     upper = int.from_bytes(table[low:half + 1], "little")
-    for k in quotients:
+    for k in compress(range(2, top + 1), free[2:top + 1]):
         high = bound // k if best is None else min(bound // k, best[0] - 1)
         hits = upper & int.from_bytes(table[k * low:k * high + 1:k], "little")
         if hits:
@@ -356,40 +337,45 @@ def _least_pair(q: QuadOrder, bound: int) -> tuple[int, int] | None:
     if reach < bound and (hit := _prefix_pair(q.d, first)):
         return hit
     if _all_ambiguous(q.D):
-        if _bounded_pair(q, reach, first) is not None:
+        if _bounded_pair(q.d, first) is not None:
             raise TheoremViolation(
                 f"the bounded scan up to {reach} refutes the exact closed verdict for d = {q.d}")
         return None
-    return _bounded_pair(q, bound, first)
+    return _bounded_pair(q.d, first if reach == bound else _norm_table(q.d, bound))
 
 
 def division_closure_check(q: QuadOrder, bound: int) -> DivisionClosureReport:
     """Scan the norm image up to bound for nested values whose quotient is
     not a norm.
 
-    Three stages decide, in this order: a prefix table of 16 |d| values
-    answers most D (Prefix, below); failing that, the reduced forms decide
-    a closed image exactly (Exact closed verdict); for the rest the bounded
-    scan runs to the full bound.  The bounded scan comes first here.
+    Three stages decide, in this order.  A prefix table of
+    reach = min(bound, _PREFIX_FACTOR |d|) values answers most D (Prefix,
+    below).  Failing that, the reduced forms decide a closed image exactly
+    (Exact closed verdict), and the bounded scan cross-checks the verdict on
+    the prefix table.  Otherwise the bounded scan runs on the table of
+    (d, bound), which is the prefix table when reach = bound.  The
+    counterexample is re-verified arithmetically, without the table, before
+    being returned.
 
-    The divisors split at split = min(4 isqrt(bound), bound // 2).  A value
-    v is norm-free when no norm a with 2 <= a < v divides it.  For each
-    norm-free norm 2 <= n <= split, ascending, the set bits of
-    (table[k*n] and not table[k]) over k = 2..bound//n are one big-int AND
-    whose lowest bit is the smallest quotient k, so the first hit is the
-    lexicographically smallest counterexample.  Larger divisors have
-    quotients k <= bound // (split + 1): for each norm-free non-norm k,
-    ascending, the lowest set bit of (table[n] and table[k*n]) over
-    n = split+1..bound//k is the smallest n for that k; the least n wins,
-    the smaller k on a tie.  The counterexample is re-verified
-    arithmetically, without the table, before being returned.
+    Bounded scan (_bounded_pair): the divisors split at split =
+    min(4 isqrt(bound), bound // 2).  A value v is norm-free when no norm a
+    with 2 <= a < v divides it.  For each norm-free norm 2 <= n <= split,
+    ascending, the set bits of (table[k*n] and not table[k]) over
+    k = 2..bound//n are one big-int AND whose lowest bit is the smallest
+    quotient k, so the first hit is the lexicographically smallest
+    counterexample.  Larger divisors have quotients k <= bound // (split + 1):
+    for each norm-free non-norm k, ascending, the lowest set bit of
+    (table[n] and table[k*n]) over n = split+1..bound//k is the smallest n
+    for that k; the least n wins, the smaller k on a tie.
 
     Any split in [1, bound // 2] gives the same counterexample: a pair with
     n > split has k <= bound // (split + 1).  Norms are sparse among small n
-    and non-norms dense among small k, so the split sits above sqrt(bound)
-    (scan time over the benchmark's 120 D for split = c isqrt(bound),
-    c = 1, 2, 4, 8, 16, before the skips below: 0.189, 0.169, 0.158, 0.164,
-    0.160 s; Python 3.11.7, 2 cores).
+    and non-norms dense among small k, so the split sits above sqrt(bound).
+    Over the benchmark's 120 D at bound max(200000, 50 D), on prebuilt
+    tables, the scan took 0.045, 0.043, 0.043, 0.048 and 0.062 s for
+    split = c isqrt(bound), c = 1, 2, 4, 8, 16, and over its 28 closed D,
+    where no divisor hits, 0.064, 0.057, 0.054, 0.054 and 0.059 s (best of
+    11; Python 3.11.7, 2 cores).
 
     Only norm-free divisors can be least.  Norms are closed under
     multiplication.  Let (n, k) be a counterexample, n = a w, a >= 2 a norm,
@@ -407,19 +393,6 @@ def division_closure_check(q: QuadOrder, bound: int) -> DivisionClosureReport:
     not 1 (else k would be a norm), so (n, k2) is a hit with the same n
     and a smaller k.
 
-    No quotient with an inert prime factor can win, so the second scan
-    clears the multiples of each inert p <= bound // (split + 1) in free
-    first.  Let (n, kn, k) be the least counterexample; both n and k are
-    norm-free.  If p is inert and p | k, then p | kn, so p^2 | kn (the
-    lemma below: an inert p dividing a^2 + D b^2 divides a and b).  p^2 is
-    a norm, so it does not divide the norm-free k, and p | n.  Then p^2 | n,
-    as n is a norm, and n is norm-free, so n = p^2; by the lemma k is a
-    norm, a contradiction.  Dropping quotients that cannot win changes no
-    answer: the scan keeps the least n, the smaller k on a tie.  The
-    hypothesis is needed: 2 and the ramified primes divide winning
-    quotients ((841, 11774, 14) for D = 9373, with 7 | 9373), and so do the
-    split ones ((289, 4913, 17) for D = 1138).
-
     Lemma: let p be prime with p = 2, p | D or (-D | p) = -1 (p inert).
     If p^2 k = a^2 + D b^2, then p | a and p | b, so k = (a/p)^2 + D (b/p)^2
     is a norm and p^2 is never the divisor of a counterexample.  p = 2:
@@ -432,68 +405,49 @@ def division_closure_check(q: QuadOrder, bound: int) -> DivisionClosureReport:
     skip, is 2 for D = 1 and 2, D for D = 5 and 6, and at least 9 above, as
     4 is skipped.
 
-    Euler's descent lemma (Cox, Primes of the form x^2 + ny^2, section 1):
-    no prime p = a^2 + D b^2 divides a failing pair.  If p | m = x^2 + D y^2,
-    then a^2 y^2 - b^2 x^2 = y^2 p - b^2 m = 0 (mod p), so p divides
-    ay - bx, say (else replace b by -b).  As p m = (ax + D by)^2 +
-    D (ay - bx)^2, p^2 divides (ax + D by)^2, so p | ax + D by and m / p is
-    the norm of ((ax + D by) / p, (ay - bx) / p).  So the full-table scan
-    tests no prime divisor, though it clears its multiples from free.  The
-    primality is needed: for D = 17 the norm-free 21 fails, as (21, 42, 2).
-
-    Prefix: a first table of reach = min(bound, _PREFIX_FACTOR |d|) values
-    usually decides.  The least counterexample has a norm-free divisor, and
-    the norm-free norms below n1 all are skipped squares, which never fail:
-    if n1 <= reach // 2 has a least hit k with k n1 <= reach, (n1, k n1, k)
-    is the least counterexample at every bound >= reach.
+    Prefix: the first table, of reach values, usually decides.  The least
+    counterexample has a norm-free divisor, and the norm-free norms below
+    n1 all are skipped squares, which never fail: if n1 <= reach // 2 has a
+    least hit k with k n1 <= reach, (n1, k n1, k) is the least
+    counterexample at every bound >= reach.
 
     Exact closed verdict: when the prefix does not answer, the image is
     closed at every bound if every reduced form of discriminant -4D
     (D = |d|) is ambiguous: b = 0, b = a or a = c (reduced_forms).  The
     bounded scan at reach, on the prefix table, must then find no pair, or
-    the check raises TheoremViolation; when a form is not ambiguous the
-    bounded scan runs at bound, as if there were no exact stage.  Proof:
-    every class holds one reduced form, and the inverse of the class of
-    (a, b, c) is that of (a, -b, c).  For an ambiguous form the two are
-    equivalent; otherwise (a, -b, c) is reduced and different.  So every
-    form is ambiguous exactly when the class group has exponent at most 2,
-    which holds exactly for Euler's idoneal numbers (Cox, Primes of the
-    form x^2 + ny^2, sections 2-3).  For squarefree
-    D = 1, 2 (mod 4), Z[sqrt(d)] is the maximal order of discriminant -4D.
-    Let n | m be norms and k = m / n.  Every inert prime divides both norms
-    to an even power, so it divides k to an even power, and k is the norm
-    of some ideal.  All ideals of norm k lie in one class c(k): ramified and
-    inert primes each have a unique ideal above them, and for a split
-    p = P P', [P'] = [P]^-1 = [P] when the exponent is at most 2.  This
-    covers quotients that share a factor with 4D.  c is multiplicative in
-    k, and trivial for the norms m and n: (alpha) with N(alpha) = m is a
-    principal ideal of norm m.  So c(k) = c(m) c(n)^-1 is trivial: some
-    principal (gamma) has N(gamma) = k, and k is a norm.  Only this
-    direction is used; a D with a form that is not ambiguous gets the
-    bounded scan.
+    the check raises TheoremViolation.  Proof: every class holds one
+    reduced form, and the inverse of the class of (a, b, c) is that of
+    (a, -b, c).  For an ambiguous form the two are equivalent; otherwise
+    (a, -b, c) is reduced and different.  So every form is ambiguous
+    exactly when the class group has exponent at most 2, which holds
+    exactly for Euler's idoneal numbers (Cox, Primes of the form
+    x^2 + ny^2, sections 2-3).  For squarefree D = 1, 2 (mod 4), Z[sqrt(d)]
+    is the maximal order of discriminant -4D.  Let n | m be norms and
+    k = m / n.  Every inert prime divides both norms to an even power, so
+    it divides k to an even power, and k is the norm of some ideal.  All
+    ideals of norm k lie in one class c(k): ramified and inert primes each
+    have a unique ideal above them, and for a split p = P P',
+    [P'] = [P]^-1 = [P] when the exponent is at most 2.  This covers
+    quotients that share a factor with 4D.  c is multiplicative in k, and
+    trivial for the norms m and n: (alpha) with N(alpha) = m is a principal
+    ideal of norm m.  So c(k) = c(m) c(n)^-1 is trivial: some principal
+    (gamma) has N(gamma) = k, and k is a norm.  Only this direction is
+    used; a D with a form that is not ambiguous gets the bounded scan at
+    bound.
 
-    Candidates first: the values up to split fix every divisor and quotient
-    the two scans test, namely the norm-free norms n <= split that are
-    neither prime nor a skipped p^2, and the norm-free non-norms
-    k <= bound // (split + 1) with no inert prime factor.  They are listed
-    from the first split + 1 values (the prefix table's, or a table of that
-    size when split > reach); when both lists are empty the image is closed
-    and the table of (d, bound) is never built, else it is built and they
-    are tested as above, "k is not a norm" up to bound // the first divisor.
-    For D = 1 and 2 every prime is 2, inert or a norm, so a norm-free norm
-    is a prime or an inert p^2 and a non-norm has an inert prime factor:
-    both lists are empty at every bound.  At bound max(200000, 50 D) each
-    of the 773 D < 2000 with a counterexample has its multiple below 9.7 D
-    (D = 298: (169, 2873, 17)), so the prefix answers it, and the 34
-    closed D are idoneal, decided from their reduced forms and cross-checked
-    in the prefix table: no D < 2000 builds a table beyond 16 D.  Deciding
-    the forms of all 807 D takes about 0.01 s, and at most about 4 ms for
-    one admissible D < 2 10^5 (Python 3.11.7, 2 cores).
+    At bound max(200000, 50 D) each of the 773 D < 2000 with a
+    counterexample has its multiple below 9.7 D (D = 298: (169, 2873, 17)),
+    so the prefix answers it, and the 34 closed D are idoneal, decided from
+    their reduced forms and cross-checked in the prefix table: no D < 2000
+    builds a table beyond 16 D.  Deciding the forms of all 807 D takes
+    about 0.01 s, and at most about 4 ms for one admissible D < 2 10^5
+    (Python 3.11.7, 2 cores).
 
-    The "not a norm" prefix and the table over n = split+1..bound//2 are
-    each converted to a big int once.  & of two non-negative ints walks the
-    shorter one, so ANDing a strided slice with a whole prefix costs no
-    more than with the matching part.
+    The "not a norm" prefix, up to bound // n for the first divisor n, and
+    the table over n = split+1..bound//2 are each converted to a big int
+    once.  & of two non-negative ints walks the shorter one, so ANDing a
+    strided slice with a whole prefix costs no more than with the matching
+    part.
     """
     if bound < q.D:
         raise ValueError("bound must be at least |d|")

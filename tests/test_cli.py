@@ -543,16 +543,7 @@ def test_quad_verdict_with_a_counterexample_builds_only_the_prefix_table(capsys)
     assert report["results"]["counterexample"] == [9, 18, 2]
 
 
-def test_quad_verdict_without_candidates_builds_no_full_table(capsys):
-    # d = -1 is closed from its reduced forms, so a bound of 10^10 reads
-    # only the prefix table
-    code, report = run_json(capsys, "quad", "verdict", "--d", "-1", "--bound", "10000000000")
-    assert code == 0
-    assert report["results"]["verdict"] == "CONSISTENT-WITH-M-WIRE-UP-TO-BOUND"
-    assert report["results"]["counterexample"] is None
-
-
-@pytest.mark.parametrize("d", ["-5", "-1365"])
+@pytest.mark.parametrize("d", ["-5", "-1365", "-1"])
 def test_quad_verdict_of_a_closed_image_builds_only_the_prefix_table(capsys, d):
     # an idoneal |d| is closed from its reduced forms and cross-checked in
     # the first 16 |d| values, so a bound far beyond memory needs no table

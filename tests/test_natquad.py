@@ -319,8 +319,8 @@ def test_norm_table_matches_double_loop(D, bound):
 @example(17, 64)  # 4 * isqrt(bound) == bound // 2 == 32: both give the split
 @example(1, 2)  # split == bound // 2 == 1: neither scan has a divisor
 @example(2, 3)
-# D = 1 and 2 have no candidate divisor or quotient at any bound; the edge
-# bounds where split == bound // 2
+# D = 1 and 2, closed from their reduced forms, at the edge bounds where
+# split == bound // 2
 @example(1, 1)
 @example(1, 3)
 @example(2, 2)
@@ -337,8 +337,8 @@ def test_norm_table_matches_double_loop(D, bound):
 @example(322, 1352)  # (169, 338, 2): the skipped quotient 8 = 4 * 2 hits at 169 too
 @example(17, 18)  # (9, 18, 2): the quotient 2 is bound // 9, the last one a divisor >= 9 can reach
 @example(9373, 27869)  # k = 14 hits at n = 841 and the later k = 29 at 961: the first stays
-# the second scan drops the quotients with an inert prime factor, never a
-# split one: 17 splits for D = 1138 and 13 for D = 1257
+# the quotient of the least pair is a split prime and its divisor lies
+# above split: 17 splits for D = 1138 and 13 for D = 1257
 @example(1138, 5000)  # (289, 4913, 17): n = 289 above split 280
 @example(1257, 3771)  # (289, 3757, 13)
 # (169, 2873, 17) has the largest multiple over D of all D < 2000; from the
@@ -352,6 +352,21 @@ def test_division_closure_matches_pairwise_scan(D, bound):
     report = division_closure_check(QuadOrder(-D), bound)
     assert report.closed == (expected is None)
     assert report.counterexample == expected
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(ADMISSIBLE), st.integers(1, 5000))
+# the least divisor lies above split, so the quotient scan finds the pair
+@example(73, 144)  # (49, 98, 2) above split 48
+@example(1138, 5000)  # (289, 4913, 17) above split 280
+@example(1257, 3771)  # (289, 3757, 13) above split 244
+@example(1590, 1734)  # k = 6 hits at 289 first, the least n = 169 with k = 10 later
+@example(9373, 27869)  # k = 14 hits at 841 and the later k = 29 at 961: the first stays
+def test_bounded_scan_matches_pairwise_scan(D, bound):
+    # the bounded scan alone, the reference of the exact stage's cross-check
+    expected = division_counterexample_by_scan(norm_values_by_double_loop(D, bound), bound)
+    pair = _bounded_pair(-D, _norm_table(-D, bound))
+    assert (pair and (pair[0], pair[0] * pair[1], pair[1])) == expected
 
 
 @settings(max_examples=100, deadline=None)
@@ -389,28 +404,7 @@ def test_square_of_a_ramified_inert_or_2_prime_never_divides_a_failing_pair():
     assert is_norm(q, 9) and is_norm(q, 18) and not is_norm(q, 2)
 
 
-def test_prime_norm_never_divides_a_failing_pair():
-    # Euler's descent lemma of division_closure_check: a prime norm p
-    # dividing a norm v leaves v / p a norm
-    checked = 0
-    for D in ADMISSIBLE:
-        if D >= 300:
-            break
-        norms = norm_values_by_double_loop(D, 20_000)
-        for p in primes_upto(200):
-            if p in norms:
-                for v in range(p, 20_001, p):
-                    if v in norms:
-                        assert v // p in norms, (D, p, v)
-                        checked += 1
-    assert checked == 24_711
-    # the primality is needed: for D = 17 the norm-free composite 21 fails
-    q = QuadOrder(-17)
-    assert [a for a in range(2, 21) if 21 % a == 0 and is_norm(q, a)] == []
-    assert not is_prime(21) and is_norm(q, 21) and is_norm(q, 42) and not is_norm(q, 2)
-
-
-def test_division_closure_without_candidates_builds_no_large_table(monkeypatch):
+def test_division_closure_of_a_closed_image_builds_no_large_table(monkeypatch):
     # a closed D is decided from its reduced forms and cross-checked in the
     # prefix table of 16 D values: no larger table at any bound
     sizes = []
@@ -452,7 +446,7 @@ def test_all_ambiguous_exactly_at_the_idoneal_numbers():
     assert len(CLOSED) == 34
     # the bounded scan, called without the exact step, agrees at full size
     for D in CLOSED:
-        assert _bounded_pair(QuadOrder(-D), max(200_000, 50 * D)) is None, D
+        assert _bounded_pair(-D, _norm_table(-D, max(200_000, 50 * D))) is None, D
 
 
 def test_exact_closed_verdict_is_cross_checked(monkeypatch, capsys):
