@@ -37,12 +37,9 @@ from .monoid import (
     FiniteMonoid,
     IdealLattice,
     build_ideal_lattice,
-    load_monoid,
-    monoid_from_dict,
     subset_product,
     verify_finitary,
     verify_ideal_system,
-    verify_monoid,
     verify_weak_ideal_system,
 )
 from .natquad import (

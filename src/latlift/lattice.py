@@ -302,9 +302,17 @@ def verify_lattice(lat: FiniteLattice) -> Verdict:
             if meet2[i][j] is None:
                 record("meet-existence", (names[i], names[j]), "pair has no greatest lower bound")
 
-    _scan_monoid_laws(record, names, mul, lat.top, lat.bot,
-                      (("identity", "top must be the multiplicative identity"),
-                       ("annihilation", "bot must absorb products")))
+    for i in range(n):
+        if mul[lat.top][i] != i:
+            record("identity", (names[i],), "top must be the multiplicative identity")
+        if mul[lat.bot][i] != lat.bot:
+            record("annihilation", (names[i],), "bot must absorb products")
+        for j in range(n):
+            if mul[i][j] != mul[j][i]:
+                record("commutativity", (names[i], names[j]))
+            for k in range(n):
+                if mul[mul[i][j]][k] != mul[i][mul[j][k]]:
+                    record("associativity", (names[i], names[j], names[k]))
 
     for a in range(n):
         for b in range(n):
@@ -319,26 +327,6 @@ def verify_lattice(lat: FiniteLattice) -> Verdict:
     return record.verdict()
 
 
-def _scan_monoid_laws(record: _Recorder, names, mul, one: int, zero: int,
-                      unit_laws: tuple[tuple[str, str], tuple[str, str]]) -> None:
-    """Record the unit, zero, commutativity and associativity failures of a
-    product table; unit_laws gives the (law, detail) of the unit and of the
-    zero law, which lattices and monoids name differently."""
-    (unit, unit_detail), (absorb, absorb_detail) = unit_laws
-    n = len(names)
-    for i in range(n):
-        if mul[one][i] != i:
-            record(unit, (names[i],), unit_detail)
-        if mul[zero][i] != zero:
-            record(absorb, (names[i],), absorb_detail)
-        for j in range(n):
-            if mul[i][j] != mul[j][i]:
-                record("commutativity", (names[i], names[j]))
-            for k in range(n):
-                if mul[mul[i][j]][k] != mul[i][mul[j][k]]:
-                    record("associativity", (names[i], names[j], names[k]))
-
-
 # ----- loading ---------------------------------------------------------
 
 
@@ -351,7 +339,7 @@ def lattice_from_dict(data: dict) -> FiniteLattice:
     may be omitted (identity and annihilation fill them in); any other
     missing product is a load error.
     """
-    elements, look, top, bot = _read_carrier(data, "lattice", ("top", "bot"), CARRIER_CAP)
+    elements, look, top, bot = _read_carrier(data)
     n = len(elements)
     order = data.get("order")
     if not isinstance(order, dict) or len(order) != 1 or next(iter(order)) not in ("covers", "leq"):
@@ -406,11 +394,11 @@ def _closure_step(up: list[int]) -> bool:
     return changed
 
 
-def _read_carrier(data: object, kind: str, units: tuple[str, str], cap: int | None = None):
-    """Element names of a lattice or monoid document, a name -> index
-    lookup, and the indices of the two elements named by the keys in units."""
+def _read_carrier(data: object):
+    """Element names of a lattice document, a name -> index lookup, and the
+    indices of its top and bot."""
     if not isinstance(data, dict):
-        raise LoadError(f"{kind} document must be a JSON object")
+        raise LoadError("lattice document must be a JSON object")
     elements = data.get("elements")
     if not isinstance(elements, list) or not elements:
         raise LoadError("'elements' must be a nonempty list")
@@ -418,8 +406,8 @@ def _read_carrier(data: object, kind: str, units: tuple[str, str], cap: int | No
         raise LoadError("element names must be nonempty strings")
     if len(set(elements)) != len(elements):
         raise LoadError("duplicate element names")
-    if cap is not None and len(elements) > cap:
-        raise LoadError(f"carrier size {len(elements)} exceeds cap {cap}")
+    if len(elements) > CARRIER_CAP:
+        raise LoadError(f"carrier size {len(elements)} exceeds cap {CARRIER_CAP}")
     pos = {e: i for i, e in enumerate(elements)}
 
     def look(name: object) -> int:
@@ -427,10 +415,10 @@ def _read_carrier(data: object, kind: str, units: tuple[str, str], cap: int | No
             raise LoadError(f"unknown element {name!r}")
         return pos[name]
 
-    for key in units:
+    for key in ("top", "bot"):
         if key not in data:
             raise LoadError(f"missing '{key}'")
-    return elements, look, look(data[units[0]]), look(data[units[1]])
+    return elements, look, look(data["top"]), look(data["bot"])
 
 
 def _read_products(data: dict, elements: list[str], look, one: int, zero: int) -> tuple[tuple[int, ...], ...]:

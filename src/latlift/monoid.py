@@ -21,14 +21,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from pathlib import Path
 
 from .bitset import bits, mask_from
-from .lattice import (
-    FiniteLattice, _Carrier, _read_carrier, _read_json, _read_products, _scan_monoid_laws,
-    verify_lattice,
-)
-from .verdicts import LoadError, TheoremViolation, Verdict, Violation, _Recorder
+from .lattice import FiniteLattice, _Carrier, verify_lattice
+from .verdicts import LoadError, TheoremViolation, Verdict, Violation
 
 # Closure maps are stored extensionally (one entry per subset), so the
 # axiom checks are loops over 2^m table slots.
@@ -67,23 +63,6 @@ class FiniteMonoid(_Carrier):
                 cmap += [v | bit for v in cmap]
             maps.append(tuple(cmap))
         return tuple(maps)
-
-
-def verify_monoid(mon: FiniteMonoid) -> Verdict:
-    """Commutativity, associativity, identity and zero laws with witnesses."""
-    record = _Recorder()
-    _scan_monoid_laws(record, mon.names, mon.mul, mon.one, mon.zero, (("identity", ""), ("zero", "")))
-    return record.verdict()
-
-
-def monoid_from_dict(data: dict) -> FiniteMonoid:
-    """Monoid from JSON; products with one/zero are auto-filled."""
-    elements, look, one, zero = _read_carrier(data, "monoid", ("one", "zero"))
-    return FiniteMonoid(tuple(elements), _read_products(data, elements, look, one, zero), one, zero)
-
-
-def load_monoid(path: str | Path) -> FiniteMonoid:
-    return monoid_from_dict(_read_json(path))
 
 
 def subset_product(mon: FiniteMonoid, xm: int, ym: int) -> int:

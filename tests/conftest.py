@@ -7,12 +7,12 @@ import pytest
 from latlift import (
     ClosureMap,
     FiniteLattice,
+    FiniteMonoid,
     analyze_wire,
     classify_element,
     enumerate_wires,
     is_domain,
     load_lattice,
-    load_monoid,
 )
 from latlift.bitset import bits, mask_from
 from latlift.lattice import _relabel_mul, _relabel_up, _relabellings
@@ -43,7 +43,7 @@ def chain3_nil():
 
 @pytest.fixture(scope="session")
 def m3():
-    return load_monoid(FIXTURES / "m3.json")
+    return FiniteMonoid(("0", "x", "1"), ((0, 0, 0), (0, 1, 1), (0, 1, 2)), 2, 0)
 
 
 def fixture_path(name: str) -> str:

@@ -543,6 +543,14 @@ def test_quad_verdict_with_a_counterexample_builds_only_the_prefix_table(capsys)
     assert report["results"]["counterexample"] == [9, 18, 2]
 
 
+def test_quad_verdict_with_a_counterexample_beyond_the_prefix_doubles_it(capsys):
+    # (2209, 227527, 103) lies at 20.1 |d|, within the doubled prefix of
+    # 32 |d| values, so a bound far beyond memory needs no full table
+    code, report = run_json(capsys, "quad", "verdict", "--d", "-11302", "--bound", HUGE_BOUND)
+    assert code == 1
+    assert report["results"]["counterexample"] == [2209, 227527, 103]
+
+
 @pytest.mark.parametrize("d", ["-5", "-1365", "-1"])
 def test_quad_verdict_of_a_closed_image_builds_only_the_prefix_table(capsys, d):
     # an idoneal |d| is closed from its reduced forms and cross-checked in
@@ -656,6 +664,21 @@ def test_text_format_smoke(capsys):
     code, out = run(capsys, "lift", fixture_path("l6.json"), "--wire", "0,a,b,c,1")
     assert code == 0
     assert "6 ideals" in out and "PASS" in out
+
+
+@pytest.mark.parametrize("argv, lines", [
+    (["lift", fixture_path("l6.json"), "--wire", "0,a,1"],
+     [f"file: {fixture_path('l6.json')}", "not a wire: {0,a,1}"]),
+    (["lift", fixture_path("l6.json"), "--m-wires-only"],
+     [f"file: {fixture_path('l6.json')}", "no M-wires"]),
+    (["quad", "s-wire", "--d", "-5", "--prime-bound", "12", "--search-bound", "1000"],
+     ["d: -5", "check: s-wire", "prime_bound: 12", "search_bound: 1000", "unresolved: []",
+      "p=   2  gcd_generated  [4, 6]", "p=   3  gcd_generated  [6, 9]", "p=   5  norm  [0, 1]",
+      "p=   7  gcd_generated  [14, 21]", "p=  11  inert  "]),
+], ids=["not-a-wire", "no-m-wires", "s-wire"])
+def test_text_report_lines(capsys, argv, lines):
+    _, out = run(capsys, *argv)
+    assert out.splitlines()[1:-1] == lines
 
 
 def test_text_lift_of_a_non_lattice_names_the_file_and_violations(capsys):

@@ -20,6 +20,7 @@ from latlift import (
     verify_lattice,
 )
 from latlift.bitset import bits, mask_from
+from latlift.cli import main
 from latlift.lattice import _closure_step, _extreme, _lattice_orders, _tables_for_order
 
 from conftest import FIXTURES, canonical_form, non_lattices
@@ -191,29 +192,57 @@ def test_verify_catches_broken_identity(l6):
     assert "identity" in verdict.laws
 
 
-def test_load_errors():
-    good = json.loads((FIXTURES / "l6.json").read_text())
-    with pytest.raises(LoadError):
-        load_lattice(FIXTURES / "missing.json")
-    bad = dict(good, elements=["0", "0", "b", "c", "d", "1"])
-    with pytest.raises(LoadError):
-        lattice_from_dict(bad)
-    bad = dict(good, order={"covers": [["0", "zz"]]})
-    with pytest.raises(LoadError):
-        lattice_from_dict(bad)
-    bad = dict(good, mul=good["mul"][:-1])  # drop d*d, not fillable
-    with pytest.raises(LoadError):
-        lattice_from_dict(bad)
-    for mul in (5, None):
-        with pytest.raises(LoadError, match="^'mul' must be a list"):
-            lattice_from_dict(dict(good, mul=mul))
-    bad = dict(good)
-    del bad["mul"]  # products with top or bot alone are filled in, d*d is not
-    with pytest.raises(LoadError):
-        lattice_from_dict(bad)
-    bad = dict(good, order={"covers": good["order"]["covers"] + [["1", "0"]]})
-    with pytest.raises(LoadError):
-        lattice_from_dict(bad)  # cycle
+GOOD = json.loads((FIXTURES / "l6.json").read_text())
+
+
+def document(drop=(), **changes):
+    """The bytes of l6.json with the given keys replaced and those in drop removed."""
+    return json.dumps({k: v for k, v in (GOOD | changes).items() if k not in drop}).encode()
+
+
+# One case per LoadError of the lattice loader: the file's bytes (None for
+# no file) and the message.
+LOAD_ERRORS = [
+    (None, r"^cannot read .*doc\.json: "),
+    (b'{"elements": ["\xff"]}', r"doc\.json is not UTF-8: "),
+    (b'{"elements": ', r"^invalid JSON in .*doc\.json: "),
+    (b"[" * 200_000 + b"]" * 200_000, r"^JSON in .*doc\.json is nested too deeply$"),
+    (b"[]", r"^lattice document must be a JSON object$"),
+    (document(elements=[]), r"^'elements' must be a nonempty list$"),
+    (document(elements=["0", "", "b", "c", "d", "1"]), r"^element names must be nonempty strings$"),
+    (document(elements=["0", "0", "b", "c", "d", "1"]), r"^duplicate element names$"),
+    (document(elements=[str(i) for i in range(65)]), r"^carrier size 65 exceeds cap 64$"),
+    (document(order={"covers": [["0", "zz"]]}), r"^unknown element 'zz'$"),
+    (document(drop=("top",)), r"^missing 'top'$"),
+    (document(drop=("bot",)), r"^missing 'bot'$"),
+    (document(order={"up": []}), r"^'order' must hold exactly one of 'covers' or 'leq'$"),
+    (document(order={"covers": "0 < a"}), r"^order pairs must be a list$"),
+    (document(order={"covers": [["0", "a", "b"]]}), r"^order pair \['0', 'a', 'b'\] must be \[lo, hi\]$"),
+    (document(order={"covers": GOOD["order"]["covers"] + [["1", "0"]]}),
+     r"^order closure is not antisymmetric: 0 <= a <= 0$"),
+    (document(mul=5), r"^'mul' must be a list of \[x, y, xy\] entries$"),
+    (document(mul=None), r"^'mul' must be a list of \[x, y, xy\] entries$"),
+    (document(mul=[["a", "a"]]), r"^mul entry \['a', 'a'\] must be \[x, y, xy\]$"),
+    (document(mul=GOOD["mul"] + [["a", "a", "a"]]), r"^conflicting products for a\*a$"),
+    (document(mul=GOOD["mul"][:-1]), r"^missing product d\*d$"),  # d*d is not fillable
+    # products with top or bot alone are filled in, a*a is not
+    (document(drop=("mul",)), r"^missing product a\*a$"),
+]
+
+
+def test_load_errors(capsys, tmp_path):
+    # each through the loader and through check-lattice: exit 2, one error line
+    path = tmp_path / "doc.json"
+    for content, message in LOAD_ERRORS:
+        path.unlink(missing_ok=True)
+        if content is not None:
+            path.write_bytes(content)
+        with pytest.raises(LoadError, match=message) as exc:
+            load_lattice(path)
+        assert main(["check-lattice", str(path)]) == 2, message
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {exc.value}\n"
 
 
 def test_leq_order_input_accepted():

@@ -1,18 +1,18 @@
 """The shared verifier code against the per-verifier loops it replaced.
 
-``verify_lattice`` and ``verify_monoid`` share one violation recorder, one
-bound search and one monoid-law scan; the loader and the enumerator share
-one transitive-closure pass.  The reference functions below are the
-separate loops each verifier used to run, kept here as the definition the
-shared code must reproduce: same verdict, same violations in the same
-order, same witnesses and details, on random carriers that need not be
-partial orders or lattices at all.
+``verify_lattice`` runs its laws through one violation recorder and one
+bound search; the loader and the enumerator share one transitive-closure
+pass.  The reference functions below are the separate loops the verifier
+used to run, kept here as the definition the shared code must reproduce:
+same verdict, same violations in the same order, same witnesses and
+details, on random carriers that need not be partial orders or lattices
+at all.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latlift import FiniteLattice, FiniteMonoid, Verdict, Violation, verify_lattice, verify_monoid
+from latlift import FiniteLattice, Verdict, Violation, verify_lattice
 from latlift.bitset import bits
 from latlift.lattice import _closure_step
 
@@ -97,23 +97,6 @@ def reference_verify_lattice(lat):
     return record.verdict()
 
 
-def reference_verify_monoid(mon):
-    n, mul, names = mon.n, mon.mul, mon.names
-    record = Reference()
-    for i in range(n):
-        if mul[mon.one][i] != i:
-            record("identity", (names[i],))
-        if mul[mon.zero][i] != mon.zero:
-            record("zero", (names[i],))
-        for j in range(n):
-            if mul[i][j] != mul[j][i]:
-                record("commutativity", (names[i], names[j]))
-            for k in range(n):
-                if mul[mul[i][j]][k] != mul[i][mul[j][k]]:
-                    record("associativity", (names[i], names[j], names[k]))
-    return record.verdict()
-
-
 def reference_closure(up):
     """The loader's former fixpoint loop, and whether up was closed already."""
     up, closed, changed = list(up), True, True
@@ -158,14 +141,6 @@ def test_verify_lattice_matches_the_reference_loops(carrier):
     n, up, mul, bot, top = carrier
     lat = FiniteLattice(tuple(map(str, range(n))), up, mul, bot, top)
     assert verify_lattice(lat) == reference_verify_lattice(lat)
-
-
-@settings(max_examples=300, deadline=None)
-@given(carriers())
-def test_verify_monoid_matches_the_reference_loops(carrier):
-    n, _, mul, one, zero = carrier
-    mon = FiniteMonoid(tuple(map(str, range(n))), mul, one, zero)
-    assert verify_monoid(mon) == reference_verify_monoid(mon)
 
 
 @settings(max_examples=300, deadline=None)

@@ -13,35 +13,15 @@ from latlift import (
     enumerate_small_lattices,
     enumerate_wires,
     lift,
-    monoid_from_dict,
     subset_product,
     verify_finitary,
     verify_ideal_system,
     verify_lattice,
-    verify_monoid,
     verify_weak_ideal_system,
 )
 from latlift.bitset import bits, mask_from
 
 from conftest import constant_closure, multiples_closure
-
-
-def test_monoid_fixture_verifies(m3):
-    assert verify_monoid(m3).passed
-    assert m3.names == ("0", "x", "1")
-    assert m3.mul[1][1] == 1
-
-
-def test_monoid_load_errors():
-    with pytest.raises(LoadError):
-        monoid_from_dict({"elements": ["0", "1"], "one": "1", "zero": "zz", "mul": []})
-    with pytest.raises(LoadError):
-        monoid_from_dict({"elements": ["0", "x", "1"], "one": "1", "zero": "0", "mul": []})
-    with pytest.raises(LoadError):
-        monoid_from_dict({"elements": ["0", "x", "1"], "one": "1", "zero": "0",
-                          "mul": [["x", "x", "x"], ["x", "x", "0"]]})
-    with pytest.raises(LoadError, match="^'mul' must be a list"):
-        monoid_from_dict({"elements": ["0", "1"], "one": "1", "zero": "0", "mul": 5})
 
 
 @pytest.mark.parametrize("names, mul, one, message", [
@@ -55,19 +35,6 @@ def test_lattice_and_monoid_share_the_shape_check(names, mul, one, message):
         FiniteMonoid(names, mul, one, 0)
     with pytest.raises(LoadError, match=message):
         FiniteLattice(names, (0b11, 0b10), mul, 0, one)
-
-
-def test_verify_monoid_catches_broken_laws():
-    # x*x = 1 adjoins a unit of order two; still a perfectly good monoid
-    unit = monoid_from_dict({"elements": ["0", "x", "1"], "one": "1", "zero": "0",
-                             "mul": [["x", "x", "1"]]})
-    assert verify_monoid(unit).passed
-    # an explicit entry may override the identity row; the verifier flags it
-    bad = monoid_from_dict({"elements": ["0", "x", "1"], "one": "1", "zero": "0",
-                            "mul": [["x", "x", "x"], ["1", "x", "0"]]})
-    verdict = verify_monoid(bad)
-    assert not verdict.passed
-    assert "identity" in verdict.laws
 
 
 def test_subset_product(m3):

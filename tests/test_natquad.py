@@ -371,10 +371,14 @@ def test_bounded_scan_matches_pairwise_scan(D, bound):
 
 @settings(max_examples=100, deadline=None)
 @given(st.sampled_from(ADMISSIBLE), st.integers(1, 5000), st.sampled_from([1, 2, 4, 8]))
-@example(298, 5000, 9)  # n1 = 169 has no hit up to 2682; 2873 = 17 * 169 is in the full table
-@example(298, 5000, 1)  # n1 = 169 > reach // 2 = 149: the prefix has no divisor that can hit
-@example(337, 5000, 4)  # n1 = 121 has no hit up to 1348, where (169, 338, 2) would; (121, 1573, 13)
-def test_division_closure_prefix_falls_through_to_the_full_table(D, bound, factor):
+# n1 = 169 has no hit up to 2682; the doubled table is the full one, with
+# 2873 = 17 * 169
+@example(298, 5000, 9)
+@example(298, 5000, 1)  # n1 = 169 > reach // 2 = 149: no divisor can hit before the prefix doubles
+# n1 = 121 has no hit up to 1348, where (169, 338, 2) would; the doubled
+# prefix of 2696 values holds (121, 1573, 13)
+@example(337, 5000, 4)
+def test_division_closure_prefix_doubles_up_to_the_full_table(D, bound, factor):
     assume(bound >= D)
     expected = division_counterexample_by_scan(norm_values_by_double_loop(D, bound), bound)
     with mock.patch.object(natquad, "_PREFIX_FACTOR", factor):
@@ -402,6 +406,45 @@ def test_square_of_a_ramified_inert_or_2_prime_never_divides_a_failing_pair():
     q = QuadOrder(-17)
     assert not is_inert(q, 3) and 17 % 3 != 0
     assert is_norm(q, 9) and is_norm(q, 18) and not is_norm(q, 2)
+
+
+def s_members(D, bound):
+    """S within [1, bound]: the norms times the products of inert primes,
+    each p inert by Euler's criterion, (-D)^((p-1)/2) = -1 (mod p)."""
+    member = bytearray(bound + 1)
+    for v in norm_values_by_double_loop(D, bound):
+        member[v] = 1
+    for p in primes_upto(bound):
+        if p > 2 and pow(-D, (p - 1) // 2, p) == p - 1:
+            for v in range(1, bound // p + 1):
+                if member[v]:
+                    member[v * p] = 1  # ascending v, so the powers of p come in too
+    return {v for v, flag in enumerate(member) if flag}
+
+
+def test_m_for_s_reduces_to_division_closure_of_the_norm_image():
+    # the README's reduction: the least pair (t, s, s/t) with t | s both in
+    # S and s/t not in S is the norm image's least counterexample
+    ds = [D for D in ADMISSIBLE if D < 300]
+    assert len(ds) == 120
+    closed = 0
+    for D in ds:
+        report = division_closure_check(QuadOrder(-D), 20_000)
+        assert division_counterexample_by_scan(s_members(D, 20_000), 20_000) == report.counterexample, D
+        closed += report.closed
+    assert closed == 28
+
+
+def test_division_closure_doubles_the_prefix_until_it_answers(monkeypatch):
+    # the least hit of D = 11302, (2209, 227527, 103), lies at 20.1 D: beyond
+    # the prefix of 16 D values, within the doubled one of 32 D
+    sizes = []
+    build = natquad._norm_table
+    monkeypatch.setattr(natquad, "_norm_table", lambda d, bound: sizes.append(bound) or build(d, bound))
+    report = division_closure_check(QuadOrder(-11302), 600_000)
+    assert sizes == [16 * 11302, 32 * 11302]
+    pair = _bounded_pair(-11302, build(-11302, 600_000))
+    assert report.counterexample == (pair[0], pair[0] * pair[1], pair[1]) == (2209, 227527, 103)
 
 
 def test_division_closure_of_a_closed_image_builds_no_large_table(monkeypatch):
