@@ -319,10 +319,13 @@ def main(argv=None) -> int:
     except BrokenPipeError:
         # The reader left (say, `| head`): as the Python docs advise, point
         # stdout at devnull so that the final flush cannot fail again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
         try:
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            os.dup2(devnull, sys.stdout.fileno())
         except (AttributeError, OSError):  # a stdout without a descriptor
-            sys.stdout = open(os.devnull, "w")
+            sys.stdout = None  # nothing left to flush
+        finally:
+            os.close(devnull)
     return code
 
 

@@ -10,25 +10,11 @@ the norm image is closed under division, which is decidable up to a bound;
 the checks below report exactly that, with every witness re-verified
 before it is returned.
 
-The norm image, the division-closure scan and the gcd search of the s-wire
-check each build the membership table of (d, bound): a ``bytes`` object
-whose byte v is 1 exactly when v is a nonzero norm.  Its rows mark only the
-pairs (a, b) not both even and copy table[4k] from table[k]: a norm is 0
-(mod 4) only for a and b both even.  The division-closure check runs three
-stages.  A prefix table of 16 |d| values tests n1, the least norm-free
-divisor that can fail; a hit there answers for every bound.  Failing that,
-the reduced forms of discriminant -4|d| decide a closed image exactly: when
-every one is ambiguous the class group has exponent at most 2 and the image
-is closed at every bound, which the bounded scan confirms on the prefix
-table.  Otherwise the prefix doubles until n1 hits or it reaches bound,
-where the bounded scan runs on the table of (d, bound).  It
-tests the norm-free divisors up to 4 sqrt(bound) and, for the larger
-divisors, the norm-free quotients up to sqrt(bound) / 4: one big-int AND
-each.  It skips the divisors p^2 for p = 2, p | d and p inert (p^2 k a norm
-forces p to divide both a and b, so k is a norm).  The s-wire check
-classifies the primes of its sieve without testing them for primality
-again, and grows its table from 2^16 values only while an answer may lie
-beyond it.  The re-verification of each witness never reads the table.
+The norm image, the division-closure check and the s-wire check each read
+the membership table of (d, bound) that _norm_table builds; the loop of the
+division-closure check and its proofs are in division_closure_check, the
+table growth of the s-wire check in s_wire_check.  The re-verification of
+each witness never reads the table.
 """
 
 from __future__ import annotations
@@ -302,14 +288,6 @@ def _first_hit(table: bytes, divisors: list[int]) -> tuple[int, int] | None:
     return None
 
 
-def _prefix_pair(d: int, first: bytes) -> tuple[int, int] | None:
-    """(n1, k) when n1, the least divisor the scan does not skip, has a
-    least hit k within the prefix table ``first``, else None."""
-    half = (len(first) - 1) // 2
-    n1 = next(_divisors(d, first, half, bytearray(b"\1") * (half + 1)), None)
-    return None if n1 is None else _first_hit(first, [n1])
-
-
 def _bounded_pair(d: int, table: bytes) -> tuple[int, int] | None:
     """(n, k) of the least counterexample in the norm table of d by the two
     scans of division_closure_check, or None; the bound is len(table) - 1."""
@@ -334,35 +312,36 @@ def _bounded_pair(d: int, table: bytes) -> tuple[int, int] | None:
 def _least_pair(q: QuadOrder, bound: int) -> tuple[int, int] | None:
     """(n, k) of the least counterexample of division_closure_check, or None."""
     reach = min(bound, _PREFIX_FACTOR * q.D)
-    table = _norm_table(q.d, reach)
-    if reach < bound and (hit := _prefix_pair(q.d, table)):
-        return hit
-    if _all_ambiguous(q.D):
-        if _bounded_pair(q.d, table) is not None:
-            raise TheoremViolation(
-                f"the bounded scan up to {reach} refutes the exact closed verdict for d = {q.d}")
-        return None
-    while reach < bound:
-        reach = min(2 * reach, bound)
+    while True:
         table = _norm_table(q.d, reach)
-        if reach < bound and (hit := _prefix_pair(q.d, table)):
-            return hit
-    return _bounded_pair(q.d, table)
+        if reach < bound:
+            half = reach // 2
+            n1 = next(_divisors(q.d, table, half, bytearray(b"\1") * (half + 1)), None)
+            if n1 is not None and (hit := _first_hit(table, [n1])):
+                return hit
+        if _all_ambiguous(q.D):
+            if _bounded_pair(q.d, table) is not None:
+                raise TheoremViolation(
+                    f"the bounded scan up to {reach} refutes the exact closed verdict for d = {q.d}")
+            return None
+        if reach == bound:
+            return _bounded_pair(q.d, table)
+        reach = min(2 * reach, bound)
 
 
 def division_closure_check(q: QuadOrder, bound: int) -> DivisionClosureReport:
     """Scan the norm image up to bound for nested values whose quotient is
     not a norm.
 
-    Three stages decide, in this order.  A prefix table of
-    reach = min(bound, _PREFIX_FACTOR |d|) values answers most D (Prefix,
-    below).  Failing that, the reduced forms decide a closed image exactly
-    (Exact closed verdict), and the bounded scan cross-checks the verdict on
-    the prefix table.  Otherwise the prefix doubles, reach = min(2 reach,
-    bound), and Prefix reads each larger table until reach = bound, where
-    the bounded scan runs on the table of (d, bound).  The
-    counterexample is re-verified arithmetically, without the table, before
-    being returned.
+    One loop decides (_least_pair).  It starts at reach = min(bound,
+    _PREFIX_FACTOR |d|), and each pass builds the table of reach values
+    once.  Below bound, n1 is tested there (Prefix, below), which answers
+    most D.  Next the reduced forms are consulted: when they call the image
+    closed (Exact closed verdict), the bounded scan on this table
+    cross-checks them.  At bound, the bounded scan runs on the table of
+    (d, bound); below it, reach = min(2 reach, bound) and the loop repeats.
+    The counterexample is re-verified arithmetically, without the table,
+    before being returned.
 
     Bounded scan (_bounded_pair): the divisors split at split =
     min(4 isqrt(bound), bound // 2).  A value v is norm-free when no norm a
@@ -418,14 +397,14 @@ def division_closure_check(q: QuadOrder, bound: int) -> DivisionClosureReport:
     least hit k with k n1 <= reach, (n1, k n1, k) is the least
     counterexample at every bound >= reach.
 
-    Exact closed verdict: when the first prefix does not answer, the image is
-    closed at every bound if every reduced form of discriminant -4D
-    (D = |d|) is ambiguous: b = 0, b = a or a = c (reduced_forms).  The
-    bounded scan at reach, on the prefix table, must then find no pair, or
-    the check raises TheoremViolation.  Proof: every class holds one
-    reduced form, and the inverse of the class of (a, b, c) is that of
-    (a, -b, c).  For an ambiguous form the two are equivalent; otherwise
-    (a, -b, c) is reduced and different.  So every form is ambiguous
+    Exact closed verdict: when n1 does not answer, the image is closed at
+    every bound if every reduced form of discriminant -4D (D = |d|) is
+    ambiguous: b = 0, b = a or a = c (reduced_forms).  The bounded scan at
+    reach, on the same table, must then find no pair, or the check raises
+    TheoremViolation.  Proof: every class holds one reduced form, and the
+    inverse of the class of (a, b, c) is that of (a, -b, c).  For an
+    ambiguous form the two are equivalent; otherwise (a, -b, c) is reduced
+    and different.  So every form is ambiguous
     exactly when the class group has exponent at most 2, which holds
     exactly for Euler's idoneal numbers (Cox, Primes of the form
     x^2 + ny^2, sections 2-3).  For squarefree D = 1, 2 (mod 4), Z[sqrt(d)]
@@ -439,8 +418,8 @@ def division_closure_check(q: QuadOrder, bound: int) -> DivisionClosureReport:
     trivial for the norms m and n: (alpha) with N(alpha) = m is a principal
     ideal of norm m.  So c(k) = c(m) c(n)^-1 is trivial: some principal
     (gamma) has N(gamma) = k, and k is a norm.  Only this direction is
-    used; a D with a form that is not ambiguous gets the doubled prefixes,
-    then the bounded scan at bound.
+    used; a D with a form that is not ambiguous gets the doubled tables,
+    each consulting the forms again, then the bounded scan at bound.
 
     At bound max(200000, 50 D) each of the 773 D < 2000 with a
     counterexample has its multiple below 9.7 D (D = 298: (169, 2873, 17)),

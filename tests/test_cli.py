@@ -586,9 +586,25 @@ class ClosedPipe(io.StringIO):
     (["quad", "norms", "--d", "-5", "--bound", "30"], 0),
     (["quad", "division-closure", "--d", "-17", "--bound", "50", "--format", "json"], 1),
 ])
+@pytest.mark.filterwarnings("error")  # an unclosed devnull fails the test
 def test_closed_stdout_keeps_the_verdict_exit_code(monkeypatch, argv, expected):
     monkeypatch.setattr(sys, "stdout", ClosedPipe())
     assert main(argv) == expected
+
+
+@pytest.mark.filterwarnings("error")
+def test_closed_pipe_on_a_descriptor_leaves_no_descriptor_open(monkeypatch):
+    # the lowest free descriptor, reused by the next open unless main leaks one
+    probe = os.open(os.devnull, os.O_RDONLY)
+    os.close(probe)
+    read, write = os.pipe()
+    os.close(read)
+    with open(write, "w") as stdout:
+        monkeypatch.setattr(sys, "stdout", stdout)
+        assert main(["quad", "norms", "--d", "-5", "--bound", "30"]) == 0
+    after = os.open(os.devnull, os.O_RDONLY)
+    os.close(after)
+    assert after == probe
 
 
 def test_closed_pipe_gives_no_traceback():

@@ -29,6 +29,7 @@ from latlift import (
 )
 from latlift import lifting
 from latlift.bitset import bits, mask_from
+from latlift.cli import main
 from latlift.lifting import _certify_isomorphism, verify_m_witness
 
 from conftest import FIXTURES, down_set_lattice, ideal_lattice_of_zn, liftability_facts, non_lattices, product_lattice
@@ -242,6 +243,41 @@ def test_certificate_rejects_maps_with_two_entries_swapped(l6, chain3):
                 swapped[i], swapped[j] = g[j], g[i]
                 with pytest.raises(TheoremViolation):
                     _certify_isomorphism(lat, il, f, tuple(swapped))
+
+
+def test_certificate_rejects_f_o_g_off_the_identity(chain3, two):
+    # f and g are inverse on the two ideals of two's lift, but f o g sends
+    # chain3's middle element x to 0
+    il = lift(two, two.full).ideal_lattice
+    with pytest.raises(TheoremViolation, match="f o g is not the identity on the lattice"):
+        _certify_isomorphism(chain3, il, (0, 2), (0, 0, 1))
+
+
+def test_certificate_rejects_a_product_automorphism_that_breaks_the_order():
+    # the chain 0 < a < b < 1 on which every product of two non-top elements
+    # is 0: swapping a and b keeps the product but not the order
+    chain4 = FiniteLattice(("0", "a", "b", "1"), (0b1111, 0b1110, 0b1100, 0b1000),
+                           tuple(tuple(y if x == 3 else x if y == 3 else 0 for y in range(4))
+                                 for x in range(4)), 0, 3)
+    assert verify_lattice(chain4).passed
+    res = lift(chain4, chain4.full)
+    swap = (0, 2, 1, 3)
+    f = tuple(swap[y] for y in res.iso_f)
+    g = tuple(res.iso_g[swap[y]] for y in range(4))
+    with pytest.raises(TheoremViolation, match="f does not preserve and reflect the order"):
+        _certify_isomorphism(chain4, res.ideal_lattice, f, g)
+
+
+def test_lift_reraises_a_failed_certificate_on_a_multiplicative_lattice(l6, monkeypatch, capsys):
+    def fail(lat, il, f, g):
+        raise TheoremViolation("f is not multiplicative")
+    monkeypatch.setattr(lifting, "_certify_isomorphism", fail)
+    with pytest.raises(TheoremViolation, match="f is not multiplicative"):
+        lift(l6, l6.full)
+    assert main(["lift", str(FIXTURES / "l6.json"), "--all-wires"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "oracle violation: f is not multiplicative\n"
 
 
 def test_equivalence_l6(l6):

@@ -10,6 +10,7 @@ from latlift import (
     TheoremViolation,
     Verdict,
     build_ideal_lattice,
+    enumerate_lattice_classes,
     enumerate_small_lattices,
     enumerate_wires,
     lift,
@@ -37,6 +38,25 @@ def test_lattice_and_monoid_share_the_shape_check(names, mul, one, message):
         FiniteLattice(names, (0b11, 0b10), mul, 0, one)
 
 
+CHAIN17 = FiniteMonoid(tuple(map(str, range(17))),
+                       tuple(tuple(min(i, j) for j in range(17)) for i in range(17)), 16, 0)
+
+
+@pytest.mark.parametrize("error, build, message", [
+    (LoadError, lambda: FiniteLattice((), (), (), 0, 0), "carrier size 0 outside 1..64"),
+    (LoadError, lambda: FiniteLattice(("0", "1"), (0b11,), ((0, 0), (0, 1)), 0, 1),
+     "order table dimensions do not match the carrier"),
+    (LoadError, lambda: FiniteLattice(("0", "1"), (0b111, 0b10), ((0, 0), (0, 1)), 0, 1),
+     "order mask references an unknown element"),
+    (LoadError, lambda: FiniteMonoid((), (), 0, 0), "monoid carrier is empty"),
+    (ValueError, lambda: ClosureMap(CHAIN17, ()), "carrier size 17 exceeds powerset cap 16"),
+    (ValueError, lambda: next(enumerate_lattice_classes(7)), "enumeration is capped at 6 elements"),
+])
+def test_constructors_reject_carriers_outside_their_caps(error, build, message):
+    with pytest.raises(error, match=message):
+        build()
+
+
 def test_subset_product(m3):
     x_and_one = mask_from((1, 2))
     assert subset_product(m3, x_and_one, x_and_one) == mask_from((1, 2))
@@ -61,10 +81,8 @@ def test_subset_product_agrees_with_pairwise_definition(m3):
 
 def test_subset_product_above_the_powerset_cap_raises():
     # the 17-element chain under min has no element maps, and so no product
-    chain = FiniteMonoid(tuple(map(str, range(17))),
-                         tuple(tuple(min(i, j) for j in range(17)) for i in range(17)), 16, 0)
     with pytest.raises(ValueError, match="exceeds powerset cap 16"):
-        subset_product(chain, 1, 1)
+        subset_product(CHAIN17, 1, 1)
 
 
 def test_multiples_closure_is_weak_system(m3):

@@ -461,6 +461,23 @@ def test_division_closure_of_a_closed_image_builds_no_large_table(monkeypatch):
             assert max(sizes) <= natquad._PREFIX_FACTOR * D, (D, bound, sizes)
 
 
+def test_division_closure_consults_the_exact_step_only_without_a_prefix_hit(monkeypatch):
+    # every D < 2000 builds the one table of 16 D values; the open D are
+    # answered by n1 there, and only the closed D walk their reduced forms
+    sizes, decided = [], []
+    build, exact = natquad._norm_table, natquad._all_ambiguous
+    monkeypatch.setattr(natquad, "_norm_table", lambda d, bound: sizes.append(bound) or build(d, bound))
+    monkeypatch.setattr(natquad, "_all_ambiguous", lambda D: decided.append(D) or exact(D))
+    for D in ADMISSIBLE_BELOW_2000:
+        sizes.clear()
+        decided.clear()
+        report = division_closure_check(QuadOrder(-D), max(200_000, 50 * D))
+        assert report.closed == (D in CLOSED), D
+        assert sizes == [natquad._PREFIX_FACTOR * D], (D, sizes)
+        assert decided == ([D] if report.closed else []), (D, decided)
+    assert len(ADMISSIBLE_BELOW_2000) - len(CLOSED) == 773
+
+
 # ----- reduced forms and the exact closed verdict ----------------------
 
 
@@ -493,17 +510,14 @@ def test_all_ambiguous_exactly_at_the_idoneal_numbers():
 
 
 def test_exact_closed_verdict_is_cross_checked(monkeypatch, capsys):
-    # a mutant exact step that calls D = 17 closed; up to 16 * 17 there is no
-    # prefix stage, and the cross-check finds (9, 18, 2)
+    # a mutant exact step that calls D = 17 closed; 200 is below 16 * 17, so
+    # n1 is not tested, the mutant is consulted, and the cross-check finds
+    # (9, 18, 2)
+    assert _bounded_pair(-17, _norm_table(-17, 200)) == (9, 2)
     monkeypatch.setattr(natquad, "_all_ambiguous", lambda D: True)
-    with pytest.raises(TheoremViolation):
+    with pytest.raises(TheoremViolation, match="scan up to 200 refutes the exact closed verdict"):
         division_closure_check(QuadOrder(-17), 200)
-    # above it the prefix answers D = 17 before the exact step, so the
-    # mutant misses the prefix as well
-    monkeypatch.setattr(natquad, "_prefix_pair", lambda d, first: None)
-    with pytest.raises(TheoremViolation):
-        division_closure_check(QuadOrder(-17), 10_000)
-    assert main(["quad", "verdict", "--d", "-17", "--bound", "10000"]) == 3
+    assert main(["quad", "verdict", "--d", "-17", "--bound", "200"]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("oracle violation: ") and captured.err.count("\n") == 1
@@ -542,6 +556,17 @@ def test_s_wire_grown_table_matches_full_table(D, prime_bound, search_bound, fir
         else:
             pair = _gcd_pair(v.p, table)
             assert (v.kind, v.pair) == (("unresolved", None) if pair is None else ("gcd_generated", pair))
+
+
+def test_s_wire_check_reverifies_norm_witnesses(monkeypatch, capsys):
+    # the representation (0, 1), of norm 5, for every prime: p = 2 fails it
+    monkeypatch.setattr(natquad, "norm_witness", lambda q, n: (0, 1))
+    with pytest.raises(TheoremViolation, match="norm witness failed re-verification"):
+        s_wire_check(QuadOrder(-5), 10, 100)
+    assert main(["quad", "s-wire", "--d", "-5", "--prime-bound", "10"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "oracle violation: norm witness failed re-verification\n"
 
 
 # ----- the verdicts of the benchmark's quad workload -------------------
