@@ -122,28 +122,15 @@ def is_norm(q: QuadOrder, n: int) -> bool:
 
 
 def _norm_table(d: int, bound: int) -> bytes:
-    """Byte v (0 <= v <= bound) is 1 iff v > 0 and v = a^2 + |d| b^2.
-
-    Each row b marks |d| b^2 + a^2 for the precomputed squares a^2 that fit,
-    the odd a only when b is even.  With D = |d| = 1 or 2 (mod 4), a^2 is 0
-    or 1 and D b^2 is 0 or D (mod 4), so a^2 + D b^2 = 0 (mod 4) only for a
-    and b both even: the rows mark exactly the norms that are not multiples
-    of 4, and 4k is a norm iff k is.  The multiples of 4 are then copied
-    level by level, table[4 lo:4 hi:4] = table[lo:hi] over [4^j, 4^(j+1)),
-    each level's sources being final before it is copied.
-    """
+    """Byte v (0 <= v <= bound) is 1 iff v > 0 and v = a^2 + |d| b^2: each
+    row b marks |d| b^2 + a^2 for the precomputed squares a^2 that fit."""
     table = bytearray(bound + 1)
     squares = [a * a for a in range(isqrt(bound) + 1)]
     for b in range(isqrt(bound // -d) + 1):
         base = -d * b * b
-        fit = isqrt(bound - base) + 1
-        for square in squares[:fit] if b % 2 else squares[1:fit:2]:
+        for square in squares[:isqrt(bound - base) + 1]:
             table[base + square] = 1
-    lo = 1
-    while 4 * lo <= bound:
-        hi = min(4 * lo, bound // 4 + 1)
-        table[4 * lo:4 * hi:4] = table[lo:hi]
-        lo *= 4
+    table[0] = 0
     return bytes(table)
 
 
@@ -357,11 +344,11 @@ def division_closure_check(q: QuadOrder, bound: int) -> DivisionClosureReport:
     Any split in [1, bound // 2] gives the same counterexample: a pair with
     n > split has k <= bound // (split + 1).  Norms are sparse among small n
     and non-norms dense among small k, so the split sits above sqrt(bound).
-    Over the benchmark's 120 D at bound max(200000, 50 D), on prebuilt
-    tables, the scan took 0.045, 0.043, 0.043, 0.048 and 0.062 s for
-    split = c isqrt(bound), c = 1, 2, 4, 8, 16, and over its 28 closed D,
-    where no divisor hits, 0.064, 0.057, 0.054, 0.054 and 0.059 s (best of
-    11; Python 3.11.7, 2 cores).
+    On the benchmark the scan runs only as the cross-check of the 28
+    idoneal D < 300, on their prefix tables of 16 D values, where no
+    divisor hits: a pass over the 28 took 0.46, 0.38, 0.44, 0.59 and 0.90 ms
+    for split = c isqrt(bound), c = 1, 2, 4, 8, 16, and 1.10 ms for one scan
+    to bound // 2 (medians of 31; Python 3.11.7, 2 cores).
 
     Only norm-free divisors can be least.  Norms are closed under
     multiplication.  Let (n, k) be a counterexample, n = a w, a >= 2 a norm,

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from itertools import combinations_with_replacement
 
 import pytest
@@ -280,6 +281,14 @@ def test_lift_reraises_a_failed_certificate_on_a_multiplicative_lattice(l6, monk
     assert captured.err == "oracle violation: f is not multiplicative\n"
 
 
+def test_lift_rejects_a_cut_outside_the_ideal_lattice(l6, monkeypatch):
+    # an ideal lattice that misses its largest ideal, H itself, is planted
+    build = lifting.build_ideal_lattice
+    monkeypatch.setattr(lifting, "build_ideal_lattice", lambda r: replace(il := build(r), ideals=il.ideals[:-1]))
+    with pytest.raises(TheoremViolation, match=r"^H intersect \[0,1\] is not an r-ideal$"):
+        lift(l6, l6.full)
+
+
 def test_equivalence_l6(l6):
     assert check_m_wire_ideal_equivalence(LatticeWork(l6)) == ()
     rep = sweep_lattice(l6)
@@ -356,6 +365,29 @@ def test_liftability_two_nonvacuous(two):
     assert rep.m_wire_exists
     assert rep.domain and rep.p_generates
     assert rep.principal == ("0", "1")
+
+
+def test_liftability_reports_meet_principal_elements_that_do_not_generate(chain3):
+    # chain3's full carrier is an M-wire; flags with no meet principal
+    # element are planted
+    work = LatticeWork(chain3)
+    work.__dict__["flags"] = tuple(replace(flags, meet_principal=False) for flags in work.flags)
+    assert check_liftability(work) == ("an M-wire exists but the meet principal elements do not generate",)
+
+
+def test_liftability_reports_a_principal_element_wire_that_fails(two):
+    # two is a domain generated by its principal elements 0 and 1, whose
+    # wire is the full carrier, an M-wire lifting to an ideal system; each
+    # case plants the sweep's wires or lift so that one step fails
+    work = LatticeWork(two)
+    work.__dict__["wires"] = ()
+    assert check_liftability(work) == ("principal elements are not closed under multiplication",)
+    work = LatticeWork(two)
+    work.__dict__["wires"] = tuple(replace(report, is_m_wire=False) for report in work.wires)
+    assert check_liftability(work) == ("the principal-element wire is not an M-wire",)
+    work = LatticeWork(two)
+    work._lifts[two.full] = replace(work.lift(two.full), ideal_system=False)
+    assert check_liftability(work) == ("the principal-element wire lifts to a weak but not an ideal system",)
 
 
 def test_nilpotent_singleton_is_principal_but_no_domain(chain3_nil):

@@ -236,12 +236,34 @@ def test_finitary_matches_the_recurrence_on_lifted_wires():
 
 def test_build_rejects_broken_meet_closure(m3):
     # hand-built map whose image is not intersection-closed: closed sets
-    # {x}, {1} but not {}; it cannot be a weak system, staged error fires
+    # {0}, {x} but not {}; the map is not a weak ideal system, so a passing
+    # verdict is planted to reach the check
     size = 1 << m3.n
     table = list(range(size))
     table[0] = 1 << 1
     r = ClosureMap(m3, tuple(table))
-    with pytest.raises((ValueError, TheoremViolation)):
+    r.__dict__["weak_verdict"] = Verdict(True)
+    with pytest.raises(TheoremViolation,
+                       match=r"^intersection of r-ideals escaped the image: \('0',\) and \('x',\)$"):
+        build_ideal_lattice(r)
+
+
+def test_build_rejects_an_image_without_h(m3):
+    # every subset goes to {}, with a passing verdict planted
+    r = ClosureMap(m3, (0,) * (1 << m3.n))
+    r.__dict__["weak_verdict"] = Verdict(True)
+    with pytest.raises(TheoremViolation, match=r"^r\(H\) must be H for an extensive map$"):
+        build_ideal_lattice(r)
+
+
+def test_build_rejects_ideals_that_are_not_a_multiplicative_lattice(m3):
+    # the image {}, {0}, H is a chain, but r({0}) = {}, so the product of H
+    # and {0} closes to {} and H is no unit; a passing verdict is planted
+    # to reach the check
+    r = ClosureMap(m3, (0, 0, 0, 0, 0, 0, 1, 7))
+    r.__dict__["weak_verdict"] = Verdict(True)
+    with pytest.raises(TheoremViolation, match="^r-ideals do not form a multiplicative lattice: "
+                                               "Violation\\(law='identity'"):
         build_ideal_lattice(r)
 
 
@@ -252,4 +274,22 @@ def test_build_rejects_a_join_that_differs_from_closing_the_union(m3):
     r = ClosureMap(m3, (0, 0, 0, 2, 7, 2, 7, 7))
     r.__dict__["weak_verdict"] = Verdict(True)
     with pytest.raises(TheoremViolation, match="^join of ideals differs from closing the union$"):
+        build_ideal_lattice(r)
+
+
+@pytest.mark.parametrize("table, message", [
+    # r({x}) = {x} but r({1}) = {}: the principal closures of x and 1
+    # multiply to {}, while x 1 = x
+    ((0, 0, 2, 2, 0, 0, 0, 7), "principal closures are not closed under products"),
+    # every proper subset goes to {}, so no principal closure reaches H
+    ((0, 0, 0, 0, 0, 0, 0, 7), "principal closures fail to generate the ideal lattice"),
+])
+def test_build_rejects_principal_closures_that_break_the_ideal_lattice(m3, table, message):
+    # on a weak ideal system the principal closures generate, by
+    # extensivity and (s2), and multiply as the elements do, by (P) and (U);
+    # so an empty law walk is planted, passing the weak verdict and the
+    # product interchange together
+    r = ClosureMap(m3, table)
+    r.__dict__["laws"] = {}
+    with pytest.raises(TheoremViolation, match=f"^{message}$"):
         build_ideal_lattice(r)
