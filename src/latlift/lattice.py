@@ -120,27 +120,21 @@ class FiniteLattice(_Carrier):
 
     @cached_property
     def _tables(self) -> tuple:
-        """(binary join table, binary meet table, least, greatest): the one
-        lattice gate.  Joins, meets, residuals, principality flags and the
-        lift all read these tables; a carrier that is not a lattice raises
-        ValueError here.
-
-        In a finite lattice the join of a subset is the fold of binary joins
-        from the least element, and dually for meets.
+        """(binary join table, binary meet table): the one lattice gate.
+        Joins, meets, residuals, principality flags and the lift all read
+        these tables, folding joins from bot and meets from top; a carrier
+        that fails an order law of :func:`verify_lattice`, with bot and top
+        as declared, raises ValueError here.
         """
-        n, up = self.n, self.up
-        join2, meet2 = self._pair_bounds
-        # not reflexive, not transitive or not antisymmetric, or some pair
-        # without a least upper or a greatest lower bound
-        if (any(not up[i] >> i & 1 for i in range(n))
-                or any(up[j] & ~up[i] or (j != i and up[j] >> i & 1) for i in range(n) for j in bits(up[i]))
-                or any(None in row for row in join2 + meet2)):
+        record = _Recorder()
+        _order_laws(self, record)
+        if record:
             raise ValueError("carrier is not a lattice")
-        return join2, meet2, _extreme(up, self.full), _extreme(self.downs, self.full)
+        return self._pair_bounds
 
     def join_of(self, mask: int) -> int:
         """Least upper bound of a subset; the empty join is bot."""
-        join2, _, acc, _ = self._tables
+        join2, acc = self._tables[0], self.bot
         while mask:
             low = mask & -mask
             acc = join2[acc][low.bit_length() - 1]
@@ -149,7 +143,7 @@ class FiniteLattice(_Carrier):
 
     def meet_of(self, mask: int) -> int:
         """Greatest lower bound of a subset; the empty meet is top."""
-        _, meet2, _, acc = self._tables
+        meet2, acc = self._tables[1], self.top
         while mask:
             low = mask & -mask
             acc = meet2[acc][low.bit_length() - 1]
@@ -234,7 +228,7 @@ def classify_element(lat: FiniteLattice, x: int) -> ElementFlags:
     ValueError.
     """
     n, mul = lat.n, lat.mul
-    join2, meet2 = lat._tables[:2]
+    join2, meet2 = lat._tables
     res_x = _residuals(lat, x)
     mul_x, every = mul[x], range(n)
     wmp = all(meet2[a][x] == mul_x[res_x[a]] for a in every)
@@ -246,10 +240,10 @@ def classify_element(lat: FiniteLattice, x: int) -> ElementFlags:
 
 def _residuals(lat: FiniteLattice, x: int) -> list[int]:
     """(a : x) for every a, read from the lower sets and the row of x."""
-    join2, _, least, _ = lat._tables
+    join2 = lat._tables[0]
     column, mul_x = [], lat.mul[x]
     for below in lat.downs:
-        acc = least
+        acc = lat.bot
         for y, xy in enumerate(mul_x):
             if below >> xy & 1:
                 acc = join2[acc][y]
@@ -266,15 +260,9 @@ def is_domain(lat: FiniteLattice) -> bool:
     return True
 
 
-def verify_lattice(lat: FiniteLattice) -> Verdict:
-    """Check every multiplicative-lattice axiom on the carrier.
-
-    Reports at most one witness per law.  Distributivity is checked in its
-    binary form together with annihilation by bot, which on a finite
-    carrier is equivalent to distributivity over arbitrary joins.
-    """
-    n, names, mul, up = lat.n, lat.names, lat.mul, lat.up
-    record = _Recorder()
+def _order_laws(lat: FiniteLattice, record) -> None:
+    """Record the order laws of :func:`verify_lattice`, bot and top as declared."""
+    n, names, up = lat.n, lat.names, lat.up
     for i in range(n):
         if not up[i] >> i & 1:
             record("reflexivity", (names[i],))
@@ -302,6 +290,18 @@ def verify_lattice(lat: FiniteLattice) -> Verdict:
             if meet2[i][j] is None:
                 record("meet-existence", (names[i], names[j]), "pair has no greatest lower bound")
 
+
+def verify_lattice(lat: FiniteLattice) -> Verdict:
+    """Check every multiplicative-lattice axiom on the carrier.
+
+    Reports at most one witness per law.  Distributivity is checked in its
+    binary form together with annihilation by bot, which on a finite
+    carrier is equivalent to distributivity over arbitrary joins.
+    """
+    n, names, mul = lat.n, lat.names, lat.mul
+    record = _Recorder()
+    _order_laws(lat, record)
+    join2 = lat._pair_bounds[0]
     for i in range(n):
         if mul[lat.top][i] != i:
             record("identity", (names[i],), "top must be the multiplicative identity")

@@ -30,6 +30,7 @@ from .monoid import (
     build_ideal_lattice,
     verify_finitary,
     verify_ideal_system,
+    verify_weak_ideal_system,
 )
 from .verdicts import TheoremViolation
 
@@ -185,7 +186,7 @@ def lift(lat: FiniteLattice, subset: int) -> LiftResult:
     read off the two tables the closure is built from: f(X) = joins[X] and
     g(y) = cut[y].
     """
-    join2, _, least, _ = lat._tables  # raises ValueError on a non-lattice
+    join2 = lat._tables[0]  # raises ValueError on a non-lattice
     if missing := [name for name, ok in _wire_conditions(lat, subset) if not ok]:
         raise WireError(
             f"subset {{{','.join(lat.subset_names(subset))}}} is not a wire: " + "; ".join(missing))
@@ -200,14 +201,14 @@ def lift(lat: FiniteLattice, subset: int) -> LiftResult:
     cut = [mask_from(pos[e] for e in bits(down & subset)) for down in lat.downs]
     # joins[X] = join(X), built by doubling over the binary join table:
     # the subsets holding member i are those without it plus {i}
-    joins = [least]
+    joins = [lat.bot]
     for e in elems:
         column = join2[e]
         joins += [column[j] for j in joins]
     system = ClosureMap(monoid, tuple(map(cut.__getitem__, joins)))
 
     try:
-        weak = system.weak_verdict
+        weak = verify_weak_ideal_system(system)
         if not weak.passed:
             raise TheoremViolation(f"lifted closure map failed {weak.laws}")
         il = build_ideal_lattice(system)

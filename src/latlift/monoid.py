@@ -24,11 +24,14 @@ from functools import cached_property
 
 from .bitset import bits, mask_from
 from .lattice import FiniteLattice, _Carrier, verify_lattice
-from .verdicts import LoadError, TheoremViolation, Verdict, Violation
+from .verdicts import LoadError, TheoremViolation, Verdict, Violation, _Recorder
 
 # Closure maps are stored extensionally (one entry per subset), so the
 # axiom checks are loops over 2^m table slots.
 POWERSET_CAP = 16
+
+# The laws of ClosureMap.laws that a weak ideal system need not satisfy.
+_BEYOND_WEAK = ("s4-equality", "P", "U")
 
 
 @dataclass(frozen=True)
@@ -96,18 +99,9 @@ class ClosureMap:
         return tuple(sorted(set(self.table)))
 
     @cached_property
-    def weak_verdict(self) -> Verdict:
-        """:func:`verify_weak_ideal_system` of this map, run on first use.
-
-        The map is immutable, so the verdict travels with it: the checks
-        that require a weak ideal system read it here instead of running
-        the full scan again.
-        """
-        return verify_weak_ideal_system(self)
-
-    @cached_property
     def laws(self) -> dict[str, Violation]:
-        """:func:`_scan_laws` of this map, run on first use (read only)."""
+        """:func:`_scan_laws` of this map, run on first use (read only): the
+        map's one cache, which every verifier below reads."""
         return _scan_laws(self)
 
 
@@ -125,21 +119,21 @@ def _scan_laws(r: ClosureMap) -> dict[str, Violation]:
     come first, in first-failure order, then s4, s4-equality, P and U.
     """
     mon, table = r.monoid, r.table
-    m, multiples, found = mon.n, _multiples(mon), {}
+    m, multiples, record, sn = mon.n, _multiples(mon), _Recorder(), mon.subset_names
     rows = [(e, 1 << e, cmap) for e, cmap in enumerate(mon.element_maps)]
     s4 = equality = p = u = m  # each pair law's least failing e, or m
     s4x = equality_x = px = ux = 0
     for x, tx in enumerate(table):
         if x & ~tx:
-            found.setdefault("extensivity", ((x,), "X is not contained in r(X)"))
+            record("extensivity", (sn(x),), "X is not contained in r(X)")
         if multiples[x] & ~tx:
-            found.setdefault("s1", ((x,), "X*H is not contained in r(X)"))
+            record("s1", (sn(x),), "X*H is not contained in r(X)")
         if table[tx] != tx:
-            found.setdefault("s3", ((x,), "r is not idempotent"))
+            record("s3", (sn(x),), "r is not idempotent")
         for e, bit, cmap in rows:
             rxe = table[x | bit]
             if tx & ~rxe:  # never when e is in X
-                found.setdefault("s2", ((x, x | bit), "r is not monotone"))
+                record("s2", (sn(x), sn(x | bit)), "r is not monotone")
             if table[tx | bit] != rxe and e < u:
                 u, ux = e, x
             a, b = cmap[tx], table[cmap[x]]
@@ -150,20 +144,17 @@ def _scan_laws(r: ClosureMap) -> dict[str, Violation]:
                     s4, s4x = e, x
             if table[a] != b and e < p:
                 p, px = e, x
-    sn = mon.subset_names
-    laws = {law: Violation(law, tuple(map(sn, xs)), detail) for law, (xs, detail) in found.items()}
     for law, e, x, detail in (("s4", s4, s4x, "c*r(X) is not contained in r(c*X)"),
                               ("s4-equality", equality, equality_x, "c*r(X) != r(c*X)"),
                               ("P", p, px, "r(Xc) != r(r(X)c)"), ("U", u, ux, "r(X|{b}) != r(r(X)|{b})")):
         if e < m:
-            laws[law] = Violation(law, (mon.names[e], sn(x)), detail)
-    return laws
+            record(law, (mon.names[e], sn(x)), detail)
+    return record
 
 
 def _require_weak(r: ClosureMap) -> None:
-    verdict = r.weak_verdict
-    if not verdict.passed:
-        raise ValueError("not a weak ideal system: " + ", ".join(verdict.laws))
+    if failed := [law for law in r.laws if law not in _BEYOND_WEAK]:
+        raise ValueError("not a weak ideal system: " + ", ".join(failed))
 
 
 def _multiples(mon: FiniteMonoid) -> tuple[int, ...]:
@@ -184,7 +175,7 @@ def verify_weak_ideal_system(r: ClosureMap) -> Verdict:
     table.  X within r(X) follows from (s1) since the identity is in H; it
     is still asserted separately so a broken table names the cheapest law.
     """
-    violations = tuple(v for law, v in r.laws.items() if law not in ("s4-equality", "P", "U"))
+    violations = tuple(v for law, v in r.laws.items() if law not in _BEYOND_WEAK)
     return Verdict(not violations, violations)
 
 
@@ -253,16 +244,7 @@ def build_ideal_lattice(r: ClosureMap) -> IdealLattice:
                     f"{mon.subset_names(ideals[i])} and {mon.subset_names(ideals[j])}")
 
     up = [mask_from(j for j, vj in enumerate(ideals) if vi & ~vj == 0) for vi in ideals]
-    # the product vi*vj is the union of the element maps c*vj over c in vi
-    maps, mul_rows = mon.element_maps, []
-    for vi in ideals:
-        columns, row = [maps[c] for c in bits(vi)], []
-        for vj in ideals:
-            product = 0
-            for cmap in columns:
-                product |= cmap[vj]
-            row.append(pos[table[product]])
-        mul_rows.append(tuple(row))
+    mul_rows = [tuple(pos[table[subset_product(mon, vi, vj)]] for vj in ideals) for vi in ideals]
     names = tuple("{" + ",".join(mon.subset_names(v)) + "}" for v in ideals)
     lat = FiniteLattice(names, tuple(up), tuple(mul_rows), pos[table[0]], pos[full])
 
@@ -270,7 +252,7 @@ def build_ideal_lattice(r: ClosureMap) -> IdealLattice:
     if not verdict.passed:
         raise TheoremViolation(
             f"r-ideals do not form a multiplicative lattice: {verdict.violations[0]}")
-    join2 = lat._tables[0]  # lat has just passed verify_lattice, so the gate lets it through
+    join2 = lat._pair_bounds[0]  # lat has just passed verify_lattice, so these are its joins
     for i in range(k):
         for j in range(i, k):
             if join2[i][j] != pos[table[ideals[i] | ideals[j]]]:

@@ -513,8 +513,10 @@ def s_wire_check(q: QuadOrder, prime_bound: int, search_bound: int) -> SGenRepor
     infinitely many primes).  P Q1 and P Q2 are then principal, so p q1 and
     p q2 are norm values, and their gcd is p.
     """
-    if prime_bound < 2 or search_bound < 1:
-        raise ValueError("bounds must be positive")
+    if prime_bound < 2:
+        raise ValueError("prime bound must be at least 2")
+    if search_bound < 1:
+        raise ValueError("search bound must be positive")
     reach = min(search_bound, _FIRST_REACH)
     table = _norm_table(q.d, reach)
     verdicts = []

@@ -61,18 +61,21 @@ def multiples_closure(mon):
 
 
 def non_lattices():
-    """Three carriers that are not lattices, for the tests of the lattice gate.
+    """Four carriers that are not lattices, for the tests of the lattice gate.
 
     loop: a and 1 lie below each other, so the order is not antisymmetric
     although every bound search finds an answer; vee: a and b have a meet
-    but no join; wedge: every join exists, but a and b have no meet."""
+    but no join; wedge: every join exists, but a and b have no meet;
+    misdeclared: the chain 0 < 1 with top declared as 0, so the declared
+    top is not the greatest element although the order is a lattice."""
     loop = FiniteLattice(("0", "a", "1"), (0b001, 0b111, 0b111),
                          ((2, 0, 2), (0, 1, 1), (2, 0, 1)), 0, 2)
     vee = FiniteLattice(("0", "a", "b"), (0b111, 0b010, 0b100),
                         ((0, 0, 0), (0, 1, 0), (0, 0, 2)), 0, 1)
     wedge = FiniteLattice(("a", "b", "1"), (0b101, 0b110, 0b100),
                           ((0, 0, 0), (0, 1, 1), (0, 1, 2)), 0, 2)
-    return loop, vee, wedge
+    misdeclared = FiniteLattice(("0", "1"), (0b11, 0b10), ((0, 0), (0, 1)), 0, 0)
+    return loop, vee, wedge, misdeclared
 
 
 def canonical_form(lat):

@@ -224,15 +224,18 @@ def test_corpus_lifts_each_wire_once(capsys, monkeypatch):
     representative_wires = sum(len(list(latlift.enumerate_wires(lat)))
                                for n in range(1, 5) for lat, _ in latlift.enumerate_lattice_classes(n))
     assert representative_wires == 11
-    lifts, weak = [], []
+    lifts, weak, scans = [], [], []
     _count_calls(monkeypatch, lifting, "lift", lifts)
     _count_calls(monkeypatch, monoid, "verify_weak_ideal_system", weak)
+    _count_calls(monkeypatch, monoid, "_scan_laws", scans)
     code, report = run_json(capsys, "corpus", "--max-n", "4")
     assert code == 0
     assert report["results"]["wires"] == 17
     assert len(lifts) == len(set(lifts)) == representative_wires
     tables = {(r.monoid, r.table) for (r,) in weak}
     assert len(weak) == len(tables) == representative_wires
+    # ClosureMap.laws is each map's one cache: one law walk per wire
+    assert len(scans) == len({(r.monoid, r.table) for (r,) in scans}) == representative_wires
 
 
 def test_corpus_checks_each_lift_for_an_ideal_system_once(capsys, monkeypatch):
@@ -638,12 +641,18 @@ def test_quad_huge_d_is_usage_error_before_the_squarefree_test(capsys, check):
     ["verdict", "--d", "-17", "--bound", "3"],
     ["norms", "--d", "-5", "--bound", "0"],
     ["s-wire", "--d", "-5", "--prime-bound", "1"],
+    ["s-wire", "--d", "-5", "--search-bound", "0"],
 ])
 def test_quad_bad_bound_is_usage_error(capsys, argv):
     assert main(["quad", *argv]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    # each s-wire bound is named in its own message
+    s_wire_messages = {"--prime-bound": "error: prime bound must be at least 2\n",
+                       "--search-bound": "error: search bound must be positive\n"}
+    if argv[0] == "s-wire":
+        assert captured.err == s_wire_messages[argv[-2]]
 
 
 def test_usage_error_exit_code():

@@ -172,7 +172,7 @@ def product_interchange_by_loops(r):
 def assert_law_scan_matches_the_loops(r):
     # whole verdicts: laws, witnesses, details and their order
     assert verify_weak_ideal_system(r) == weak_verdict_by_loops(r)
-    if r.weak_verdict.passed:
+    if verify_weak_ideal_system(r).passed:
         assert verify_ideal_system(r) == equality_by_loop(r)
     else:
         with pytest.raises(ValueError, match="^not a weak ideal system: "):

@@ -81,6 +81,22 @@ def test_join_of_on_a_non_lattice_keeps_the_definitional_errors():
                 operation()
 
 
+def test_a_misdeclared_bound_is_not_a_lattice():
+    # every labelled lattice with n <= 5, declared with every (bot, top)
+    # but its own: the order is a lattice, but the declared bot is not its
+    # least element or the declared top not its greatest, so nothing may
+    # answer from the order's own bounds, and no lift may certify
+    carriers = [FiniteLattice(lat.names, lat.up, lat.mul, bot, top)
+                for n in range(1, 6) for lat in enumerate_small_lattices(n)
+                for bot in range(n) for top in range(n) if (bot, top) != (lat.bot, lat.top)]
+    assert len(carriers) == 3742
+    for carrier in carriers:
+        for operation in (lambda: lift(carrier, carrier.full), lambda: classify_element(carrier, 0),
+                          lambda: carrier.join_of(0)):
+            with pytest.raises(ValueError, match="^carrier is not a lattice$"):
+                operation()
+
+
 def test_join_is_associative_over_unions(l6):
     for s in range(1 << l6.n):
         for t in range(1 << l6.n):

@@ -1,8 +1,9 @@
 """The shared verifier code against the per-verifier loops it replaced.
 
 ``verify_lattice`` runs its laws through one violation recorder and one
-bound search; the loader and the enumerator share one transitive-closure
-pass.  The reference functions below are the separate loops the verifier
+bound search; the lattice gate ``FiniteLattice._tables`` runs its order
+laws, with the declared bot and top; the loader and the enumerator share
+one transitive-closure pass.  The reference functions below are the separate loops the verifier
 used to run, kept here as the definition the shared code must reproduce:
 same verdict, same violations in the same order, same witnesses and
 details, on random carriers that need not be partial orders or lattices
@@ -141,6 +142,24 @@ def test_verify_lattice_matches_the_reference_loops(carrier):
     n, up, mul, bot, top = carrier
     lat = FiniteLattice(tuple(map(str, range(n))), up, mul, bot, top)
     assert verify_lattice(lat) == reference_verify_lattice(lat)
+
+
+ORDER_LAWS = ("reflexivity", "antisymmetry", "transitivity", "least-element", "greatest-element",
+              "join-existence", "meet-existence")
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(carriers(), lattice_like()))
+def test_lattice_gate_rejects_exactly_the_order_law_failures(carrier):
+    n, up, mul, bot, top = carrier
+    lat = FiniteLattice(tuple(map(str, range(n))), up, mul, bot, top)
+    order_fails = any(law in ORDER_LAWS for law in reference_verify_lattice(lat).laws)
+    try:
+        lat._tables
+    except ValueError as caught:
+        assert order_fails and str(caught) == "carrier is not a lattice"
+    else:
+        assert not order_fails
 
 
 @settings(max_examples=300, deadline=None)
