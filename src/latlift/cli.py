@@ -251,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built on the first call and shared after it:
     ``parse_args`` reads the parser without changing it and gives each call
     a fresh namespace, so ``main`` can run any number of times in one
-    process."""
+    process.  Its ``commands`` maps each subcommand name to its parser."""
     parser = _Parser(
         prog="latlift",
         description="verify finite multiplicative lattices, lift wires to weak ideal "
@@ -286,11 +286,24 @@ def build_parser() -> argparse.ArgumentParser:
     quad.add_argument("--bound", type=int, default=10000)
     quad.add_argument("--prime-bound", type=int, default=200)
     quad.add_argument("--search-bound", type=int, default=100000)
+    parser.commands = sub.choices
     return parser
 
 
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """``build_parser().parse_args(argv)`` in one pass when argv starts with
+    a subcommand: the top-level pass would only hand the rest to that
+    subcommand's parser, after classifying every string once more.  That
+    classification can fail on its own only at a string "--=...", which is
+    ambiguous between --help and --version, so such argv take the full pass."""
+    parser = build_parser()
+    if argv and argv[0] in parser.commands and not any(a.startswith("--=") for a in argv):
+        return parser.commands[argv[0]].parse_args(argv[1:], argparse.Namespace(command=argv[0]))
+    return parser.parse_args(argv)
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else argv)
     started = time.perf_counter()
     stats: dict = {}
     try:
@@ -312,7 +325,8 @@ def main(argv=None) -> int:
     }
     try:
         if args.format == "json":
-            print(json.dumps(report, indent=2, sort_keys=True))
+            # one line: with no indent, json takes its C encoder
+            print(json.dumps(report, sort_keys=True))
         else:
             print(_render_text(report))
         sys.stdout.flush()

@@ -299,9 +299,9 @@ def check_liftability(work: LatticeWork) -> tuple[str, ...]:
         system (certification failures raise);
     (b) if any M-wire exists, the meet principal elements generate;
     (c) a domain generated by its principal elements lifts to an ideal
-        system through the principal-element wire (bot is adjoined first
-        if the scan left it out, and submonoid-ness is verified rather
-        than assumed).
+        system through the principal-element wire (bot and top are always
+        principal, so the wire holds them, and submonoid-ness is verified
+        rather than assumed).
     Implication failures come back as findings.
     """
     lat = work.lattice
@@ -313,8 +313,9 @@ def check_liftability(work: LatticeWork) -> tuple[str, ...]:
     if any(report.is_m_wire for report in work.wires) and not _generates(lat, mp_mask):
         findings.append("an M-wire exists but the meet principal elements do not generate")
     if is_domain(lat) and _generates(lat, p_mask):
-        # h holds the bounds and every join-irreducible (p_mask generates): a wire iff closed
-        h = p_mask | (1 << lat.bot) | (1 << lat.top)
+        # p_mask holds the bounds: top's residuals are the identity, and every residual
+        # of bot is top, so both are principal; with every join-irreducible, a wire iff closed
+        h = p_mask
         report = next((report for report in work.wires if report.subset == h), None)
         if report is None:
             findings.append("principal elements are not closed under multiplication")

@@ -1,3 +1,4 @@
+import argparse
 import ast
 import dataclasses
 import importlib.util
@@ -616,8 +617,8 @@ def test_closed_pipe_gives_no_traceback():
         [sys.executable, "-m", "latlift.cli", "quad", "norms", "--d", "-5",
          "--bound", "200000", "--format", "json"],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, env={**os.environ, "PYTHONPATH": src})
-    assert proc.stdout.readline() == b"{\n"
-    proc.stdout.close()  # the report is far larger than a pipe buffer
+    assert proc.stdout.read(1) == b"{"
+    proc.stdout.close()  # the one-line report is far larger than a pipe buffer
     assert proc.wait(timeout=60) == 0
     assert proc.stderr.read() == b""
     proc.stderr.close()
@@ -659,6 +660,71 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])
     assert exc.value.code == 2
+
+
+PARSE_CASES = [
+    ["check-lattice", "l6.json"],
+    ["check-lattice", "l6.json", "--format", "json"],
+    ["lift", "l6.json", "--wire", "0,a,b,c,1"],
+    ["lift", "l6.json", "--w", "0,1"],
+    ["lift", "l6.json", "--all-wires", "--format=json"],
+    ["lift", "l6.json", "--m-wires-only"],
+    ["lift", "l6.json", "--wire", "0,1", "--all-wires"],
+    ["lift", "l6.json"],
+    ["corpus"],
+    ["corpus", "--max", "3", "--limit", "-1"],
+    ["corpus", "--max-n=5", "--format", "json", "--format", "text"],
+    ["corpus", "--max-n", "abc"],
+    ["quad", "verdict", "--d=-17"],
+    ["quad", "verdict", "--d", "-17", "--bo", "50", "--format", "json"],
+    ["quad", "s-wire", "--d", "-5", "--prime", "10", "--search-bound=-20"],
+    ["quad", "norms", "--d", "-5", "--d", "-6"],
+    ["quad", "--d", "-5", "--", "verdict"],
+    ["quad", "verdict", "--", "--d", "-5"],
+    ["quad", "verdict", "--d", "-5", "extra"],
+    ["quad", "verdict", "--d", "-5", "--version"],
+    ["quad", "verdict", "--d", "-5", "-h"],
+    ["lift", "--help"],
+    ["quad", "verdict"],
+    ["quad", "verdict", "--d"],
+    ["quad", "verdict", "--d", "-5", "--bound", "1e5"],
+    ["quad", "nope", "--d", "-5"],
+    ["quad", "norms", "--d", "-5", "--format", "xml"],
+    ["check-lattice"],
+    ["no-such-command"],
+    [],
+    ["--version"],
+    ["--help"],
+    ["--format", "json", "corpus"],
+    ["quad", "verdict", "--d", "-5", "--=1"],
+    ["corpus", "--", "--=x"],
+]
+
+
+def _parse_outcome(capsys, parse, argv):
+    """What one parse gives: its namespace in order, or its exit code and output."""
+    try:
+        args = parse(list(argv))
+    except SystemExit as exc:
+        return ("exit", exc.code, *capsys.readouterr())
+    return ("parsed", list(vars(args).items()), *capsys.readouterr())
+
+
+@pytest.mark.parametrize("argv", PARSE_CASES)
+def test_main_parses_like_the_full_parser(capsys, monkeypatch, argv):
+    parser = cli.build_parser()
+    expected = _parse_outcome(capsys, parser.parse_args, argv)
+    full = []  # argv that reach the top-level pass
+
+    def top_level(args):
+        full.append(args)
+        return argparse.ArgumentParser.parse_args(parser, args)
+
+    monkeypatch.setattr(parser, "parse_args", top_level)
+    assert _parse_outcome(capsys, cli._parse, argv) == expected
+    # only argv that do not start with a command, or that hold "--=...", take it
+    one_pass = bool(argv) and argv[0] in ("check-lattice", "lift", "corpus", "quad")
+    assert bool(full) == (not one_pass or any(a.startswith("--=") for a in argv))
 
 
 def test_one_parser_serves_every_call_in_a_process(capsys):

@@ -2,10 +2,11 @@
 n <= 5 census and four quad checks: every key, value and list order, the
 ``stats`` block aside.
 
-The golden files in ``tests/golden/`` hold ``--format json`` reports with
-``stats`` dropped, written as ``json.dumps(report, indent=2,
-sort_keys=True)``.  Fixture paths are given relative to the repository
-root because the payload echoes them.
+The CLI prints each ``--format json`` report on one line.  The golden
+files in ``tests/golden/`` hold those reports with ``stats`` dropped,
+written as ``json.dumps(report, indent=2, sort_keys=True)``.  Fixture
+paths are given relative to the repository root because the payload
+echoes them.
 """
 
 import json
@@ -39,7 +40,10 @@ def test_every_golden_file_has_a_case():
 def test_payload_matches_golden(capsys, monkeypatch, name):
     monkeypatch.chdir(ROOT)
     code = main([*CASES[name], "--format", "json"])
-    report = json.loads(capsys.readouterr().out)
+    out = capsys.readouterr().out
+    report = json.loads(out)
+    # one line, keys sorted
+    assert out == json.dumps(report, sort_keys=True) + "\n"
     del report["stats"]
     golden = (GOLDEN / f"{name}.json").read_text()
     assert json.dumps(report, indent=2, sort_keys=True) + "\n" == golden

@@ -254,6 +254,14 @@ def test_certificate_rejects_f_o_g_off_the_identity(chain3, two):
         _certify_isomorphism(chain3, il, (0, 2), (0, 0, 1))
 
 
+def test_certificate_rejects_g_o_f_off_the_identity(chain3):
+    # g sends top to the middle ideal, so g o f misses the largest ideal
+    res = lift(chain3, chain3.full)
+    g = (*res.iso_g[:-1], res.iso_g[1])
+    with pytest.raises(TheoremViolation, match="g o f is not the identity on ideals"):
+        _certify_isomorphism(chain3, res.ideal_lattice, res.iso_f, g)
+
+
 def test_certificate_rejects_a_product_automorphism_that_breaks_the_order():
     # the chain 0 < a < b < 1 on which every product of two non-top elements
     # is 0: swapping a and b keeps the product but not the order
@@ -267,6 +275,22 @@ def test_certificate_rejects_a_product_automorphism_that_breaks_the_order():
     g = tuple(res.iso_g[swap[y]] for y in range(4))
     with pytest.raises(TheoremViolation, match="f does not preserve and reflect the order"):
         _certify_isomorphism(chain4, res.ideal_lattice, f, g)
+
+
+def test_certificate_rejects_an_order_automorphism_that_breaks_the_product():
+    # 0 < a, b < c < 1 with c*c = c*a = a*a = a and every other product of
+    # two non-top elements 0: swapping a and b keeps the order, not c*c
+    products = {(3, 3): 1, (3, 1): 1, (1, 3): 1, (1, 1): 1}
+    lat = FiniteLattice(("0", "a", "b", "c", "1"), (0b11111, 0b11010, 0b11100, 0b11000, 0b10000),
+                        tuple(tuple(y if x == 4 else x if y == 4 else products.get((x, y), 0)
+                                    for y in range(5)) for x in range(5)), 0, 4)
+    assert verify_lattice(lat).passed
+    res = lift(lat, lat.full)
+    swap = (0, 2, 1, 3, 4)
+    f = tuple(swap[y] for y in res.iso_f)
+    g = tuple(res.iso_g[swap[y]] for y in range(5))
+    with pytest.raises(TheoremViolation, match="f is not multiplicative"):
+        _certify_isomorphism(lat, res.ideal_lattice, f, g)
 
 
 def test_lift_reraises_a_failed_certificate_on_a_multiplicative_lattice(l6, monkeypatch, capsys):
@@ -388,6 +412,15 @@ def test_liftability_reports_a_principal_element_wire_that_fails(two):
     work = LatticeWork(two)
     work._lifts[two.full] = replace(work.lift(two.full), ideal_system=False)
     assert check_liftability(work) == ("the principal-element wire lifts to a weak but not an ideal system",)
+
+
+def test_bounds_are_principal_on_every_class_representative():
+    # check_liftability's principal-element wire is p_mask alone: top's
+    # residuals are the identity and every residual of bot is top
+    for n in range(1, 7):
+        for lat, _ in enumerate_lattice_classes(n):
+            assert classify_element(lat, lat.bot).principal
+            assert classify_element(lat, lat.top).principal
 
 
 def test_nilpotent_singleton_is_principal_but_no_domain(chain3_nil):
@@ -541,6 +574,13 @@ def test_down_set_lattices_lift_every_wire_to_an_ideal_system(below):
 def test_wire_cap_enforced():
     with pytest.raises(ValueError, match="powerset cap"):
         list(enumerate_wires(chain(17)))
+
+
+def test_wires_are_enumerated_at_exactly_the_cap():
+    # 16 elements is the cap itself; in a chain every element but bot is
+    # join-irreducible, so the full carrier is the first and only wire
+    lat = chain(16)
+    assert next(enumerate_wires(lat)).subset == lat.full
 
 
 def test_analyze_wire_certifies_its_m_witness(l6, two, monkeypatch):
