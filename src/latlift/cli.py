@@ -150,7 +150,7 @@ def _cmd_corpus(args, stats: dict) -> tuple[dict, int]:
 def _cmd_quad(args, stats: dict) -> tuple[dict, int]:
     try:
         return _quad(QuadOrder(args.d), args)
-    except MemoryError:
+    except (MemoryError, OverflowError):  # a table too large to allocate, or to index
         bound = args.search_bound if args.check == "s-wire" else args.bound
         raise LoadError(f"bound {bound} is too large: its norm table does not fit in memory") from None
 
@@ -293,11 +293,11 @@ def build_parser() -> argparse.ArgumentParser:
 def _parse(argv: list[str]) -> argparse.Namespace:
     """``build_parser().parse_args(argv)`` in one pass when argv starts with
     a subcommand: the top-level pass would only hand the rest to that
-    subcommand's parser, after classifying every string once more.  That
-    classification can fail on its own only at a string "--=...", which is
-    ambiguous between --help and --version, so such argv take the full pass."""
+    subcommand's parser, after classifying every string once more.  At a
+    string "--=..." that classification names only --help and --version as
+    the options it could match; the subcommand's parser names its own."""
     parser = build_parser()
-    if argv and argv[0] in parser.commands and not any(a.startswith("--=") for a in argv):
+    if argv and argv[0] in parser.commands:
         return parser.commands[argv[0]].parse_args(argv[1:], argparse.Namespace(command=argv[0]))
     return parser.parse_args(argv)
 

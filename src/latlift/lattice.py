@@ -113,24 +113,23 @@ class FiniteLattice(_Carrier):
         return mask_from(x for x, down in enumerate(self.downs) if self.join_of(down & ~(1 << x)) != x)
 
     @cached_property
-    def _pair_bounds(self) -> tuple:
-        """:func:`_bounds` of the order, built once for both
-        :func:`verify_lattice` and the lattice tables."""
-        return _bounds(self.up, self.downs)
+    def _order(self) -> tuple:
+        """(failed order laws, binary join table, binary meet table): the
+        carrier's one bound search and one :func:`_order_laws` walk, read
+        by the lattice gate and by :func:`verify_lattice`."""
+        join2, meet2 = _bounds(self.up, self.downs)
+        return _order_laws(self, join2, meet2), join2, meet2
 
     @cached_property
     def _tables(self) -> tuple:
         """(binary join table, binary meet table): the one lattice gate.
         Joins, meets, residuals, principality flags and the lift all read
         these tables, folding joins from bot and meets from top; a carrier
-        that fails an order law of :func:`verify_lattice`, with bot and top
-        as declared, raises ValueError here.
+        that fails an order law raises ValueError here.
         """
-        record = _Recorder()
-        _order_laws(self, record)
-        if record:
+        if self._order[0]:
             raise ValueError("carrier is not a lattice")
-        return self._pair_bounds
+        return self._order[1:]
 
     def join_of(self, mask: int) -> int:
         """Least upper bound of a subset; the empty join is bot."""
@@ -260,9 +259,10 @@ def is_domain(lat: FiniteLattice) -> bool:
     return True
 
 
-def _order_laws(lat: FiniteLattice, record) -> None:
-    """Record the order laws of :func:`verify_lattice`, bot and top as declared."""
+def _order_laws(lat: FiniteLattice, join2, meet2) -> _Recorder:
+    """The failed order laws, bot and top as declared, given the order's :func:`_bounds`."""
     n, names, up = lat.n, lat.names, lat.up
+    record = _Recorder()
     for i in range(n):
         if not up[i] >> i & 1:
             record("reflexivity", (names[i],))
@@ -281,14 +281,13 @@ def _order_laws(lat: FiniteLattice, record) -> None:
             record("least-element", (names[i],), "bot is not below every element")
         if not up[i] >> lat.top & 1:
             record("greatest-element", (names[i],), "top is not above every element")
-
-    join2, meet2 = lat._pair_bounds
     for i in range(n):
         for j in range(i, n):
             if join2[i][j] is None:
                 record("join-existence", (names[i], names[j]), "pair has no least upper bound")
             if meet2[i][j] is None:
                 record("meet-existence", (names[i], names[j]), "pair has no greatest lower bound")
+    return record
 
 
 def verify_lattice(lat: FiniteLattice) -> Verdict:
@@ -296,12 +295,12 @@ def verify_lattice(lat: FiniteLattice) -> Verdict:
 
     Reports at most one witness per law.  Distributivity is checked in its
     binary form together with annihilation by bot, which on a finite
-    carrier is equivalent to distributivity over arbitrary joins.
+    carrier is equivalent to distributivity over arbitrary joins.  The
+    product laws extend a copy of the cached order laws, never the cache.
     """
     n, names, mul = lat.n, lat.names, lat.mul
-    record = _Recorder()
-    _order_laws(lat, record)
-    join2 = lat._pair_bounds[0]
+    order, join2, _ = lat._order
+    record = _Recorder(order)
     for i in range(n):
         if mul[lat.top][i] != i:
             record("identity", (names[i],), "top must be the multiplicative identity")

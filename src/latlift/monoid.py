@@ -252,7 +252,7 @@ def build_ideal_lattice(r: ClosureMap) -> IdealLattice:
     if not verdict.passed:
         raise TheoremViolation(
             f"r-ideals do not form a multiplicative lattice: {verdict.violations[0]}")
-    join2 = lat._pair_bounds[0]  # lat has just passed verify_lattice, so these are its joins
+    join2 = lat._tables[0]
     for i in range(k):
         for j in range(i, k):
             if join2[i][j] != pos[table[ideals[i] | ideals[j]]]:

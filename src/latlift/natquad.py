@@ -167,7 +167,7 @@ def primes_upto(n: int) -> list[int]:
             if not composite[i]:
                 composite[i * i::i] = b"\1" * len(range(i * i, n + 1, i))
         return list(compress(range(n + 1), composite.translate(_SWAP)))
-    except MemoryError:
+    except (MemoryError, OverflowError):
         raise ValueError(f"prime bound {n} is too large: its sieve does not fit in memory") from None
 
 

@@ -330,6 +330,22 @@ def test_corpus_derives_the_lower_sets_once_per_bound_search(capsys, monkeypatch
     assert calls == {"_down_sets": 111, "_bounds": 111}
 
 
+@pytest.mark.parametrize("argv, walks", [
+    (["lift", fixture_path("l6.json"), "--all-wires"], 3),  # l6 and the ideal lattices of its 2 wires
+    (["check-lattice", fixture_path("l6.json")], 1),
+    (["lift", fixture_path("l6_broken.json"), "--all-wires"], 1),  # fails verify_lattice, lifts nothing
+    (["corpus", "--max-n", "5"], 77),  # 37 class representatives and 40 ideal lattices
+    (["corpus", "--max-n", "6"], 364),  # 166 class representatives and 198 ideal lattices
+])
+def test_each_carrier_walks_its_order_laws_once(capsys, monkeypatch, argv, walks):
+    # verify_lattice and the lattice gate read one cached order verdict
+    carriers = []
+    _count_calls(monkeypatch, lattice, "_order_laws", carriers)
+    main(argv)
+    capsys.readouterr()
+    assert len(carriers) == len({id(lat) for lat, *_ in carriers}) == walks
+
+
 def test_corpus_makes_one_m_scan_per_wire(capsys, monkeypatch, l6):
     # lift checks only the four wire conditions and the liftability check
     # reads the principal-element wire's report from the sweep's wires, so
@@ -529,6 +545,21 @@ def test_quad_prime_bound_too_large_to_sieve_is_usage_error(capsys):
     assert captured.err.startswith(f"error: prime bound {bound} ") and captured.err.count("\n") == 1
 
 
+INDEX_OVERFLOW = str(2 ** 63 - 1)  # a table of bound + 1 bytes is past the largest index
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["norms", "--bound", INDEX_OVERFLOW],
+     f"error: bound {INDEX_OVERFLOW} is too large: its norm table does not fit in memory\n"),
+    (["s-wire", "--prime-bound", INDEX_OVERFLOW],
+     f"error: prime bound {INDEX_OVERFLOW} is too large: its sieve does not fit in memory\n"),
+], ids=["norms", "s-wire"])
+def test_quad_table_past_the_index_range_is_usage_error(capsys, argv, message):
+    # the size overflows before any memory is requested
+    assert main(["quad", *argv, "--d", "-5", "--format", "json"]) == 2
+    assert capsys.readouterr() == ("", message)
+
+
 def test_quad_s_wire_builds_only_the_table_it_reads(capsys):
     # every prime up to 200 resolves in the first 2^16 values, so a search
     # bound far beyond memory needs no larger table
@@ -714,6 +745,12 @@ def _parse_outcome(capsys, parse, argv):
 def test_main_parses_like_the_full_parser(capsys, monkeypatch, argv):
     parser = cli.build_parser()
     expected = _parse_outcome(capsys, parser.parse_args, argv)
+    if argv == ["quad", "verdict", "--d", "-5", "--=1"]:
+        # the top level calls "--=1" ambiguous between its own --help and
+        # --version; the quad parser names the options the user could mean
+        assert expected == ("exit", 2, "", "error: ambiguous option: --=1 could match --help, --version\n")
+        expected = ("exit", 2, "", "error: ambiguous option: --=1 could match --help, --format, --d, "
+                                   "--bound, --prime-bound, --search-bound\n")
     full = []  # argv that reach the top-level pass
 
     def top_level(args):
@@ -722,9 +759,9 @@ def test_main_parses_like_the_full_parser(capsys, monkeypatch, argv):
 
     monkeypatch.setattr(parser, "parse_args", top_level)
     assert _parse_outcome(capsys, cli._parse, argv) == expected
-    # only argv that do not start with a command, or that hold "--=...", take it
+    # only argv that do not start with a command take it
     one_pass = bool(argv) and argv[0] in ("check-lattice", "lift", "corpus", "quad")
-    assert bool(full) == (not one_pass or any(a.startswith("--=") for a in argv))
+    assert bool(full) == (not one_pass)
 
 
 def test_one_parser_serves_every_call_in_a_process(capsys):

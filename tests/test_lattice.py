@@ -13,6 +13,7 @@ from latlift import (
     enumerate_lattice_classes,
     enumerate_small_lattices,
     is_domain,
+    lattice,
     lattice_from_dict,
     lattice_to_dict,
     lift,
@@ -197,6 +198,23 @@ def test_broken_l6_fails_with_distributivity_witness():
     assert not verdict.passed
     assert "distributivity" in verdict.laws or "annihilation" in verdict.laws
     assert "associativity" in verdict.laws
+
+
+def test_a_failed_product_law_leaves_the_gate_open(monkeypatch):
+    # l6_broken's order is a lattice: verify_lattice adds the failed product
+    # laws to a copy of the cached order verdict, so the gate stays open,
+    # and the gate, both verdicts and lift's fallback share one order walk
+    walks, order_laws = [], lattice._order_laws
+    monkeypatch.setattr(lattice, "_order_laws", lambda *args: walks.append(args) or order_laws(*args))
+    lat = load_lattice(FIXTURES / "l6_broken.json")
+    verdict = verify_lattice(lat)
+    assert verdict.laws == ("associativity", "distributivity")
+    b, c, d = map(lat.index, "bcd")
+    assert lat.join(b, c) == d
+    assert verify_lattice(lat) == verdict
+    with pytest.raises(ValueError, match="^carrier is not a multiplicative lattice: associativity fails$"):
+        lift(lat, lat.full)
+    assert len(walks) == 1
 
 
 def test_verify_catches_broken_identity(l6):

@@ -1,14 +1,17 @@
 """The shared verifier code against the per-verifier loops it replaced.
 
 ``verify_lattice`` runs its laws through one violation recorder and one
-bound search; the lattice gate ``FiniteLattice._tables`` runs its order
-laws, with the declared bot and top; the loader and the enumerator share
-one transitive-closure pass.  The reference functions below are the separate loops the verifier
+bound search; its order laws, with the declared bot and top, are the
+carrier's cached order verdict, which the lattice gate
+``FiniteLattice._tables`` reads too, in either order; the loader and the
+enumerator share one transitive-closure pass.  The reference functions below are the separate loops the verifier
 used to run, kept here as the definition the shared code must reproduce:
 same verdict, same violations in the same order, same witnesses and
 details, on random carriers that need not be partial orders or lattices
 at all.
 """
+
+from contextlib import suppress
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -137,10 +140,13 @@ def lattice_like(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.one_of(carriers(), lattice_like()))
-def test_verify_lattice_matches_the_reference_loops(carrier):
+@given(st.one_of(carriers(), lattice_like()), st.booleans())
+def test_verify_lattice_matches_the_reference_loops(carrier, gate_first):
     n, up, mul, bot, top = carrier
     lat = FiniteLattice(tuple(map(str, range(n))), up, mul, bot, top)
+    if gate_first:
+        with suppress(ValueError):
+            lat._tables
     assert verify_lattice(lat) == reference_verify_lattice(lat)
 
 
@@ -149,10 +155,12 @@ ORDER_LAWS = ("reflexivity", "antisymmetry", "transitivity", "least-element", "g
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.one_of(carriers(), lattice_like()))
-def test_lattice_gate_rejects_exactly_the_order_law_failures(carrier):
+@given(st.one_of(carriers(), lattice_like()), st.booleans())
+def test_lattice_gate_rejects_exactly_the_order_law_failures(carrier, verify_first):
     n, up, mul, bot, top = carrier
     lat = FiniteLattice(tuple(map(str, range(n))), up, mul, bot, top)
+    if verify_first:
+        verify_lattice(lat)
     order_fails = any(law in ORDER_LAWS for law in reference_verify_lattice(lat).laws)
     try:
         lat._tables
