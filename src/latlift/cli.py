@@ -192,7 +192,7 @@ def _render_text(report: dict) -> str:
         if "elements" in results:
             lines.append(f"elements: {','.join(results['elements'])}")
         for v in results.get("violations", []):
-            lines.append(f"violation: {v['law']} at ({','.join(map(str, v['witness']))}) {v['detail']}")
+            lines.append(f"violation: {v['law']} at ({','.join(map(str, v['witness']))}) {v['detail']}".rstrip())
     if command == "lift":
         for entry in results.get("wires", []):
             lines.append(f"wire {{{','.join(entry['wire'])}}}: "

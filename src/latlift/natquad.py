@@ -11,10 +11,10 @@ the checks below report exactly that, with every witness re-verified
 before it is returned.
 
 The norm image, the division-closure check and the s-wire check each read
-the membership table of (d, bound) that _norm_table builds; the loop of the
-division-closure check and its proofs are in division_closure_check, the
-table growth of the s-wire check in s_wire_check.  The re-verification of
-each witness never reads the table.
+a membership table that _norm_table builds or extends; the growth of the
+division-closure table and its proofs are in division_closure_check, the
+growth of the s-wire table in s_wire_check.  The re-verification of each
+witness never reads the table.
 """
 
 from __future__ import annotations
@@ -32,9 +32,6 @@ M_WIRE_CONSISTENT = "CONSISTENT-WITH-M-WIRE-UP-TO-BOUND"
 
 # Swaps the bytes 0 and 1: the table's complement, "v is not a norm".
 _SWAP = bytes.maketrans(b"\0\1", b"\1\0")
-
-# Size of the first table of s_wire_check, which grows it on demand.
-_FIRST_REACH = 1 << 16
 
 # Size of the prefix table of division_closure_check, in multiples of |d|.
 _PREFIX_FACTOR = 16
@@ -121,17 +118,22 @@ def is_norm(q: QuadOrder, n: int) -> bool:
     return norm_witness(q, n) is not None
 
 
-def _norm_table(d: int, bound: int) -> bytes:
+def _norm_table(d: int, bound: int, table: bytearray | None = None) -> bytearray:
     """Byte v (0 <= v <= bound) is 1 iff v > 0 and v = a^2 + |d| b^2: each
-    row b marks |d| b^2 + a^2 for the precomputed squares a^2 that fit."""
-    table = bytearray(bound + 1)
+    row b marks |d| b^2 + a^2 for the precomputed squares a^2 that fit.  A
+    table of smaller reach is copied into the new array, never resized (a
+    memoryview may export it), and the rows mark only the values past it."""
+    grown, reach = bytearray(bound + 1), 0
+    if table is not None:
+        reach = len(table) - 1
+        grown[:reach + 1] = table
     squares = [a * a for a in range(isqrt(bound) + 1)]
     for b in range(isqrt(bound // -d) + 1):
         base = -d * b * b
-        for square in squares[:isqrt(bound - base) + 1]:
-            table[base + square] = 1
-    table[0] = 0
-    return bytes(table)
+        first = isqrt(reach - base) + 1 if base <= reach else 0
+        for square in squares[first:isqrt(bound - base) + 1]:
+            grown[base + square] = 1
+    return grown
 
 
 def norm_image(q: QuadOrder, bound: int) -> tuple[int, ...]:
@@ -249,7 +251,7 @@ class DivisionClosureReport:
         return M_WIRE_CONSISTENT if self.closed else NOT_M_WIRE
 
 
-def _divisors(d: int, table: bytes, split: int, free: bytearray) -> Iterator[int]:
+def _divisors(d: int, table: bytearray, split: int, free: bytearray) -> Iterator[int]:
     """The norm-free norms 2 <= n <= split of table, ascending, but the p^2
     that division_closure_check skips; the multiples of every norm-free norm
     are cleared from ``free`` (split + 1 bytes, all set) as the walk passes it."""
@@ -261,7 +263,7 @@ def _divisors(d: int, table: bytes, split: int, free: bytearray) -> Iterator[int
             free[n::n] = bytes(split // n)
 
 
-def _first_hit(table: bytes, divisors: list[int]) -> tuple[int, int] | None:
+def _first_hit(table: bytearray, divisors: list[int]) -> tuple[int, int] | None:
     """The first of the ascending divisors n with a k >= 2 such that k n is a
     norm of table and k is not, with its least k, or None: one AND each with
     "k is not a norm" up to (len(table) - 1) // divisors[0], one big int."""
@@ -275,7 +277,7 @@ def _first_hit(table: bytes, divisors: list[int]) -> tuple[int, int] | None:
     return None
 
 
-def _bounded_pair(d: int, table: bytes) -> tuple[int, int] | None:
+def _bounded_pair(d: int, table: bytearray) -> tuple[int, int] | None:
     """(n, k) of the least counterexample in the norm table of d by the two
     scans of division_closure_check, or None; the bound is len(table) - 1."""
     bound = len(table) - 1
@@ -299,8 +301,8 @@ def _bounded_pair(d: int, table: bytes) -> tuple[int, int] | None:
 def _least_pair(q: QuadOrder, bound: int) -> tuple[int, int] | None:
     """(n, k) of the least counterexample of division_closure_check, or None."""
     reach = min(bound, _PREFIX_FACTOR * q.D)
+    table = _norm_table(q.d, reach)
     while True:
-        table = _norm_table(q.d, reach)
         if reach < bound:
             half = reach // 2
             n1 = next(_divisors(q.d, table, half, bytearray(b"\1") * (half + 1)), None)
@@ -314,6 +316,7 @@ def _least_pair(q: QuadOrder, bound: int) -> tuple[int, int] | None:
         if reach == bound:
             return _bounded_pair(q.d, table)
         reach = min(2 * reach, bound)
+        table = _norm_table(q.d, reach, table)
 
 
 def division_closure_check(q: QuadOrder, bound: int) -> DivisionClosureReport:
@@ -464,7 +467,7 @@ class SGenReport:
         return not self.unresolved
 
 
-def _gcd_pair(p: int, table: bytes) -> tuple[int, int] | None:
+def _gcd_pair(p: int, table: bytearray) -> tuple[int, int] | None:
     """Pair of norm values in the table with gcd exactly p and minimal product.
 
     Rows are scanned ascending with product cutoffs, so the first hit per
@@ -496,14 +499,11 @@ def s_wire_check(q: QuadOrder, prime_bound: int, search_bound: int) -> SGenRepor
     unresolved rather than dropped.  Witnesses are re-verified before the
     report is assembled.
 
-    The table grows on demand from reach = min(search_bound, _FIRST_REACH)
-    while a prime has no pair or its pair's product P exceeds p * reach.
-    That is exact: a multiple of p is at least p, so a pair with a member
-    above reach has product above p * reach >= P and cannot beat or tie.
-    reach doubles up to search_bound / 2, then jumps to search_bound, so the
-    earlier tables sum to less than search_bound and an unresolved prime
-    costs under two full-size builds.  For D = 5 and 17 and the primes up
-    to 2000, P / p is at most 11,922 and 41,979: no table grows.
+    The table starts at reach 1 and grows to reach = min(2 reach,
+    search_bound) while a prime has no pair or its pair's product P exceeds
+    p * reach.  That is exact: a pair with a member above reach has product
+    above p * reach >= P, as its other member is at least p.  D = 5 and 17
+    end at 16,384 and 65,536 values for the primes up to 2000.
 
     "unresolved" only ever means that search_bound was too small.  A prime
     p that is neither inert nor a norm splits or ramifies, so p = N(P) for
@@ -517,8 +517,7 @@ def s_wire_check(q: QuadOrder, prime_bound: int, search_bound: int) -> SGenRepor
         raise ValueError("prime bound must be at least 2")
     if search_bound < 1:
         raise ValueError("search bound must be positive")
-    reach = min(search_bound, _FIRST_REACH)
-    table = _norm_table(q.d, reach)
+    reach, table = 1, _norm_table(q.d, 1)
     verdicts = []
     for p in primes_upto(prime_bound):
         if _inert(q, p):
@@ -532,8 +531,8 @@ def s_wire_check(q: QuadOrder, prime_bound: int, search_bound: int) -> SGenRepor
             continue
         pair = _gcd_pair(p, table)
         while reach < search_bound and (pair is None or pair[0] * pair[1] // p > reach):
-            reach = search_bound if 4 * reach > search_bound else 2 * reach
-            table = _norm_table(q.d, reach)
+            reach = min(2 * reach, search_bound)
+            table = _norm_table(q.d, reach, table)
             pair = _gcd_pair(p, table)
         if pair is None:
             verdicts.append(PrimeVerdict(p, "unresolved"))

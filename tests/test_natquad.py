@@ -297,6 +297,22 @@ def test_norm_table_matches_double_loop(D, bound):
 
 
 @settings(max_examples=150, deadline=None)
+@given(st.sampled_from(ADMISSIBLE), st.integers(0, 3000), st.integers(0, 3000))
+@example(17, 5, 300)  # the first reach below |d|: the rows b >= 1 are all new
+@example(17, 300, 0)  # r1 = r2: a copy, nothing to mark
+@example(17, 299, 1)  # r2 = r1 + 1
+@example(1, 1, 1)  # the s-wire table's first growth, reach 1 to 2
+@example(2, 0, 3000)  # from the table of reach 0, the value 0 alone
+def test_norm_table_extension_matches_fresh_table(D, r1, extra):
+    r2 = r1 + extra
+    small = _norm_table(-D, r1)
+    grown = _norm_table(-D, r2, small)
+    assert grown is not small and grown == _norm_table(-D, r2)
+    assert {v for v, flag in enumerate(grown) if flag} == norm_values_by_double_loop(D, r2)
+    assert small == _norm_table(-D, r1)  # the table extended from is left as it was
+
+
+@settings(max_examples=150, deadline=None)
 @given(st.one_of(st.sampled_from(ADMISSIBLE), st.sampled_from(sorted(IDONEAL & set(ADMISSIBLE)))),
        st.integers(1, 5000))
 @example(41, 50)  # split == bound // 2 == 25: the first scan alone finds (9, 45, 5)
@@ -427,7 +443,8 @@ def test_division_closure_doubles_the_prefix_until_it_answers(monkeypatch):
     # the prefix of 16 D values, within the doubled one of 32 D
     sizes = []
     build = natquad._norm_table
-    monkeypatch.setattr(natquad, "_norm_table", lambda d, bound: sizes.append(bound) or build(d, bound))
+    monkeypatch.setattr(natquad, "_norm_table",
+                        lambda d, bound, table=None: sizes.append(bound) or build(d, bound, table))
     report = division_closure_check(QuadOrder(-11302), 600_000)
     assert sizes == [16 * 11302, 32 * 11302]
     pair = _bounded_pair(-11302, build(-11302, 600_000))
@@ -439,7 +456,8 @@ def test_division_closure_of_a_closed_image_builds_no_large_table(monkeypatch):
     # prefix table of 16 D values: no larger table at any bound
     sizes = []
     build = natquad._norm_table
-    monkeypatch.setattr(natquad, "_norm_table", lambda d, bound: sizes.append(bound) or build(d, bound))
+    monkeypatch.setattr(natquad, "_norm_table",
+                        lambda d, bound, table=None: sizes.append(bound) or build(d, bound, table))
     assert len(CLOSED) == 34
     for D in CLOSED:
         for bound in (max(200_000, 50 * D), 10**10):
@@ -453,7 +471,8 @@ def test_division_closure_consults_the_exact_step_only_without_a_prefix_hit(monk
     # answered by n1 there, and only the closed D walk their reduced forms
     sizes, decided = [], []
     build, exact = natquad._norm_table, natquad._all_ambiguous
-    monkeypatch.setattr(natquad, "_norm_table", lambda d, bound: sizes.append(bound) or build(d, bound))
+    monkeypatch.setattr(natquad, "_norm_table",
+                        lambda d, bound, table=None: sizes.append(bound) or build(d, bound, table))
     monkeypatch.setattr(natquad, "_all_ambiguous", lambda D: decided.append(D) or exact(D))
     for D in ADMISSIBLE_BELOW_2000:
         sizes.clear()
@@ -522,19 +541,17 @@ def test_gcd_pair_matches_image_filter(D, bound, p):
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.sampled_from(ADMISSIBLE), st.integers(2, 300), st.integers(1, 200_000),
-       st.sampled_from([natquad._FIRST_REACH, 64, 256]))
-@example(214, 619, 100_000, natquad._FIRST_REACH)  # 619 pairs as (1238, 66233): one growth
-@example(214, 619, 66_000, natquad._FIRST_REACH)  # no pair for 619: the table grows to search_bound
-@example(17, 30, 20, natquad._FIRST_REACH)  # search_bound below the first table
+@given(st.sampled_from(ADMISSIBLE), st.integers(2, 300), st.integers(1, 200_000))
+@example(214, 619, 100_000)  # 619 pairs as (1238, 66233): past 2^16, the last growth is to search_bound
+@example(214, 619, 66_000)  # no pair for 619: the table grows to search_bound
+@example(17, 30, 20)  # search_bound is not a power of 2: the last table is of 20 values
 # 113 finds (6441, 7910) in a table of 8192, a product above 113 * 8192,
 # and the grown table holds the smaller (1695, 8362)
-@example(854, 113, 20_000, 256)
-def test_s_wire_grown_table_matches_full_table(D, prime_bound, search_bound, first_reach):
+@example(854, 113, 20_000)
+def test_s_wire_grown_table_matches_full_table(D, prime_bound, search_bound):
     q = QuadOrder(-D)
     table = _norm_table(-D, search_bound)
-    with mock.patch.object(natquad, "_FIRST_REACH", first_reach):
-        verdicts = s_wire_check(q, prime_bound, search_bound).verdicts
+    verdicts = s_wire_check(q, prime_bound, search_bound).verdicts
     for v in verdicts:
         if is_inert(q, v.p):
             assert v.kind == "inert"
@@ -569,15 +586,17 @@ def test_quad_workload_verdicts_follow_idoneal_numbers():
             assert report.counterexample == (9, 18, 2)
 
 
-@pytest.mark.parametrize("d, gcd_generated", [(-5, 80), (-17, 119)], ids=["-5", "-17"])
-def test_quad_workload_s_wire_resolves_every_prime(monkeypatch, d, gcd_generated):
-    # the benchmark's search bound is 10^6 plus the pass number; every gcd
-    # pair lies in the first 2^16 values, so no table grows
+@pytest.mark.parametrize("d, gcd_generated, last_reach", [(-5, 80, 1 << 14), (-17, 119, 1 << 16)],
+                         ids=["-5", "-17"])
+def test_quad_workload_s_wire_resolves_every_prime(monkeypatch, d, gcd_generated, last_reach):
+    # the benchmark's search bound is 10^6 plus the pass number; the table
+    # doubles from reach 1 until every gcd pair is certified, far below it
     sizes = []
     build = natquad._norm_table
-    monkeypatch.setattr(natquad, "_norm_table", lambda d, bound: sizes.append(bound) or build(d, bound))
+    monkeypatch.setattr(natquad, "_norm_table",
+                        lambda d, bound, table=None: sizes.append(bound) or build(d, bound, table))
     report = s_wire_check(QuadOrder(d), 2000, 10**6 + 1)
-    assert sizes == [1 << 16]
+    assert sizes == [1 << k for k in range(last_reach.bit_length())]
     assert report.ok and report.unresolved == ()
     assert len(report.verdicts) == len(primes_upto(2000))
     assert sum(v.kind == "gcd_generated" for v in report.verdicts) == gcd_generated
